@@ -35,10 +35,12 @@ from .kernels import (
     volume_bound,
 )
 from .lattice import (
+    AsymmetricSolveError,
     KilledGreenMatrix,
     LatticeSet,
     decay_constant,
     exit_distribution,
+    killed_green_entry,
     killed_green_matrix,
     killed_green_via_kernel,
     outer_boundary,

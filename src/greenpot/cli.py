@@ -13,7 +13,8 @@ experiments stay reproducible and independent: 0 random matrix
 populations, 1 CMP probe vectors, 2 random grid functions, 3 lattice
 walks, 4 occupation-integral sampling.
 
-Exit codes: 0 pass, 1 assertion failure or resource stop, 2 usage error.
+Exit codes: 0 pass, 1 assertion failure, resource stop or numerical
+failure (singular or asymmetric solve), 2 usage error.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .kernels import (
     green_constant,
 )
 from .lattice import (
+    AsymmetricSolveError,
     killed_green_matrix,
     potential_kernel_2d,
     potential_kernel_constant,
@@ -321,7 +323,7 @@ def run_riesz_mc(cfg):
     oracle = ball_kernel_integral(spec, cfg["x"], cfg["center"], cfg["radius"])
     gap = abs(est.mean - oracle)
     tolerance = 3 * est.stderr + est.tail_bound
-    passed = gap <= tolerance
+    passed = bool(gap <= tolerance)
     report = {"experiment": "riesz-mc", "estimate": json.loads(est.to_json()),
               "oracle": oracle, "gap": gap, "tolerance": tolerance, "passed": passed}
     rows = [[est.mean, est.stderr, est.tail_bound, oracle, gap, tolerance, passed]]
@@ -342,7 +344,7 @@ def run_exit_mc(cfg):
         reference = disk_green_2d(domain.radius, cfg["x"], cfg["y"])
         gap = abs(est.mean - reference)
         tolerance = max(4 * est.stderr, 0.05 * reference)
-        passed = gap <= tolerance
+        passed = bool(gap <= tolerance)
         report.update({"reference": reference, "gap": gap, "tolerance": tolerance,
                        "passed": passed})
     rows = [[est.mean, est.stderr, est.trials,
@@ -527,6 +529,9 @@ def main(argv=None) -> int:
     try:
         cfg, out = merge_config(args)
         report, csv_data, passed = RUNNERS[args.experiment](cfg)
+    except (AsymmetricSolveError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return FAIL
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
@@ -537,7 +542,7 @@ def main(argv=None) -> int:
             time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "argv": list(argv) if argv is not None else sys.argv[1:]}
     write_reports(out, report, csv_data, meta)
-    if passed is False:
+    if passed is not None and not passed:
         print(f"FAIL: {args.experiment} assertion did not hold", file=sys.stderr)
         return FAIL
     return PASS

@@ -59,13 +59,16 @@ def _as_point(x, d: int) -> np.ndarray:
 def free_green(d: int, x, y) -> float:
     """Free-space kernel ``C(d) |x - y|^(2-d)`` for ``d >= 3``.
 
-    Returns ``inf`` on the diagonal.
+    Returns ``inf`` on the diagonal, and where ``|x - y|^(2-d)`` overflows.
     """
     px, py = _as_point(x, d), _as_point(y, d)
     r = float(np.linalg.norm(px - py))
     if r == 0.0:
         return math.inf
-    return green_constant(d) * r ** (2 - d)
+    try:
+        return green_constant(d) * r ** (2 - d)
+    except OverflowError:
+        return math.inf
 
 
 def disk_green_2d(radius: float, x, y) -> float:

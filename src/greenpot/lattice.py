@@ -35,7 +35,9 @@ __all__ = [
     "potential_kernel_constant",
     "decay_constant",
     "killed_green_matrix",
+    "killed_green_entry",
     "killed_green_via_kernel",
+    "AsymmetricSolveError",
     "exit_distribution",
     "EXACT_RANGE",
 ]
@@ -59,21 +61,58 @@ def _lex_sorted(points: np.ndarray) -> np.ndarray:
     return points[order]
 
 
+class _PackedIndex:
+    """Row lookup for a lexicographically sorted point set.
+
+    Every point is shifted into a box with a two-cell margin and packed
+    into one int64 key, first coordinate most significant.  Packing keeps
+    lexicographic order, so the keys of the set come out sorted and the
+    `searchsorted` slot of a key is the row of its point.  Query points
+    are clamped into the box first; a clamped point lands on the margin,
+    which holds no point of the set.
+    """
+
+    def __init__(self, points: np.ndarray):
+        if len(points):
+            self.lo = points.min(axis=0) - 2
+            self.width = int((points.max(axis=0) - self.lo).max()) + 3
+        else:
+            self.lo, self.width = np.zeros(points.shape[1], dtype=np.int64), 1
+        if self.width ** points.shape[1] >= 2**63:
+            raise ValueError("lattice set spans too wide a box to index")
+        self.keys = self._pack(points)
+
+    def _pack(self, points: np.ndarray) -> np.ndarray:
+        shifted = np.maximum(points - self.lo, 0)
+        np.minimum(shifted, self.width - 1, out=shifted)
+        keys = shifted[:, 0].astype(np.int64)
+        for k in range(1, shifted.shape[1]):
+            keys = keys * self.width + shifted[:, k]
+        return keys
+
+    def rows(self, points: np.ndarray) -> np.ndarray:
+        key = self._pack(points)
+        if not len(self.keys):
+            return np.full(len(key), -1)
+        slot = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
+        return np.where(self.keys[slot] == key, slot, -1)
+
+
 @dataclass(frozen=True)
 class LatticeSet:
     """A finite subset of Z^d with lexicographically ordered points."""
 
     d: int
     points: np.ndarray
-    _index: dict = field(repr=False, compare=False, default=None)
+    _index: _PackedIndex = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.int64)
         if pts.ndim != 2 or pts.shape[1] != self.d:
             raise ValueError(f"points must have shape (m, {self.d})")
         pts = _lex_sorted(pts)
-        index = {tuple(p): i for i, p in enumerate(pts)}
-        if len(index) != len(pts):
+        index = _PackedIndex(pts)
+        if np.any(index.keys[1:] == index.keys[:-1]):
             raise ValueError("duplicate lattice points")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "_index", index)
@@ -86,14 +125,19 @@ class LatticeSet:
     def __len__(self) -> int:
         return len(self.points)
 
+    def rows_of(self, points) -> np.ndarray:
+        """Row of each point of a ``(k, d)`` integer array, ``-1`` where absent."""
+        return self._index.rows(np.asarray(points, dtype=np.int64).reshape(-1, self.d))
+
     def __contains__(self, point) -> bool:
-        return tuple(int(c) for c in point) in self._index
+        key = tuple(int(c) for c in point)
+        return len(key) == self.d and self.rows_of([key])[0] >= 0
 
     def index_of(self, point) -> int:
         key = tuple(int(c) for c in point)
-        if key not in self._index:
+        if key not in self:
             raise KeyError(f"{key} is not in the lattice set")
-        return self._index[key]
+        return int(self.rows_of([key])[0])
 
     def to_json(self) -> str:
         return json.dumps(
@@ -301,21 +345,41 @@ class KilledGreenMatrix:
         return cls(lattice=lattice, entries=entries)
 
 
+def _neighbours(lattice: LatticeSet):
+    """Points one step from each set point, ``(m, 2d, d)``, and their rows or ``-1``."""
+    cand = lattice.points[:, None, :] + unit_steps(lattice.d)[None, :, :]
+    return cand, lattice.rows_of(cand.reshape(-1, lattice.d)).reshape(cand.shape[:2])
+
+
 def _transition_coo(lattice: LatticeSet):
-    pts = lattice.points
-    d = lattice.d
-    rows, cols = [], []
-    for step in unit_steps(d):
-        for i, p in enumerate(pts):
-            j = lattice._index.get(tuple(p + step))
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-    return np.asarray(rows), np.asarray(cols)
+    """Rows and columns of the ordered neighbour pairs in the set; each pair once."""
+    _, nbr = _neighbours(lattice)
+    rows, steps = np.nonzero(nbr >= 0)
+    return rows, nbr[rows, steps]
+
+
+def _killed_laplacian(lattice: LatticeSet) -> sparse.csc_matrix:
+    """Sparse ``I - P``: unit diagonal, ``-1/(2d)`` between neighbours in the set."""
+    rows, cols = _transition_coo(lattice)
+    m = len(lattice)
+    data = np.concatenate([np.ones(m), np.full(len(rows), -1.0 / (2 * lattice.d))])
+    r = np.concatenate([np.arange(m), rows])
+    c = np.concatenate([np.arange(m), cols])
+    return sparse.csc_matrix((data, (r, c)), shape=(m, m))
 
 
 DENSE_LIMIT = 5000
 SYMMETRY_TOL = 1e-10
+
+
+class AsymmetricSolveError(RuntimeError):
+    """A killed Green solve came out asymmetric beyond `SYMMETRY_TOL`."""
+
+
+def _check_symmetric(skew: float, scale: float) -> None:
+    if skew > SYMMETRY_TOL * scale:
+        raise AsymmetricSolveError(
+            f"killed Green solve asymmetric beyond tolerance: {skew / scale:.3e}")
 
 
 def killed_green_matrix(lattice: LatticeSet, dense_limit: int = DENSE_LIMIT) -> KilledGreenMatrix:
@@ -330,22 +394,23 @@ def killed_green_matrix(lattice: LatticeSet, dense_limit: int = DENSE_LIMIT) -> 
     KilledGreenMatrix
         Symmetric matrix with unit-dominated diagonal (every diagonal
         entry is at least 1).
+
+    Raises
+    ------
+    AsymmetricSolveError
+        If ``G`` and its transpose differ by more than `SYMMETRY_TOL`
+        times its largest entry.
     """
     m = len(lattice)
     if m == 0:
         raise ValueError("lattice set is empty")
-    rows, cols = _transition_coo(lattice)
-    q = 1.0 / (2 * lattice.d)
     if m <= dense_limit:
+        rows, cols = _transition_coo(lattice)
         a = np.eye(m)
-        if len(rows):
-            np.subtract.at(a, (rows, cols), q)
+        a[rows, cols] = -1.0 / (2 * lattice.d)
         g = solve(a, np.eye(m), assume_a="pos")
     else:
-        data = np.concatenate([np.ones(m), -q * np.ones(len(rows))])
-        r = np.concatenate([np.arange(m), rows])
-        c = np.concatenate([np.arange(m), cols])
-        lu = splu(sparse.csc_matrix((data, (r, c)), shape=(m, m)))
+        lu = splu(_killed_laplacian(lattice))
         g = np.empty((m, m))
         block = 512
         for lo in range(0, m, block):
@@ -353,23 +418,31 @@ def killed_green_matrix(lattice: LatticeSet, dense_limit: int = DENSE_LIMIT) -> 
             rhs = np.zeros((m, hi - lo))
             rhs[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
             g[:, lo:hi] = lu.solve(rhs)
-    skew = np.max(np.abs(g - g.T))
-    scale = np.max(np.abs(g))
-    if skew > SYMMETRY_TOL * scale:
-        raise RuntimeError(f"killed Green solve asymmetric beyond tolerance: {skew / scale:.3e}")
+    _check_symmetric(np.max(np.abs(g - g.T)), np.max(np.abs(g)))
     g = (g + g.T) / 2.0
     return KilledGreenMatrix(lattice=lattice, entries=g)
 
 
+def killed_green_entry(lattice: LatticeSet, x, y) -> float:
+    """The entry ``G[x, y]`` of `killed_green_matrix` without forming ``G``.
+
+    Factors the sparse ``I - P`` once and solves for the columns at `y`
+    and at `x`.  The mirrored entries ``G[x, y]`` and ``G[y, x]`` pass the
+    same symmetry check as the full matrix, scaled by the largest solved
+    value, and their mean is returned.
+    """
+    i, j = lattice.index_of(x), lattice.index_of(y)
+    rhs = np.zeros((len(lattice), 2))
+    rhs[j, 0] = rhs[i, 1] = 1.0
+    g = splu(_killed_laplacian(lattice)).solve(rhs)
+    _check_symmetric(abs(g[i, 0] - g[j, 1]), np.max(np.abs(g)))
+    return float((g[i, 0] + g[j, 1]) / 2.0)
+
+
 def outer_boundary(lattice: LatticeSet) -> LatticeSet:
     """Points outside the set adjacent to it (possible exit positions)."""
-    seen = set()
-    for p in lattice.points:
-        for step in unit_steps(lattice.d):
-            q = tuple(p + step)
-            if q not in lattice._index:
-                seen.add(q)
-    return LatticeSet.from_points(lattice.d, sorted(seen))
+    cand, nbr = _neighbours(lattice)
+    return LatticeSet(d=lattice.d, points=np.unique(cand[nbr < 0], axis=0))
 
 
 def exit_distribution(lattice: LatticeSet, start, green: KilledGreenMatrix | None = None) -> dict:
@@ -377,19 +450,19 @@ def exit_distribution(lattice: LatticeSet, start, green: KilledGreenMatrix | Non
 
     Computed from the killed Green row: the chance of exiting at a
     boundary point is the visit count of each inner neighbor times the
-    single-step probability.
+    single-step probability.  Keys appear in order of first reach, scanning
+    set points in order and steps within each point.
     """
     if green is None:
         green = killed_green_matrix(lattice)
     row = green.entries[lattice.index_of(start)]
     q = 1.0 / (2 * lattice.d)
-    law: dict[tuple, float] = {}
-    for i, p in enumerate(lattice.points):
-        for step in unit_steps(lattice.d):
-            out = tuple(p + step)
-            if out not in lattice._index:
-                law[out] = law.get(out, 0.0) + row[i] * q
-    return law
+    cand, nbr = _neighbours(lattice)
+    out = nbr < 0
+    weights = np.broadcast_to(row[:, None], out.shape)[out] * q
+    exits, first, inverse = np.unique(cand[out], axis=0, return_index=True, return_inverse=True)
+    mass = np.bincount(inverse.reshape(-1), weights=weights, minlength=len(exits))
+    return {tuple(int(c) for c in exits[k]): float(mass[k]) for k in np.argsort(first)}
 
 
 def killed_green_via_kernel(lattice: LatticeSet, x, y, exit_law: dict) -> float:

@@ -133,56 +133,34 @@ def _as_generator(rng) -> np.random.Generator:
 
 # ---------------------------------------------------------------- walks
 
-class _WalkContext:
-    """Packed-key membership tables shared by all trial blocks."""
+def _walk_block(lattice: LatticeSet, start: np.ndarray, trials: int, gen: np.random.Generator,
+                step_budget: int, counts: np.ndarray | None = None) -> np.ndarray:
+    """Walk `trials` paths from `start` until each exits; returns exits.
 
-    def __init__(self, lattice: LatticeSet):
-        pts = lattice.points
-        self.d = lattice.d
-        self.lo = pts.min(axis=0) - 2
-        self.width = int((pts.max(axis=0) - self.lo).max()) + 3
-        raw = self._pack(pts)
-        order = np.argsort(raw)
-        self.keys = raw[order]
-        self.to_lattice_index = order  # sorted-key slot -> lattice row
-        self.steps = unit_steps(self.d)
-
-    def _pack(self, points: np.ndarray) -> np.ndarray:
-        shifted = points - self.lo
-        keys = shifted[:, 0].astype(np.int64)
-        for k in range(1, points.shape[1]):
-            keys = keys * self.width + shifted[:, k]
-        return keys
-
-    def walk_block(self, start: np.ndarray, trials: int, gen: np.random.Generator,
-                   step_budget: int, counts: np.ndarray | None = None) -> np.ndarray:
-        """Walk `trials` paths from `start` until each exits; returns exits.
-
-        When `counts` (trials x set size) is given, tallies per-trial
-        visit counts, start included.
-        """
-        pos = np.tile(start, (trials, 1))
-        exits = np.empty((trials, self.d), dtype=np.int64)
-        active = np.arange(trials)
-        if counts is not None:
-            first = int(np.searchsorted(self.keys, self._pack(start[None, :])[0]))
-            counts[:, self.to_lattice_index[first]] += 1
-        spent = 0
-        while len(active):
-            if spent >= step_budget:
-                raise StepBudgetError(f"{len(active)} walks still active at the step budget")
-            pos = pos + self.steps[gen.integers(0, len(self.steps), size=len(active))]
-            key = self._pack(pos)
-            idx = np.searchsorted(self.keys, key)
-            inside = (idx < len(self.keys)) & (self.keys[np.minimum(idx, len(self.keys) - 1)] == key)
-            if not inside.all():
-                out = ~inside
-                exits[active[out]] = pos[out]
-                active, pos, idx = active[inside], pos[inside], idx[inside]
-            if counts is not None and len(active):
-                np.add.at(counts, (active, self.to_lattice_index[idx]), 1)
-            spent += 1
-        return exits
+    When `counts` (trials x set size) is given, tallies per-trial visit
+    counts, start included.
+    """
+    steps = unit_steps(lattice.d)
+    pos = np.tile(start, (trials, 1))
+    exits = np.empty((trials, lattice.d), dtype=np.int64)
+    active = np.arange(trials)
+    if counts is not None:
+        counts[:, lattice.index_of(start)] += 1
+    spent = 0
+    while len(active):
+        if spent >= step_budget:
+            raise StepBudgetError(f"{len(active)} walks still active at the step budget")
+        pos = pos + steps[gen.integers(0, len(steps), size=len(active))]
+        row = lattice.rows_of(pos)
+        inside = row >= 0
+        if not inside.all():
+            out = ~inside
+            exits[active[out]] = pos[out]
+            active, pos, row = active[inside], pos[inside], row[inside]
+        if counts is not None and len(active):
+            np.add.at(counts, (active, row), 1)
+        spent += 1
+    return exits
 
 
 def sample_exit(lattice: LatticeSet, start, rng: RngStream,
@@ -194,10 +172,9 @@ def sample_exit(lattice: LatticeSet, start, rng: RngStream,
     """
     if start not in lattice:
         raise ValueError("start must belong to the lattice set")
-    ctx = _WalkContext(lattice)
     counts = np.zeros((1, len(lattice)), dtype=np.int64)
-    exits = ctx.walk_block(np.asarray(start, dtype=np.int64), 1, _as_generator(rng),
-                           step_budget, counts)
+    exits = _walk_block(lattice, np.asarray(start, dtype=np.int64), 1, _as_generator(rng),
+                        step_budget, counts)
     return tuple(int(c) for c in exits[0]), counts[0]
 
 
@@ -213,13 +190,12 @@ def exit_statistics(lattice: LatticeSet, start, trials: int, rng: RngStream,
         raise ValueError("start must belong to the lattice set")
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    ctx = _WalkContext(lattice)
     start_arr = np.asarray(start, dtype=np.int64)
     sizes = _block_sizes(trials)
 
     def worker(b):
         counts = np.zeros((sizes[b], len(lattice)), dtype=np.int64)
-        exits = ctx.walk_block(start_arr, sizes[b], rng.child(b), step_budget, counts)
+        exits = _walk_block(lattice, start_arr, sizes[b], rng.child(b), step_budget, counts)
         return (counts.sum(axis=0).astype(float),
                 (counts.astype(float) ** 2).sum(axis=0), exits)
 
@@ -270,11 +246,10 @@ def estimate_boundary_term(domain, grid: GridSpec, x, y, trials: int, rng: RngSt
     d = grid.d
     scale = grid.n ** (d / 2.0 - 1.0) / d ** (d / 2.0)
     a_uv = potential_kernel_2d(u - v) if d == 2 else None
-    ctx = _WalkContext(lattice)
     sizes = _block_sizes(trials)
 
     def worker(b):
-        exits = ctx.walk_block(u, sizes[b], rng.child(b), step_budget)
+        exits = _walk_block(lattice, u, sizes[b], rng.child(b), step_budget)
         if d == 2:
             vals = 0.5 * (_green_at_differences(2, np.abs(exits - v)) - a_uv)
         else:

@@ -29,6 +29,7 @@ from .lattice import (
     EXACT_RANGE,
     LatticeSet,
     decay_constant,
+    killed_green_entry,
     killed_green_matrix,
     whole_space_green,
 )
@@ -338,8 +339,7 @@ def _disk_point_value(domain, transform, x, y, grid: GridSpec) -> float:
     zx, zy = round_to_grid(x, grid), round_to_grid(y, grid)
     if zx not in lattice or zy not in lattice:
         raise ValueError("a target point rounds outside the domain grid")
-    green = killed_green_matrix(lattice)
-    value = green.entry(zx, zy) * _green_scale(grid.d, grid.n)
+    value = killed_green_entry(lattice, zx, zy) * _green_scale(grid.d, grid.n)
     kind, param = transform
     return value**param if kind == "power" else math.exp(param * value)
 

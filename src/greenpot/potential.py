@@ -76,13 +76,14 @@ def is_inverse_m_matrix(u, tol: float = DEFAULT_TOL) -> PotentialReport:
 
     Inverts ``u`` and checks that all off-diagonal entries of the inverse
     are ``<= tol * scale`` and all row sums are ``>= -tol * scale``, where
-    ``scale`` is the largest magnitude in the inverse.  Condition numbers
-    beyond 1e12 mark the report unreliable instead of deciding.
+    ``scale`` is the largest magnitude in the inverse.  The reported
+    ``condition`` is the 1-norm condition number ``|u|_1 |u^-1|_1``, taken
+    from the inverse already in hand; values beyond 1e12 mark the report
+    unreliable instead of deciding.
     """
     a = _check_square_nonneg(u)
     try:
         inv = np.linalg.inv(a)
-        cond = float(np.linalg.cond(a))
     except np.linalg.LinAlgError:
         return PotentialReport(
             nonsingular=False,
@@ -90,6 +91,7 @@ def is_inverse_m_matrix(u, tol: float = DEFAULT_TOL) -> PotentialReport:
             min_row_sum_of_inverse=math.nan,
             is_potential=False,
         )
+    cond = float(np.linalg.norm(a, 1)) * float(np.linalg.norm(inv, 1))
     if not math.isfinite(cond) or cond > CONDITION_LIMIT:
         return PotentialReport(
             nonsingular=cond < math.inf,

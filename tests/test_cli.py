@@ -8,8 +8,12 @@ import json
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
+from greenpot import McEstimate
+from greenpot import cli
+from greenpot import lattice as lattice_module
 from greenpot.cli import canonical_json, csv_text, derived_seed, main
 
 DISK = '{"d":2,"shape":{"ball":{"center":[0.0,0.0],"radius":1.0}}}'
@@ -64,6 +68,39 @@ def test_usage_errors_return_two(capsys):
     assert run_cli(capsys, ["check-potential", "--matrix", "not json"])[0] == 2
     assert run_cli(capsys, ["killed-green", "--domain", '{"d":2,"shape":{"blob":{}}}'])[0] == 2
     assert run_cli(capsys, ["converge-disk", "--levels"])[0] == 2  # missing value
+
+
+def test_asymmetric_solve_is_numerical_failure(capsys, monkeypatch):
+    monkeypatch.setattr(lattice_module, "SYMMETRY_TOL", -1.0)
+    rc, out, err = run_cli(capsys, ["killed-green", "--domain", DISK, "--n", "18"])
+    assert rc == 1 and out == ""
+    assert err.startswith("numerical failure:") and "Traceback" not in err
+
+
+def test_singular_solve_is_numerical_failure_not_usage(capsys, monkeypatch):
+    def singular(lattice):
+        raise np.linalg.LinAlgError("matrix is singular")
+
+    monkeypatch.setattr(cli, "killed_green_matrix", singular)
+    rc, _, err = run_cli(capsys, ["killed-green", "--domain", DISK, "--n", "18"])
+    assert rc == 1
+    assert err.startswith("numerical failure:")
+
+
+def test_numpy_false_from_runner_fails(capsys, monkeypatch):
+    monkeypatch.setitem(cli.RUNNERS, "riesz-mc",
+                        lambda cfg: ({"experiment": "riesz-mc"}, None, np.False_))
+    rc, _, err = run_cli(capsys, ["riesz-mc"])
+    assert rc == 1 and "FAIL" in err
+
+
+def test_failed_monte_carlo_check_exits_one(capsys, monkeypatch):
+    far_off = McEstimate(mean=1.0, stderr=1e-6, trials=100, seed=0, tail_bound=np.float64(1e-6))
+    monkeypatch.setattr(cli, "estimate_riesz_potential", lambda *a, **k: far_off)
+    report, _, passed = cli.run_riesz_mc({**cli.DEFAULTS["riesz-mc"], "seed": 0})
+    assert passed is False and report["passed"] is False
+    rc, out, _ = run_cli(capsys, ["riesz-mc"])
+    assert rc == 1 and json.loads(out)["passed"] is False
 
 
 def test_negative_tuple_arguments_parse(capsys):

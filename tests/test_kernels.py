@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from greenpot import (
@@ -55,6 +55,7 @@ def test_free_green_point_values():
     x=st.lists(st.floats(-3, 3), min_size=5, max_size=5),
     y=st.lists(st.floats(-3, 3), min_size=5, max_size=5),
 )
+@example(d=5, x=[0.0] * 5, y=[1.16e-111, 0.0, 0.0, 0.0, 0.0])  # |x - y|^(2-d) overflows
 def test_free_green_symmetry_and_positivity(d, x, y):
     a, b = tuple(x[:d]), tuple(y[:d])
     g = free_green(d, a, b)

@@ -16,11 +16,16 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from greenpot import (
+    AsymmetricSolveError,
+    Ball,
+    GridSpec,
     KilledGreenMatrix,
     LatticeSet,
     decay_constant,
     exit_distribution,
     green_constant,
+    grid_points,
+    killed_green_entry,
     killed_green_matrix,
     killed_green_via_kernel,
     outer_boundary,
@@ -28,6 +33,7 @@ from greenpot import (
     potential_kernel_constant,
     whole_space_green,
 )
+from greenpot import lattice as lattice_module
 
 
 def _fourier_green_3d(x):
@@ -309,3 +315,91 @@ def test_killed_green_random_sets_match_oracle(seed, m):
     # symmetric positive matrix with positive diagonal
     assert np.allclose(got, got.T, rtol=0, atol=1e-12)
     assert np.all(np.diag(got) >= 1.0 - 1e-12)
+
+
+def _random_set(d, m, seed, lo=-4, hi=4):
+    rng = np.random.default_rng(seed)
+    return LatticeSet.from_points(d, np.unique(rng.integers(lo, hi + 1, size=(m, d)), axis=0))
+
+
+def _loop_neighbour_pairs(lat):
+    """Oracle: every ordered pair of set points at l1 distance 1, by brute force."""
+    pts = lat.points
+    dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    return {(int(i), int(j)) for i, j in zip(*np.nonzero(dist == 1))}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_neighbour_pairs_match_brute_force(d, seed):
+    lat = _random_set(d, 60, seed)
+    assert np.any(lat.points < 0)
+    rows, cols = lattice_module._transition_coo(lat)
+    assert len(rows) == len(_loop_neighbour_pairs(lat))
+    assert set(zip(rows.tolist(), cols.tolist())) == _loop_neighbour_pairs(lat)
+    system = lattice_module._killed_laplacian(lat).tocoo()
+    off = system.row != system.col
+    assert np.all(system.data[off] == -1.0 / (2 * d))
+    assert np.all(system.data[~off] == 1.0) and np.sum(~off) == len(lat)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_outer_boundary_matches_brute_force(d):
+    lat = _random_set(d, 40, 5)
+    members = {tuple(p) for p in lat.points}
+    expected = {tuple(int(c) for c in p + s) for p in lat.points
+                for s in np.vstack([np.eye(d, dtype=int), -np.eye(d, dtype=int)])} - members
+    assert {tuple(p) for p in outer_boundary(lat).points} == expected
+
+
+def test_exit_distribution_matches_loop():
+    lat = _random_set(3, 30, 9)
+    mat = killed_green_matrix(lat)
+    start = tuple(lat.points[4])
+    row = mat.entries[lat.index_of(start)]
+    members = {tuple(p) for p in lat.points}
+    ref = {}
+    for i, p in enumerate(lat.points):
+        for s in lattice_module.unit_steps(3):
+            out = tuple(int(c) for c in p + s)
+            if out not in members:
+                ref[out] = ref.get(out, 0.0) + row[i] / 6
+    law = exit_distribution(lat, start, green=mat)
+    assert list(law) == list(ref)  # same keys in the same order
+    assert all(law[k] == ref[k] for k in ref)  # same sums, same order of addition
+
+
+def test_membership_far_outside_and_wrong_dimension():
+    s = LatticeSet.from_points(2, [(0, 0), (1, 0), (-3, 2)])
+    far = [(10**6, 0), (-10**6, 2), (0, 10**9), (-5, 0), (1, -7)]
+    assert not any(p in s for p in far)
+    assert np.array_equal(s.rows_of(far + [(-3, 2), (1, 0)]), [-1] * 5 + [0, 2])
+    assert (0, 0, 0) not in s
+    assert len(outer_boundary(LatticeSet.from_points(2, []))) == 0
+    with pytest.raises(ValueError):
+        LatticeSet.from_points(2, [(0, 0), (2**40, 0)])  # packed keys would overflow
+
+
+def _disk(n):
+    return grid_points(Ball(center=(0.0, 0.0), radius=1.0), GridSpec(d=2, n=n))
+
+
+@pytest.mark.parametrize("n", [2, 18, 162, 1458, None], ids=lambda n: f"disk{n}" if n else "random3d")
+def test_single_entry_matches_dense_matrix(n):
+    lat = _disk(n) if n else _random_set(3, 80, 3)
+    dense = killed_green_matrix(lat)
+    pts = [tuple(p) for p in lat.points]
+    pairs = [(pts[0], pts[0]), (pts[len(pts) // 2], pts[len(pts) // 2]),
+             (pts[0], pts[-1]), (pts[len(pts) // 3], pts[len(pts) // 2])]
+    for x, y in pairs:
+        assert killed_green_entry(lat, x, y) == pytest.approx(dense.entry(x, y), rel=1e-12)
+
+
+def test_symmetry_check_raises_named_error(monkeypatch):
+    lat = _disk(18)
+    x = tuple(lat.points[0])
+    monkeypatch.setattr(lattice_module, "SYMMETRY_TOL", -1.0)
+    with pytest.raises(AsymmetricSolveError):
+        killed_green_matrix(lat)
+    with pytest.raises(AsymmetricSolveError):
+        killed_green_entry(lat, x, x)

@@ -36,6 +36,7 @@ from greenpot import (
     sample_stable_increment,
     whole_space_green,
 )
+from greenpot import mc
 
 TWO_POINT = LatticeSet.from_points(2, [(0, 0), (1, 0)])
 
@@ -85,6 +86,42 @@ def test_exit_statistics_match_green_matrix():
     for pt, p in exact_law.items():
         se = math.sqrt(p * (1 - p) / 20_000)
         assert abs(law.get(pt, 0.0) - p) <= 5 * se + 1e-12
+
+
+def _loop_walk(lattice, start, trials, gen):
+    """Oracle for the vectorized walk: the same draws, membership by Python set."""
+    members = {tuple(p): i for i, p in enumerate(lattice.points)}
+    steps = np.vstack([[(1 if k == j else 0) * s for k in range(lattice.d)]
+                       for j in range(lattice.d) for s in (1, -1)])
+    pos = [np.array(start) for _ in range(trials)]
+    active = list(range(trials))
+    exits = [None] * trials
+    counts = np.zeros((trials, len(lattice)), dtype=np.int64)
+    counts[:, members[tuple(start)]] += 1
+    while active:
+        draws = gen.integers(0, len(steps), size=len(active))
+        still = []
+        for t, k in zip(active, draws):
+            pos[t] = pos[t] + steps[k]
+            row = members.get(tuple(int(c) for c in pos[t]))
+            if row is None:
+                exits[t] = tuple(int(c) for c in pos[t])
+            else:
+                counts[t, row] += 1
+                still.append(t)
+        active = still
+    return exits, counts
+
+
+def test_vectorized_walk_matches_loop():
+    grid = GridSpec(d=3, n=12)
+    lat = grid_points(Ball(center=(0.0, 0.0, 0.0), radius=1.0), grid)
+    start = round_to_grid((0.2, -0.1, 0.0), grid)
+    counts = np.zeros((300, len(lat)), dtype=np.int64)
+    exits = mc._walk_block(lat, start, 300, RngStream(11).child(0), 10**6, counts)
+    ref_exits, ref_counts = _loop_walk(lat, tuple(start), 300, RngStream(11).child(0))
+    assert [tuple(int(c) for c in e) for e in exits] == ref_exits
+    assert np.array_equal(counts, ref_counts)
 
 
 def test_exit_statistics_bit_reproducible(monkeypatch):

@@ -66,6 +66,14 @@ def test_nearly_singular_matrix_marked_unreliable():
     assert report.condition > 1e12
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_condition_is_one_norm_condition(seed):
+    u = random_potential(3, (2, 40), seed).entries
+    for a in (u, hadamard_power(u, 2.0), hadamard_exp(u, 0.5)):
+        report = is_inverse_m_matrix(a)
+        assert report.condition == pytest.approx(np.linalg.cond(a, 1), rel=1e-10)
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         is_inverse_m_matrix([[1.0, -0.1], [0.2, 1.0]])  # negative entry
