@@ -210,41 +210,32 @@ def run_check_potential(cfg):
     return report, None, passed
 
 
-def _matrix_population(d, count, sizes, seed):
-    for i in range(count):
-        yield random_potential(d, sizes, derived_seed(seed, STREAMS["matrices"], i))
+def _matrix_population(cfg) -> list:
+    """The run's random killed Green matrices, built once and shared by every parameter."""
+    return [random_potential(cfg["d"], tuple(cfg["sizes"]),
+                             derived_seed(cfg["seed"], STREAMS["matrices"], i))
+            for i in range(cfg["count"])]
 
 
-def run_hadamard_sweep(cfg):
-    rows = []
-    all_pass = True
-    for beta in cfg["betas"]:
-        passes = 0
-        for green in _matrix_population(cfg["d"], cfg["count"], tuple(cfg["sizes"]), cfg["seed"]):
-            rep = is_inverse_m_matrix(hadamard_power(green.entries, beta), tol=cfg["tol"])
-            passes += rep.is_potential is True
-        rows.append([beta, passes, cfg["count"], passes / cfg["count"]])
-        all_pass &= passes == cfg["count"]
-    report = {"experiment": "hadamard-sweep", "d": cfg["d"], "count": cfg["count"],
-              "results": [{"beta": b, "passes": p, "count": c, "rate": r}
-                          for b, p, c, r in rows]}
-    return report, (["beta", "passes", "count", "rate"], rows), all_pass
+def _sweep_runner(name, param, transform):
+    """Runner counting the population members whose transform stays a potential."""
+    def run(cfg):
+        population = _matrix_population(cfg)
+        rows = []
+        for value in cfg[param + "s"]:
+            passes = sum(is_inverse_m_matrix(transform(green.entries, value),
+                                             tol=cfg["tol"]).is_potential is True
+                         for green in population)
+            rows.append([value, passes, cfg["count"], passes / cfg["count"]])
+        header = [param, "passes", "count", "rate"]
+        report = {"experiment": name, "d": cfg["d"], "count": cfg["count"],
+                  "results": [dict(zip(header, row)) for row in rows]}
+        return report, (header, rows), all(row[1] == cfg["count"] for row in rows)
+    return run
 
 
-def run_exp_sweep(cfg):
-    rows = []
-    all_pass = True
-    for alpha in cfg["alphas"]:
-        passes = 0
-        for green in _matrix_population(cfg["d"], cfg["count"], tuple(cfg["sizes"]), cfg["seed"]):
-            rep = is_inverse_m_matrix(hadamard_exp(green.entries, alpha), tol=cfg["tol"])
-            passes += rep.is_potential is True
-        rows.append([alpha, passes, cfg["count"], passes / cfg["count"]])
-        all_pass &= passes == cfg["count"]
-    report = {"experiment": "exp-sweep", "d": cfg["d"], "count": cfg["count"],
-              "results": [{"alpha": a, "passes": p, "count": c, "rate": r}
-                          for a, p, c, r in rows]}
-    return report, (["alpha", "passes", "count", "rate"], rows), all_pass
+run_hadamard_sweep = _sweep_runner("hadamard-sweep", "beta", hadamard_power)
+run_exp_sweep = _sweep_runner("exp-sweep", "alpha", hadamard_exp)
 
 
 def run_cmp_random(cfg):
@@ -252,8 +243,7 @@ def run_cmp_random(cfg):
 
     rows = []
     worst = math.inf
-    for i, green in enumerate(_matrix_population(cfg["d"], cfg["count"],
-                                                 tuple(cfg["sizes"]), cfg["seed"])):
+    for i, green in enumerate(_matrix_population(cfg)):
         u = green.entries
         value, _ = sample_cmp(u, cfg["trials"],
                               derived_seed(cfg["seed"], STREAMS["probes"], i))

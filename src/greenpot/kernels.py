@@ -4,6 +4,7 @@ Free-space kernel of Brownian motion in dimension ``d >= 3``, the killed
 kernel of a planar disk, pointwise power/exponential transforms, the
 normalization constants of the equivalent Riesz representation, and
 adaptive quadrature of kernel integrals over Euclidean balls.
+scipy is imported inside the functions that call it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gamma
 
 __all__ = [
     "KernelSpec",
@@ -39,6 +38,8 @@ def green_constant(d: int) -> float:
     """Normalization ``Gamma(d/2 - 1) / (2 pi^(d/2))`` of the free-space kernel."""
     if d < 3:
         raise ValueError("free-space kernel requires d >= 3")
+    from scipy.special import gamma  # not math.gamma: they differ by an ulp at 1.5
+
     return gamma(d / 2.0 - 1.0) / (2.0 * math.pi ** (d / 2.0))
 
 
@@ -46,6 +47,8 @@ def sphere_surface(d: int) -> float:
     """Surface area of the unit sphere in R^d."""
     if d < 1:
         raise ValueError("d must be positive")
+    from scipy.special import gamma
+
     return 2.0 * math.pi ** (d / 2.0) / gamma(d / 2.0)
 
 
@@ -208,6 +211,8 @@ def riesz_params(d: int, beta: float) -> RieszParams:
         raise ValueError("requires d >= 3")
     if not 1 <= beta < d / (d - 2):
         raise ValueError("requires 1 <= beta < d/(d-2)")
+    from scipy.special import gamma
+
     alpha = d - beta * (d - 2)
     coefficient = (
         green_constant(d) ** beta
@@ -246,6 +251,7 @@ def _ball_power_integral(d: int, s: float, a: float, r: float, tol: float) -> fl
         raise ValueError("kernel power is not integrable over the ball")
     if a == 0.0:
         return sphere_surface(d) * r**p / p
+    from scipy import integrate
 
     def polar(theta: float) -> float:
         t0, t1 = _chord(a, r, math.cos(theta))
@@ -266,6 +272,8 @@ def _ball_power_integral(d: int, s: float, a: float, r: float, tol: float) -> fl
 
 def _disk_ball_integral(spec: KernelSpec, x: np.ndarray, center: np.ndarray, r: float, tol: float) -> float:
     """Planar quadrature of a transformed disk kernel over a disk B(center, r)."""
+    from scipy import integrate
+
     a = float(np.linalg.norm(x - center))
     u = (x - center) / a if a > 0 else np.array([1.0, 0.0])
     # strongest radial blow-up at the source: log^beta is tamed by the

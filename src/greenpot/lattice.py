@@ -10,6 +10,9 @@ to modified Bessel functions.  The substitution ``t = A/u^2`` turns the
 algebraic tail into a smooth integrand, so adaptive quadrature reaches
 full double precision.  Killed Green matrices on finite index sets are
 obtained by direct linear solves against the one-step transition matrix.
+
+scipy (quadrature, Bessel functions, sparse LU) is imported inside the
+functions that call it, so dense killed Green work needs only numpy.
 """
 
 from __future__ import annotations
@@ -20,10 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, sparse
-from scipy.linalg import solve
-from scipy.sparse.linalg import splu
-from scipy.special import ive
 
 from .kernels import green_constant
 
@@ -171,15 +170,10 @@ def unit_steps(d: int) -> np.ndarray:
 # whole-space values
 
 
-def _bessel_product(ns, z):
-    out = ive(ns[0], z)
-    for n in ns[1:]:
-        out = out * ive(n, z)
-    return out
-
-
 def _time_integral(f, peak: float) -> float:
     """Integrate ``f`` over (0, inf) with an exact algebraic-tail substitution."""
+    from scipy import integrate
+
     cut = max(30.0, 4.0 * peak)
     pts = [peak] if 0.0 < peak < cut else None
     head, _ = integrate.quad(f, 0.0, cut, points=pts, epsabs=1e-13, epsrel=1e-11, limit=300)
@@ -199,6 +193,8 @@ _GREEN_CACHE: dict[tuple, float] = {}
 
 def _green_exact(d: int, key: tuple) -> float:
     if key not in _GREEN_CACHE:
+        from scipy.special import ive
+
         ns = np.asarray(key, dtype=float)
         peak = float(np.dot(ns, ns))
         _GREEN_CACHE[key] = _time_integral(lambda t: float(np.prod(ive(ns, t / d))), peak)
@@ -264,6 +260,8 @@ def potential_kernel_2d(x, exact_range: int = POTENTIAL_EXACT_RANGE) -> float:
         r = math.sqrt(key[0] ** 2 + key[1] ** 2)
         return (2.0 / math.pi) * math.log(r) + POTENTIAL_KERNEL_CONSTANT
     if key not in _POTENTIAL_CACHE:
+        from scipy.special import ive
+
         ns = np.asarray(key, dtype=float)
 
         def f(t):
@@ -359,8 +357,10 @@ def _transition_coo(lattice: LatticeSet):
     return rows, nbr[rows, steps]
 
 
-def _killed_laplacian(lattice: LatticeSet) -> sparse.csc_matrix:
-    """Sparse ``I - P``: unit diagonal, ``-1/(2d)`` between neighbours in the set."""
+def _killed_laplacian(lattice: LatticeSet):
+    """Sparse CSC ``I - P``: unit diagonal, ``-1/(2d)`` between neighbours in the set."""
+    from scipy import sparse
+
     rows, cols = _transition_coo(lattice)
     m = len(lattice)
     data = np.concatenate([np.ones(m), np.full(len(rows), -1.0 / (2 * lattice.d))])
@@ -377,6 +377,16 @@ class AsymmetricSolveError(RuntimeError):
     """A killed Green solve came out asymmetric beyond `SYMMETRY_TOL`."""
 
 
+def _factor(lattice: LatticeSet):
+    """Sparse LU of ``I - P``; an exactly singular factor is a `LinAlgError`."""
+    from scipy.sparse.linalg import splu
+
+    try:
+        return splu(_killed_laplacian(lattice))
+    except RuntimeError as exc:  # splu's "Factor is exactly singular"
+        raise np.linalg.LinAlgError(str(exc)) from exc
+
+
 def _check_symmetric(skew: float, scale: float) -> None:
     if skew > SYMMETRY_TOL * scale:
         raise AsymmetricSolveError(
@@ -387,8 +397,8 @@ def killed_green_matrix(lattice: LatticeSet, dense_limit: int = DENSE_LIMIT) -> 
     """Solve ``(I - P) G = I`` for the walk restricted to `lattice`.
 
     ``P`` keeps probability ``1/(2d)`` on nearest-neighbor pairs inside the
-    set; mass stepping outside is killed.  Dense Cholesky is used up to
-    `dense_limit` points and a sparse LU factorization beyond.
+    set; mass stepping outside is killed.  A dense numpy inverse is used up
+    to `dense_limit` points and a sparse LU factorization beyond.
 
     Returns
     -------
@@ -401,6 +411,8 @@ def killed_green_matrix(lattice: LatticeSet, dense_limit: int = DENSE_LIMIT) -> 
     AsymmetricSolveError
         If ``G`` and its transpose differ by more than `SYMMETRY_TOL`
         times its largest entry.
+    numpy.linalg.LinAlgError
+        If ``I - P`` is singular.
     """
     m = len(lattice)
     if m == 0:
@@ -409,9 +421,9 @@ def killed_green_matrix(lattice: LatticeSet, dense_limit: int = DENSE_LIMIT) -> 
         rows, cols = _transition_coo(lattice)
         a = np.eye(m)
         a[rows, cols] = -1.0 / (2 * lattice.d)
-        g = solve(a, np.eye(m), assume_a="pos")
+        g = np.linalg.inv(a)
     else:
-        lu = splu(_killed_laplacian(lattice))
+        lu = _factor(lattice)
         g = np.empty((m, m))
         block = 512
         for lo in range(0, m, block):
@@ -437,7 +449,7 @@ def killed_green_entries(lattice: LatticeSet, x, ys) -> np.ndarray:
     rhs = np.zeros((len(lattice), len(rows) + 1))
     rhs[i, 0] = 1.0
     rhs[rows, np.arange(1, len(rows) + 1)] = 1.0
-    g = splu(_killed_laplacian(lattice)).solve(rhs)
+    g = _factor(lattice).solve(rhs)
     forward, backward = g[i, 1:], g[rows, 0]
     _check_symmetric(np.max(np.abs(forward - backward), initial=0.0), np.max(np.abs(g)))
     return (forward + backward) / 2.0

@@ -24,7 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma
 
 from .domains import GridSpec, grid_points, round_to_grid
 from .kernels import riesz_params
@@ -314,6 +313,8 @@ def riesz_tail_bound(d: int, beta: float, radius: float, horizon: float) -> floa
     alpha = params.alpha
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    from scipy.special import gamma
+
     vol = math.pi ** (d / 2.0) / gamma(d / 2.0 + 1.0) * radius**d
     inv_moment = gamma(d / alpha) / ((alpha / 2.0) * gamma(d / 2.0))
     time_integral = (alpha / (d - alpha)) * horizon ** (-(d - alpha) / alpha)

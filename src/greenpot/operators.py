@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from . import kernels
 from .domains import TIE_TOL, Ball, GridSpec, exterior_grid, grid_points, round_to_grid
@@ -200,7 +199,7 @@ def _eval_on_points(f, pts: np.ndarray) -> np.ndarray:
         vals = np.asarray(f(pts), dtype=float)
         if vals.shape == (len(pts),):
             return vals
-    except Exception:
+    except (TypeError, ValueError, IndexError):  # a scalar-only callable given an array
         pass
     return np.asarray([float(f(p)) for p in pts], dtype=float)
 
@@ -264,6 +263,8 @@ def oscillation(f, center, radius: float, h: float, delta: float, d: int) -> flo
     Max-minus-min over sliding sup-norm windows of width ``2 delta`` on a
     grid of spacing ``h/4`` covering the ball around `center`.
     """
+    from scipy import ndimage
+
     fine = h / 4.0
     half = int(math.ceil((radius + delta) / fine)) + 1
     axes = [np.arange(-half, half + 1) * fine + c for c in np.asarray(center, dtype=float)]

@@ -5,16 +5,21 @@ file outputs, config layering, and exit codes are checked explicitly.
 """
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from greenpot import McEstimate
+import greenpot
+from greenpot import Ball, GridSpec, McEstimate, grid_points, killed_green_entry, killed_green_matrix
 from greenpot import cli
 from greenpot import lattice as lattice_module
 from greenpot.cli import canonical_json, csv_text, derived_seed, main
+from greenpot.potential import hadamard_exp, hadamard_power, is_inverse_m_matrix, random_potential
 
 DISK = '{"d":2,"shape":{"ball":{"center":[0.0,0.0],"radius":1.0}}}'
 DISK3 = '{"d":3,"shape":{"ball":{"center":[0.0,0.0,0.0],"radius":1.0}}}'
@@ -85,6 +90,28 @@ def test_singular_solve_is_numerical_failure_not_usage(capsys, monkeypatch):
     rc, _, err = run_cli(capsys, ["killed-green", "--domain", DISK, "--n", "18"])
     assert rc == 1
     assert err.startswith("numerical failure:")
+
+
+def test_exactly_singular_sparse_factor_is_numerical_failure(capsys, monkeypatch):
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
+    def singular(lattice):  # I - P with its last row and column zeroed
+        m = len(lattice)
+        return sparse.csc_matrix((np.ones(m - 1), (np.arange(m - 1), np.arange(m - 1))),
+                                 shape=(m, m))
+
+    lat = grid_points(Ball((0.0, 0.0), 1.0), GridSpec(d=2, n=18))
+    with pytest.raises(RuntimeError, match="singular"):  # what splu itself raises
+        splu(singular(lat))
+    monkeypatch.setattr(lattice_module, "_killed_laplacian", singular)
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        killed_green_matrix(lat, dense_limit=0)
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        killed_green_entry(lat, tuple(lat.points[0]), tuple(lat.points[-1]))
+    rc, out, err = run_cli(capsys, ["converge-disk", "--levels", "1"])
+    assert rc == 1 and out == ""
+    assert err.startswith("numerical failure:") and "Traceback" not in err
 
 
 def test_numpy_false_from_runner_fails(capsys, monkeypatch):
@@ -201,6 +228,75 @@ def test_derived_seed_is_stable():
     assert a == derived_seed(2024, 3, 7)
     assert a != derived_seed(2024, 3, 8)
     assert 0 <= a < 2**32
+
+
+def _regenerating_sweep(name, param, transform, cfg):
+    """The former sweep runner: a fresh population for every parameter value."""
+    rows = []
+    all_pass = True
+    for value in cfg[param + "s"]:
+        passes = 0
+        for i in range(cfg["count"]):
+            green = random_potential(cfg["d"], tuple(cfg["sizes"]),
+                                     derived_seed(cfg["seed"], cli.STREAMS["matrices"], i))
+            rep = is_inverse_m_matrix(transform(green.entries, value), tol=cfg["tol"])
+            passes += rep.is_potential is True
+        rows.append([value, passes, cfg["count"], passes / cfg["count"]])
+        all_pass &= passes == cfg["count"]
+    report = {"experiment": name, "d": cfg["d"], "count": cfg["count"],
+              "results": [{param: v, "passes": p, "count": c, "rate": r} for v, p, c, r in rows]}
+    return report, ([param, "passes", "count", "rate"], rows), all_pass
+
+
+@pytest.mark.parametrize("name,param,transform", [("hadamard-sweep", "beta", hadamard_power),
+                                                  ("exp-sweep", "alpha", hadamard_exp)])
+def test_sweep_builds_its_population_once(monkeypatch, name, param, transform):
+    cfg = {**cli.DEFAULTS[name], "count": 12, "seed": 5}
+    report, csv_data, passed = _regenerating_sweep(name, param, transform, cfg)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return random_potential(*args)
+
+    monkeypatch.setattr(cli, "random_potential", counted)
+    got_report, got_csv, got_passed = cli.RUNNERS[name](cfg)
+    assert len(calls) == cfg["count"]
+    assert canonical_json(got_report) == canonical_json(report)
+    assert csv_text(*got_csv) == csv_text(*csv_data)
+    assert got_passed == passed
+
+
+# Subcommands that need only numpy: scipy must not be imported by running them.
+NUMPY_ONLY = [
+    ["hadamard-sweep", "--count", "3", "--sizes", "2,6"],
+    ["exp-sweep", "--count", "3", "--sizes", "2,6"],
+    ["cmp-random", "--count", "3", "--trials", "200", "--sizes", "2,6"],
+    ["check-potential", "--matrix", "[[2,1],[1,2]]", "--trials", "200"],
+    ["domain-grid", "--domain", STRIP, "--n", "8", "--mode", "exterior"],
+    ["killed-green", "--domain", DISK, "--n", "18"],
+    ["cmp-functional", "--domain", DISK, "--n", "18", "--functions", "3"],
+]
+
+IMPORT_GUARD = """
+import json, sys
+import greenpot
+from greenpot.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv
+assert main(["converge-disk", "--levels", "2"]) == 0
+assert "scipy" in sys.modules
+"""
+
+
+def test_numpy_only_subcommands_do_not_import_scipy():
+    src = str(Path(greenpot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, json.dumps(NUMPY_ONLY)],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 @pytest.mark.skipif(shutil.which("greenpot") is None, reason="console script not on PATH")

@@ -410,3 +410,27 @@ def test_symmetry_check_raises_named_error(monkeypatch):
         killed_green_entry(lat, x, x)
     with pytest.raises(AsymmetricSolveError):  # off-grid disk value, several targets
         converge(Ball((0.0, 0.0), 1.0), ("power", 1.0), (0.2, 0.0), (-0.3, 0.1), 1, 18)
+
+
+def _posv_green(lat):
+    """The former dense route: LAPACK's positive-definite solve of ``(I - P) G = I``."""
+    from scipy.linalg import solve
+
+    m = len(lat)
+    rows, cols = lattice_module._transition_coo(lat)
+    a = np.eye(m)
+    a[rows, cols] = -1.0 / (2 * lat.d)
+    return solve(a, np.eye(m), assume_a="pos")
+
+
+@pytest.mark.parametrize("n", [18, 162, None], ids=lambda n: f"disk{n}" if n else "random3d")
+def test_dense_route_matches_sparse_posv_and_entries(n):
+    lat = _disk(n) if n else _random_set(3, 80, 3)
+    assert len(lat) <= lattice_module.DENSE_LIMIT
+    dense = killed_green_matrix(lat).entries
+    pts = [tuple(p) for p in lat.points]
+    x = pts[len(pts) // 2]
+    row = killed_green_entries(lat, x, pts)
+    for ref in (killed_green_matrix(lat, dense_limit=0).entries, _posv_green(lat)):
+        np.testing.assert_allclose(dense, ref, rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(dense[lat.index_of(x)], row, rtol=1e-12, atol=1e-300)

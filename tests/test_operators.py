@@ -139,6 +139,27 @@ def test_apply_operator_accepts_vector_via_grid_values():
         cmp_functional(op, np.ones(len(op.lattice) + 1))
 
 
+def test_point_evaluation_errors_propagate():
+    op = assemble(GridSpec(d=2, n=8), ("power", 1.0), domain=Ball((0.0, 0.0), 1.0))
+
+    def batch_bug(p):  # fails only on the vectorized call
+        if np.ndim(p) == 2:
+            raise ZeroDivisionError("bug on the array path")
+        return 1.0
+
+    with pytest.raises(ZeroDivisionError):
+        apply_operator(op, batch_bug, (0.0, 0.0))
+    with pytest.raises(ZeroDivisionError):
+        cmp_functional(op, batch_bug)
+    # a callable that takes one point at a time still falls back to a loop
+    disk = BallIndicator((0.0, 0.0), 0.5)
+    scalar_only = lambda p: 1.0 if math.hypot(*p) < 0.5 else 0.0  # noqa: E731
+    assert apply_operator(op, scalar_only, (0.1, 0.0)) == apply_operator(op, disk, (0.1, 0.0))
+    single = assemble(GridSpec(d=2, n=8), ("power", 1.0), domain=Ball((0.0, 0.0), 0.1))
+    assert len(single.lattice) == 1  # indexing p[1] of a one-row array raises IndexError
+    assert apply_operator(single, lambda p: p[0] + p[1] + 1.0, (0.0, 0.0)) == single.matrix[0, 0]
+
+
 def test_free_operator_value_matches_ball_integral():
     region = Ball(ORIGIN3, 1.0)
     ind = BallIndicator(ORIGIN3, 1.0)
