@@ -349,6 +349,11 @@ class GridSpec:
     def h(self) -> float:
         return math.sqrt(self.d / self.n)
 
+    @property
+    def green_scale(self) -> float:
+        """Factor taking walk Green values to the continuum kernel's scale."""
+        return self.n ** (self.d / 2.0 - 1.0) / self.d ** (self.d / 2.0)
+
     def refine(self, levels: int = 1) -> "GridSpec":
         if levels < 0:
             raise ValueError("levels must be nonnegative")

@@ -45,6 +45,7 @@ __all__ = [
 
 STEP_BUDGET = 10**8
 TRIAL_CHUNK = 8192  # fixed so reductions are identical at any thread count
+RIESZ_CHUNK_BYTES = 1 << 18  # normals held at once by one Riesz block
 
 
 class StepBudgetError(RuntimeError):
@@ -128,6 +129,13 @@ def _estimate(total: float, total_sq: float, trials: int, seed: int,
 
 def _as_generator(rng) -> np.random.Generator:
     return rng.generator() if isinstance(rng, RngStream) else rng
+
+
+def _cursor(gen: np.random.Generator) -> np.random.Generator:
+    """A second generator that starts where `gen` stands now."""
+    bits = np.random.PCG64()
+    bits.state = gen.bit_generator.state
+    return np.random.Generator(bits)
 
 
 # ---------------------------------------------------------------- walks
@@ -243,7 +251,7 @@ def estimate_boundary_term(domain, grid: GridSpec, x, y, trials: int, rng: RngSt
     if np.array_equal(u, v):
         raise ValueError("x and y round to the same grid point")
     d = grid.d
-    scale = grid.n ** (d / 2.0 - 1.0) / d ** (d / 2.0)
+    scale = grid.green_scale
     a_uv = potential_kernel_2d(u - v) if d == 2 else None
     sizes = _block_sizes(trials)
 
@@ -278,11 +286,16 @@ def sample_half_stable(t: float, rng, size=None):
     return t**2 / (2.0 * z**2)
 
 
-def _kanter(rho: float, gen: np.random.Generator, size):
+def _uniform_angles(gen: np.random.Generator, size):
+    """Uniform angles on (0, pi); an exact zero is redrawn in place."""
     theta = gen.uniform(0.0, math.pi, size)
     while np.any(theta == 0.0):
         theta = np.where(theta == 0.0, gen.uniform(0.0, math.pi, size), theta)
-    w = gen.exponential(1.0, size)
+    return theta
+
+
+def _kanter_from(rho: float, theta, w):
+    """Kanter's positive rho-stable variate from angles and unit exponentials."""
     a = (np.sin(rho * theta) ** rho * np.sin((1.0 - rho) * theta) ** (1.0 - rho)
          / np.sin(theta)) ** (1.0 / (1.0 - rho))
     return (a / w) ** ((1.0 - rho) / rho)
@@ -298,7 +311,9 @@ def sample_stable_increment(alpha: float, dt: float, rng, size=None):
         raise ValueError("alpha must lie in (0, 2)")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return dt ** (2.0 / alpha) * _kanter(alpha / 2.0, _as_generator(rng), size)
+    gen = _as_generator(rng)
+    theta = _uniform_angles(gen, size)
+    return dt ** (2.0 / alpha) * _kanter_from(alpha / 2.0, theta, gen.exponential(1.0, size))
 
 
 # ------------------------------------------------------ Riesz potential
@@ -330,6 +345,13 @@ def estimate_riesz_potential(d: int, beta: float, indicator, x, time_step: float
     alpha/2-stable subordinator (deterministic times when beta = 1),
     forms the Riemann sum ``D * time_step * sum_k F(X_k)`` up to the
     horizon, and reports mean, stderr, and the rigorous tail bound.
+
+    Each block of trials runs in row chunks holding at most
+    `RIESZ_CHUNK_BYTES` of normals, so memory does not grow with the
+    number of steps.  Three cursors on the block's generator keep the
+    draws of the whole-block order (all angles, then all waits, then all
+    normals); they differ from it only where a uniform angle is exactly 0
+    and is redrawn within its chunk, which has probability 2^-53 a draw.
     """
     params = riesz_params(d, beta)
     if time_step <= 0 or horizon < time_step:
@@ -343,18 +365,31 @@ def estimate_riesz_potential(d: int, beta: float, indicator, x, time_step: float
                          f"{tail_tolerance:.3g}")
     x_arr = np.asarray(x, dtype=float)
     sizes = _block_sizes(trials)
+    rows = max(1, RIESZ_CHUNK_BYTES // (8 * nsteps * d))
+    kanter = params.alpha < 2.0
 
     def worker(b):
-        gen = rng.child(b)
-        shape = (sizes[b], nsteps)
-        if params.alpha == 2.0:
-            eta = np.full(shape, time_step)
-        else:
-            eta = sample_stable_increment(params.alpha, time_step, gen, shape)
-        moves = gen.standard_normal(shape + (d,)) * np.sqrt(eta)[..., None]
-        paths = np.cumsum(moves, axis=1) + x_arr
-        hits = np.asarray(indicator(paths.reshape(-1, d)), dtype=float).reshape(shape)
-        vals = params.coefficient * time_step * hits.sum(axis=1)
+        n = sizes[b]
+        chunks = [(lo, (min(rows, n - lo), nsteps)) for lo in range(0, n, rows)]
+        angles = normals = rng.child(b)
+        if kanter:
+            waits = _cursor(angles)
+            waits.bit_generator.advance(n * nsteps)  # one word per uniform
+            normals = _cursor(waits)
+            for _, shape in chunks:  # the ziggurat takes a variable count of words
+                normals.exponential(1.0, shape)
+        vals = np.empty(n)
+        for lo, shape in chunks:
+            if kanter:
+                eta = time_step ** (2.0 / params.alpha) * _kanter_from(
+                    params.alpha / 2.0, _uniform_angles(angles, shape),
+                    waits.exponential(1.0, shape))
+            else:
+                eta = np.full(shape, time_step)
+            moves = normals.standard_normal(shape + (d,)) * np.sqrt(eta)[..., None]
+            paths = np.cumsum(moves, axis=1) + x_arr
+            hits = np.asarray(indicator(paths.reshape(-1, d)), dtype=float).reshape(shape)
+            vals[lo:lo + shape[0]] = params.coefficient * time_step * hits.sum(axis=1)
         return float(vals.sum()), float((vals**2).sum())
 
     parts = _map_blocks(worker, len(sizes))

@@ -111,10 +111,6 @@ class DiscreteOperator:
         return self.grid.d
 
 
-def _green_scale(d: int, n: int) -> float:
-    return n ** (d / 2.0 - 1.0) / d ** (d / 2.0)
-
-
 def _free_entries(lattice: LatticeSet, exact_range: int) -> np.ndarray:
     pts = lattice.points
     span = int(np.max(pts, axis=0).max() - np.min(pts, axis=0).min()) if len(pts) else 0
@@ -182,7 +178,7 @@ def assemble(
         green = _free_entries(lattice, exact_range)
     else:
         green = killed_green_matrix(lattice).entries
-    scaled = green * _green_scale(grid.d, grid.n)
+    scaled = green * grid.green_scale
     weight = grid.h**grid.d
     if kind == "power":
         entries = weight * scaled**param
@@ -368,7 +364,7 @@ def _disk_point_value(domain, transform, x, y, grid: GridSpec) -> float:
             corners.append(ky + bits)
             weights.append(w)
     green = float(np.dot(weights, killed_green_entries(lattice, kx, corners)))
-    value = green * _green_scale(grid.d, grid.n)
+    value = green * grid.green_scale
     kind, param = transform
     return value**param if kind == "power" else math.exp(param * value)
 

@@ -214,6 +214,22 @@ def test_killed_green_reports_potential_check(capsys):
     assert report["size"] > 0
 
 
+def test_cmp_functional_default_probes_reach_the_level_set(capsys):
+    # unscaled standard-normal probes keep opF below 1 on the n = 50 disk,
+    # which makes every value 0 whatever the operator
+    rc, out, err = run_cli(capsys, ["cmp-functional", "--domain", DISK])
+    assert rc == 0, err
+    report = json.loads(out)
+    assert len(report["results"]) == 20
+    assert all(r["value"] > 0 for r in report["results"])
+    assert report["min_value"] > 0
+    op = greenpot.assemble(GridSpec(d=2, n=50), ("power", 2.0), domain=Ball((0.0, 0.0), 1.0))
+    gen = greenpot.RngStream(0, stream=cli.STREAMS["functions"]).generator()
+    for r in report["results"]:
+        f = r["scale"] * gen.standard_normal(len(op.lattice))
+        assert np.max(op.matrix @ f) == pytest.approx(2.0, rel=1e-12)
+
+
 def test_canonical_json_and_csv_formatting():
     assert canonical_json({"b": 1, "a": [1.5, True]}) == '{"a":[1.5,true],"b":1}\n'
     body = csv_text(["x", "y"], [[0.123456789, "s"], [1e-10, (1, 2)]])

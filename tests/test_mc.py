@@ -8,6 +8,7 @@ lattice module give exact targets for the walk estimators.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from greenpot import (
     grid_points,
     killed_green_matrix,
     outer_boundary,
+    riesz_params,
     riesz_tail_bound,
     round_to_grid,
     sample_exit,
@@ -292,3 +294,83 @@ def test_riesz_estimate_bit_reproducible(monkeypatch):
     monkeypatch.setenv("GREENPOT_THREADS", "3")
     b = estimate_riesz_potential(3, 2.0, ind, (0.0, 0.0, 0.0), **kwargs)
     assert a == b
+
+
+def _whole_block_riesz(d, beta, indicator, x, time_step, horizon, trials, rng):
+    """Oracle for the chunked worker: each block draws all its uniforms,
+    then all its exponentials, then all its normals, and holds them at once."""
+    params = riesz_params(d, beta)
+    nsteps = int(round(horizon / time_step))
+    x_arr = np.asarray(x, dtype=float)
+    total = total_sq = 0.0
+    for b, n in enumerate(mc._block_sizes(trials)):
+        gen = rng.child(b)
+        shape = (n, nsteps)
+        if params.alpha == 2.0:
+            eta = np.full(shape, time_step)
+        else:
+            rho = params.alpha / 2.0
+            theta = gen.uniform(0.0, math.pi, shape)
+            assert not np.any(theta == 0.0)
+            w = gen.exponential(1.0, shape)
+            a = (np.sin(rho * theta) ** rho * np.sin((1.0 - rho) * theta) ** (1.0 - rho)
+                 / np.sin(theta)) ** (1.0 / (1.0 - rho))
+            eta = time_step ** (2.0 / params.alpha) * (a / w) ** ((1.0 - rho) / rho)
+        moves = gen.standard_normal(shape + (d,)) * np.sqrt(eta)[..., None]
+        paths = np.cumsum(moves, axis=1) + x_arr
+        hits = np.asarray(indicator(paths.reshape(-1, d)), dtype=float).reshape(shape)
+        vals = params.coefficient * time_step * hits.sum(axis=1)
+        total += float(vals.sum())
+        total_sq += float((vals**2).sum())
+    bound = riesz_tail_bound(d, beta, indicator.radius, nsteps * time_step)
+    return mc._estimate(total, total_sq, trials, rng.seed, tail_bound=bound)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 2**40], ids=["row", "block"])
+@pytest.mark.parametrize("beta", [1.0, 2.0, 2.7])
+def test_chunked_riesz_worker_matches_whole_block_oracle(monkeypatch, beta, chunk_bytes):
+    # a short last block and, at one row per chunk or one chunk per
+    # block, a short last chunk; two threads share the blocks
+    ind = BallIndicator((1.0, 0.0, 0.0), 1.0)
+    args = (3, beta, ind, (0.0, 0.0, 0.0), 0.25, 3.0, mc.TRIAL_CHUNK + 37, RngStream(19))
+    monkeypatch.setattr(mc, "RIESZ_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setenv("GREENPOT_THREADS", "2")
+    assert estimate_riesz_potential(*args).to_json() == _whole_block_riesz(*args).to_json()
+
+
+def test_riesz_worker_memory_stays_within_the_chunk():
+    # one block of 200 trials x 12000 steps held whole is about 200 MiB
+    ind = BallIndicator((2.0, 0.0, 0.0), 1.0)
+    args = (3, 2.0, ind, (0.0, 0.0, 0.0), 0.001, 12.0)
+    estimate_riesz_potential(*args, trials=2, rng=RngStream(3))  # warm-up
+    tracemalloc.start()
+    try:
+        estimate_riesz_potential(*args, trials=200, rng=RngStream(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+class _ZeroFirstUniform:
+    """Generator stub whose first uniform draw is exactly 0.0."""
+
+    def __init__(self):
+        self.gen = RngStream(4).generator()
+        self.calls = 0
+
+    def uniform(self, low, high, size):
+        out = self.gen.uniform(low, high, size)
+        if self.calls == 0:
+            out.flat[0] = 0.0
+        self.calls += 1
+        return out
+
+
+def test_uniform_angles_redraw_an_exact_zero():
+    stub = _ZeroFirstUniform()
+    theta = mc._uniform_angles(stub, (3, 4))
+    assert stub.calls == 2
+    assert np.all(theta > 0.0) and np.all(theta < math.pi)
+    first = RngStream(4).generator().uniform(0.0, math.pi, (3, 4))
+    assert np.array_equal(theta.flat[1:], first.flat[1:])
