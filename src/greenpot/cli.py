@@ -1,12 +1,21 @@
 """Command-line harness for the greenpot experiments.
 
-One binary, twelve subcommands.  Every flag has a config-file equivalent
-(JSON object keyed by the flag name with dashes as underscores); command
-line values win over the config file unless --force is given.  Reports
-are canonical JSON (sorted keys, full precision) plus an RFC-4180 CSV
-with 6 significant digits; run metadata (timestamp, argv) goes to a
-separate .meta.json sidecar so report files are byte-identical across
-reruns of the same configuration.
+One binary, twelve subcommands, all generated from one table
+(`EXPERIMENTS`: runner, help line and flag defaults per subcommand) and
+one map from flag to parser (`FLAGS`).  Every flag has a config-file
+equivalent (JSON object keyed by the flag name with dashes as
+underscores); command line values win over the config file unless
+--force is given.  A config value is read as its flag's text: a string
+goes through the flag's parser, a number or boolean through the parser
+of its JSON text, an array of a tuple flag as its items joined with
+``,`` (``:`` for ``transform``), and a ``domain`` or ``matrix`` object or
+array as its JSON text; null leaves the flag unset, and a value its
+parser rejects is a usage error.
+
+Reports are canonical JSON (sorted keys, full precision) plus an
+RFC-4180 CSV with 6 significant digits; run metadata (timestamp, argv)
+goes to a separate .meta.json sidecar so report files are byte-identical
+across reruns of the same configuration.
 
 Seeding: the global --seed feeds fixed per-purpose stream indices so
 experiments stay reproducible and independent: 0 random matrix
@@ -36,6 +45,7 @@ from .kernels import (
     KernelSpec,
     QuadratureError,
     ball_kernel_integral,
+    canonical_json,
     disk_green_2d,
     green_constant,
 )
@@ -61,19 +71,11 @@ STREAMS = {"matrices": 0, "probes": 1, "functions": 2, "walks": 3, "riesz": 4}
 PASS, FAIL, USAGE = 0, 1, 2
 
 
-class ExperimentFailure(Exception):
-    """An experiment-level assertion did not hold."""
-
-
 def derived_seed(seed: int, stream: int, index: int = 0) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(stream, index)).generate_state(1)[0])
 
 
 # ------------------------------------------------------------- plumbing
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
 
 def _cell(v) -> str:
     if isinstance(v, bool):
@@ -109,12 +111,16 @@ def parse_transform(text: str) -> tuple:
     return kind, float(value)
 
 
-def load_domain(spec):
-    if isinstance(spec, dict):  # structured value from a config file
-        return domain_from_json(json.dumps(spec))
-    if spec.startswith("@"):
-        spec = Path(spec[1:]).read_text()
-    return domain_from_json(spec)
+def _document(cfg, key: str) -> str:
+    """JSON text of the required --domain or --matrix; ``@path`` reads a file."""
+    text = cfg[key]
+    if text is None:
+        raise ValueError(f"missing required option(s): {[key]}")
+    return Path(text[1:]).read_text() if text.startswith("@") else text
+
+
+def load_domain(cfg):
+    return domain_from_json(_document(cfg, "domain"))
 
 
 def _jsonable(v):
@@ -168,7 +174,7 @@ def run_lattice_green(cfg):
 
 
 def run_killed_green(cfg):
-    domain = load_domain(cfg["domain"])
+    domain = load_domain(cfg)
     grid = GridSpec(d=domain.d, n=cfg["n"])
     lattice = grid_points(domain, grid)
     if len(lattice) == 0:
@@ -191,17 +197,11 @@ def run_killed_green(cfg):
     return report, (None if rows is None else (["x", "y", "green"], rows)), check.is_potential is True
 
 
-def _load_matrix(text: str) -> np.ndarray:
-    if text.startswith("@"):
-        text = Path(text[1:]).read_text()
-    obj = json.loads(text)
-    if isinstance(obj, dict):
-        obj = obj.get("matrix", obj.get("entries"))
-    return np.asarray(obj, dtype=float)
-
-
 def run_check_potential(cfg):
-    u = _load_matrix(cfg["matrix"])
+    obj = json.loads(_document(cfg, "matrix"))
+    if isinstance(obj, dict):  # a killed Green matrix file
+        obj = obj.get("matrix", obj.get("entries"))
+    u = np.asarray(obj, dtype=float)
     report_obj = classify(u, trials=cfg["trials"],
                           seed=derived_seed(cfg["seed"], STREAMS["probes"]), tol=cfg["tol"])
     report = {"experiment": "check-potential", "size": int(u.shape[0]),
@@ -259,7 +259,7 @@ def run_cmp_random(cfg):
 
 
 def run_cmp_functional(cfg):
-    domain = load_domain(cfg["domain"])
+    domain = load_domain(cfg)
     grid = GridSpec(d=domain.d, n=cfg["n"])
     op = assemble(grid, cfg["transform"], domain=domain)
     vol = len(op.lattice) * grid.h**grid.d
@@ -328,7 +328,7 @@ def run_riesz_mc(cfg):
 
 
 def run_exit_mc(cfg):
-    domain = load_domain(cfg["domain"])
+    domain = load_domain(cfg)
     grid = GridSpec(d=domain.d, n=cfg["n"])
     est = estimate_boundary_term(domain, grid, cfg["x"], cfg["y"], cfg["trials"],
                                  RngStream(cfg["seed"], stream=STREAMS["walks"]))
@@ -349,7 +349,7 @@ def run_exit_mc(cfg):
 
 
 def run_domain_grid(cfg):
-    domain = load_domain(cfg["domain"])
+    domain = load_domain(cfg)
     grid = GridSpec(d=domain.d, n=cfg["n"])
     builder = {"exact": grid_points, "interior": interior_grid, "exterior": exterior_grid}
     lattice = builder[cfg["mode"]](domain, grid)
@@ -360,43 +360,58 @@ def run_domain_grid(cfg):
     return report, (["index_point", "continuum_point"], rows), None
 
 
-RUNNERS = {
-    "lattice-green": run_lattice_green,
-    "killed-green": run_killed_green,
-    "check-potential": run_check_potential,
-    "hadamard-sweep": run_hadamard_sweep,
-    "exp-sweep": run_exp_sweep,
-    "cmp-random": run_cmp_random,
-    "cmp-functional": run_cmp_functional,
-    "converge-disk": run_converge_disk,
-    "converge-free": run_converge_free,
-    "riesz-mc": run_riesz_mc,
-    "exit-mc": run_exit_mc,
-    "domain-grid": run_domain_grid,
+# flag -> parser of its command-line text; a tuple lists the allowed words
+FLAGS = {
+    "seed": int, "out": str,
+    "d": int, "n": int, "max": int, "count": int, "trials": int, "functions": int,
+    "levels": int, "base": int, "dump_limit": int,
+    "tol": float, "radius": float, "beta": float, "time_step": float, "horizon": float,
+    "tail_tolerance": float,
+    "x": parse_floats, "y": parse_floats, "center": parse_floats, "betas": parse_floats,
+    "alphas": parse_floats, "sizes": parse_ints, "transform": parse_transform,
+    "domain": str, "matrix": str, "mode": ("exact", "interior", "exterior"),
 }
+# the separator that joins the items of a config-file array into flag text
+SEPARATORS = {parse_floats: ",", parse_ints: ",", parse_transform: ":"}
 
-DEFAULTS = {
-    "lattice-green": {"d": 3, "max": 12},
-    "killed-green": {"domain": None, "n": 18, "tol": 1e-8, "dump_limit": 100},
-    "check-potential": {"matrix": None, "trials": 10000, "tol": 1e-8},
-    "hadamard-sweep": {"d": 3, "betas": (1.0, 1.5, 2.0, 3.0, 3.7), "count": 200,
-                       "sizes": (2, 40), "tol": 1e-8},
-    "exp-sweep": {"d": 3, "alphas": (0.1, 0.5, 1.0), "count": 200,
-                  "sizes": (2, 40), "tol": 1e-8},
-    "cmp-random": {"d": 3, "count": 50, "trials": 10000, "sizes": (2, 40), "tol": 1e-10},
-    "cmp-functional": {"domain": None, "n": 50, "transform": ("power", 2.0),
-                       "functions": 20, "tol": 1e-8},
-    "converge-disk": {"x": (0.2, 0.0), "y": (-0.3, 0.1), "levels": 4, "base": 2,
-                      "radius": 1.0, "transform": ("power", 1.0), "tol": None},
-    "converge-free": {"beta": 1.0, "x": (0.0, 0.0, 0.0), "center": (0.0, 0.0, 0.0),
-                      "radius": 1.0, "levels": 3, "base": 3, "tol": None},
-    "riesz-mc": {"d": 3, "beta": 2.0, "x": (0.0, 0.0, 0.0), "center": (2.0, 0.0, 0.0),
-                 "radius": 1.0, "time_step": 0.05, "horizon": 12.0, "trials": 100000,
-                 "tail_tolerance": None},
-    "exit-mc": {"domain": None, "n": 1458, "x": (1 / 9, 0.0), "y": (-1 / 9, 1 / 27),
-                "trials": 4000},
-    "domain-grid": {"domain": None, "n": 18, "mode": "exact"},
+# one row per subcommand: runner, help line, flag defaults in --help order
+# (None: unset; --domain and --matrix must be given)
+EXPERIMENTS = {
+    "lattice-green": (run_lattice_green, "whole-space kernel table with asymptote ratios",
+                      {"d": 3, "max": 12}),
+    "killed-green": (run_killed_green, "killed Green matrix of a domain grid plus potential check",
+                     {"domain": None, "n": 18, "tol": 1e-8, "dump_limit": 100}),
+    "check-potential": (run_check_potential, "inverse M-matrix and CMP classification of a matrix",
+                        {"matrix": None, "trials": 10000, "tol": 1e-8}),
+    "hadamard-sweep": (run_hadamard_sweep, "entrywise powers of random killed-Green matrices",
+                       {"d": 3, "betas": (1.0, 1.5, 2.0, 3.0, 3.7), "count": 200,
+                        "sizes": (2, 40), "tol": 1e-8}),
+    "exp-sweep": (run_exp_sweep, "entrywise exponentials of random killed-Green matrices",
+                  {"d": 3, "alphas": (0.1, 0.5, 1.0), "count": 200, "sizes": (2, 40),
+                   "tol": 1e-8}),
+    "cmp-random": (run_cmp_random, "random-probe CMP inequality minima over random potentials",
+                   {"d": 3, "count": 50, "trials": 10000, "sizes": (2, 40), "tol": 1e-10}),
+    "cmp-functional": (run_cmp_functional, "discrete CMP functional of a grid operator",
+                       {"domain": None, "n": 50, "transform": ("power", 2.0),
+                        "functions": 20, "tol": 1e-8}),
+    "converge-disk": (run_converge_disk, "planar disk kernel refinement study",
+                      {"x": (0.2, 0.0), "y": (-0.3, 0.1), "levels": 4, "base": 2,
+                       "radius": 1.0, "transform": ("power", 1.0), "tol": None}),
+    "converge-free": (run_converge_free, "free-space operator refinement study",
+                      {"beta": 1.0, "x": (0.0, 0.0, 0.0), "center": (0.0, 0.0, 0.0),
+                       "radius": 1.0, "levels": 3, "base": 3, "tol": None}),
+    "riesz-mc": (run_riesz_mc, "occupation-time estimate vs quadrature oracle",
+                 {"d": 3, "beta": 2.0, "x": (0.0, 0.0, 0.0), "center": (2.0, 0.0, 0.0),
+                  "radius": 1.0, "time_step": 0.05, "horizon": 12.0, "trials": 100000,
+                  "tail_tolerance": None}),
+    "exit-mc": (run_exit_mc, "walk-exit estimate of the killed kernel boundary term",
+                {"domain": None, "n": 1458, "x": (1 / 9, 0.0), "y": (-1 / 9, 1 / 27),
+                 "trials": 4000}),
+    "domain-grid": (run_domain_grid, "dump exact/interior/exterior grids of a domain",
+                    {"domain": None, "n": 18, "mode": "exact"}),
 }
+RUNNERS = {name: row[0] for name, row in EXPERIMENTS.items()}
+DEFAULTS = {name: row[2] for name, row in EXPERIMENTS.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     # accept comma tuples with leading minus, e.g. --y -0.3,0.1
     negative_tuple = re.compile(r"^-(\d+\.?\d*|\.\d+)(,-?(\d+\.?\d*|\.\d+))*$")
 
-    def add(name, help_text, *specs):
+    for name, (_, help_text, defaults) in EXPERIMENTS.items():
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         p._negative_number_matcher = negative_tuple
         p.add_argument("--seed", type=int, help="global seed (default 0)")
@@ -417,55 +432,27 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file with flag equivalents")
         p.add_argument("--force", action="store_true",
                        help="let the config file override explicit flags")
-        for flag, kwargs in specs:
-            p.add_argument(flag, **kwargs)
-        return p
-
-    add("lattice-green", "whole-space kernel table with asymptote ratios",
-        ("--d", {"type": int}), ("--max", {"type": int}))
-    add("killed-green", "killed Green matrix of a domain grid plus potential check",
-        ("--domain", {}), ("--n", {"type": int}), ("--tol", {"type": float}),
-        ("--dump-limit", {"type": int, "dest": "dump_limit"}))
-    add("check-potential", "inverse M-matrix and CMP classification of a matrix",
-        ("--matrix", {}), ("--trials", {"type": int}), ("--tol", {"type": float}))
-    add("hadamard-sweep", "entrywise powers of random killed-Green matrices",
-        ("--d", {"type": int}), ("--betas", {"type": parse_floats}),
-        ("--count", {"type": int}), ("--sizes", {"type": parse_ints}),
-        ("--tol", {"type": float}))
-    add("exp-sweep", "entrywise exponentials of random killed-Green matrices",
-        ("--d", {"type": int}), ("--alphas", {"type": parse_floats}),
-        ("--count", {"type": int}), ("--sizes", {"type": parse_ints}),
-        ("--tol", {"type": float}))
-    add("cmp-random", "random-probe CMP inequality minima over random potentials",
-        ("--d", {"type": int}), ("--count", {"type": int}), ("--trials", {"type": int}),
-        ("--sizes", {"type": parse_ints}), ("--tol", {"type": float}))
-    add("cmp-functional", "discrete CMP functional of a grid operator",
-        ("--domain", {}), ("--n", {"type": int}),
-        ("--transform", {"type": parse_transform}),
-        ("--functions", {"type": int}), ("--tol", {"type": float}))
-    add("converge-disk", "planar disk kernel refinement study",
-        ("--x", {"type": parse_floats}), ("--y", {"type": parse_floats}),
-        ("--levels", {"type": int}), ("--base", {"type": int}),
-        ("--radius", {"type": float}), ("--transform", {"type": parse_transform}),
-        ("--tol", {"type": float}))
-    add("converge-free", "free-space operator refinement study",
-        ("--beta", {"type": float}), ("--x", {"type": parse_floats}),
-        ("--center", {"type": parse_floats}), ("--radius", {"type": float}),
-        ("--levels", {"type": int}), ("--base", {"type": int}),
-        ("--tol", {"type": float}))
-    add("riesz-mc", "occupation-time estimate vs quadrature oracle",
-        ("--d", {"type": int}), ("--beta", {"type": float}),
-        ("--x", {"type": parse_floats}), ("--center", {"type": parse_floats}),
-        ("--radius", {"type": float}), ("--time-step", {"type": float, "dest": "time_step"}),
-        ("--horizon", {"type": float}), ("--trials", {"type": int}),
-        ("--tail-tolerance", {"type": float, "dest": "tail_tolerance"}))
-    add("exit-mc", "walk-exit estimate of the killed kernel boundary term",
-        ("--domain", {}), ("--n", {"type": int}), ("--x", {"type": parse_floats}),
-        ("--y", {"type": parse_floats}), ("--trials", {"type": int}))
-    add("domain-grid", "dump exact/interior/exterior grids of a domain",
-        ("--domain", {}), ("--n", {"type": int}),
-        ("--mode", {"choices": ["exact", "interior", "exterior"]}))
+        for key in defaults:
+            parse = FLAGS[key]
+            kind = {"choices": parse} if isinstance(parse, tuple) else {"type": parse}
+            p.add_argument("--" + key.replace("_", "-"), **kind)
     return parser
+
+
+def _config_value(key: str, value):
+    """A config-file value parsed as the command-line text of its flag."""
+    parse = FLAGS[key]
+    if isinstance(value, list) and parse in SEPARATORS:
+        value = SEPARATORS[parse].join(v if isinstance(v, str) else json.dumps(v) for v in value)
+    text = value if isinstance(value, str) else json.dumps(value)
+    if isinstance(parse, tuple):
+        if text not in parse:
+            raise ValueError(f"config key {key!r} must be one of {list(parse)}")
+        return text
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from None
 
 
 def merge_config(args: argparse.Namespace):
@@ -477,27 +464,19 @@ def merge_config(args: argparse.Namespace):
     name = args.experiment
     explicit = {k: v for k, v in vars(args).items()
                 if k not in ("experiment", "config", "force")}
-    force = getattr(args, "force", False)
-    cfg = dict(DEFAULTS[name])
-    cfg["seed"] = 0
-    cfg["out"] = None
+    cfg = {**DEFAULTS[name], "seed": 0, "out": None}
     file_cfg = {}
     if getattr(args, "config", None):
-        file_cfg = json.loads(Path(args.config).read_text())
-        unknown = set(file_cfg) - set(cfg)
+        raw = json.loads(Path(args.config).read_text())
+        if not isinstance(raw, dict):
+            raise ValueError("a config file holds one JSON object")
+        unknown = set(raw) - set(cfg)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "transform" in file_cfg and isinstance(file_cfg["transform"], str):
-            file_cfg["transform"] = parse_transform(file_cfg["transform"])
-    layers = [file_cfg, explicit] if not force else [explicit, file_cfg]
+        file_cfg = {k: _config_value(k, v) for k, v in raw.items() if v is not None}
+    layers = [file_cfg, explicit] if not getattr(args, "force", False) else [explicit, file_cfg]
     for layer in layers:
         cfg.update(layer)
-    for key in ("x", "y", "center", "betas", "alphas", "sizes", "transform"):
-        if key in cfg and isinstance(cfg[key], list):
-            cfg[key] = tuple(cfg[key])
-    missing = [k for k, v in cfg.items() if v is None and k in ("domain", "matrix")]
-    if missing:
-        raise ValueError(f"missing required option(s): {missing}")
     return cfg, cfg.pop("out")
 
 

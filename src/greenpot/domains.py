@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import canonical_json
 from .lattice import LatticeSet
 
 __all__ = [
@@ -132,9 +133,7 @@ class Box:
         return max(margin, 0.0)
 
     def dist_inf_to_set(self, x) -> float:
-        p = np.asarray(x, dtype=float)
-        deficit = np.maximum(np.asarray(self.lo) - p, p - np.asarray(self.hi))
-        return max(float(np.max(deficit)), 0.0)
+        return _box_dist_inf(np.asarray(x, dtype=float), np.asarray(self.lo), np.asarray(self.hi))
 
 
 def _box_dist_inf(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
@@ -176,15 +175,8 @@ class CubicSet:
 
     def _slabs(self, x: np.ndarray):
         """Per coordinate, the cube indices whose closed slab contains x."""
-        t = x / self.side + 0.5  # integer exactly on a face plane
-        out = []
-        for ti in t:
-            near = round(float(ti))
-            if abs(ti - near) <= TIE_TOL * max(1.0, abs(ti)):
-                out.append((int(near) - 1, int(near)))
-            else:
-                out.append((int(math.floor(ti)),))
-        return out
+        cell, tie = split_ties(x / self.side + 0.5)  # integer exactly on a face plane
+        return [(int(c) - 1, int(c)) if t else (int(c),) for c, t in zip(cell, tie)]
 
     def contains(self, x) -> bool:
         # interior point iff every orthant of an infinitesimal cube at x
@@ -234,15 +226,11 @@ class CubicSet:
         while True:
             if best <= (ring - 0.5) * self.side:
                 return best
-            found_any = False
             for k in _index_ring(home, ring, self.d):
-                found_any = True
                 if k not in self._basis_set:
                     lo, hi = self._cube_bounds(k)
                     best = min(best, _box_dist_inf(p, lo, hi))
             ring += 1
-            if not found_any:  # unreachable, rings are never empty
-                return best
 
 
 def _index_ring(home: np.ndarray, ring: int, d: int):
@@ -296,7 +284,7 @@ def cubic_open_set(height: int, basis) -> CubicSet:
 
 
 def domain_to_json(domain) -> str:
-    return json.dumps({"d": domain.d, "shape": _shape_obj(domain)}, sort_keys=True, separators=(",", ":"))
+    return canonical_json({"d": domain.d, "shape": _shape_obj(domain)})
 
 
 def _shape_obj(domain):
@@ -328,6 +316,8 @@ def _shape_from_obj(obj):
 
 def domain_from_json(text: str):
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("a domain is a JSON object")
     domain = _shape_from_obj(obj["shape"])
     if domain.d != int(obj["d"]):
         raise ValueError("declared dimension does not match the shape")
@@ -415,12 +405,20 @@ def round_to_grid(x, grid: GridSpec) -> np.ndarray:
     p = np.asarray(x, dtype=float)
     if p.shape != (grid.d,):
         raise ValueError(f"expected a point of dimension {grid.d}")
-    t = p / grid.h + 0.5
-    out = np.empty(grid.d, dtype=np.int64)
-    for i, ti in enumerate(t):
-        near = round(float(ti))
-        if abs(ti - near) <= TIE_TOL * max(1.0, abs(ti)):  # exact midpoint
-            out[i] = int(near) - 1
-        else:
-            out[i] = int(math.floor(ti))
-    return out
+    cell, tie = split_ties(p / grid.h + 0.5)
+    return cell - tie  # an exact midpoint goes to the lower index
+
+
+def split_ties(t) -> tuple:
+    """Integer cells of `t` and where `t` sits on a cell corner.
+
+    An entry within ``TIE_TOL`` (relative) of an integer is a tie: its cell
+    is that integer.  Any other entry lies in cell ``floor(t)``.  Returns
+    the int64 cells and the boolean tie mask.
+    """
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("a non-finite coordinate has no grid cell")
+    near = np.round(t)
+    tie = np.abs(t - near) <= TIE_TOL * np.maximum(1.0, np.abs(t))
+    return np.where(tie, near, np.floor(t)).astype(np.int64), tie

@@ -27,7 +27,15 @@ __all__ = [
     "riesz_params",
     "ball_kernel_integral",
     "volume_bound",
+    "check_transform",
+    "canonical_json",
 ]
+
+
+def canonical_json(obj) -> str:
+    """The one serialization of reports and specs: sorted keys, compact
+    separators, full float precision, one trailing newline."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 class QuadratureError(RuntimeError):
@@ -96,13 +104,40 @@ def disk_green_2d(radius: float, x, y) -> float:
         px, py, rx, ry = py, px, ry, rx
     if ry == 0.0:
         return math.log(radius / rx) / math.pi
-    # |y| |x - y*| with y* = R^2 y / |y|^2, folded so tiny |y| cannot overflow
-    scaled = ry * px - radius**2 * (py / ry)
+    # |y| |x - y*| with y* = R^2 y / |y|^2, folded so tiny |y| cannot overflow;
+    # a subnormal |y| keeps too few digits to divide by, so the direction of
+    # y is taken after an exact power-of-two rescaling
+    q = py * 2.0**1000 if ry < 2.0**-1000 else py
+    scaled = ry * px - radius**2 * (q / math.hypot(*q))
     return (
         -math.log(math.hypot(*(px - py)))
         + math.log(math.hypot(*scaled))
         - math.log(radius)
     ) / math.pi
+
+
+def check_transform(kind: str, param: float, d: int, free: bool) -> tuple:
+    """Validate a transform against the paper's range; returns ``(kind, float(param))``.
+
+    Powers need ``param >= 1``, and on the free-space kernel (``free``,
+    which needs ``d >= 3``) also ``param < d/(d-2)``.  The exponential is
+    defined in the plane only, with ``0 < param < 2*pi``.
+    """
+    if free and d < 3:
+        raise ValueError("free-space kernels require d >= 3")
+    if kind == "power":
+        if not param >= 1:
+            raise ValueError("power transform requires param >= 1")
+        if free and not param < d / (d - 2):
+            raise ValueError("power transform of the free-space kernel requires param < d/(d-2)")
+    elif kind == "exp":
+        if d != 2:
+            raise ValueError("exp transform is only defined in the plane")
+        if not 0 < param < 2 * math.pi:
+            raise ValueError("exp transform requires 0 < param < 2*pi")
+    else:
+        raise ValueError(f"unknown transform {kind!r}")
+    return kind, float(param)
 
 
 @dataclass(frozen=True)
@@ -136,11 +171,7 @@ class KernelSpec:
     def __post_init__(self):
         if self.base not in ("free", "disk"):
             raise ValueError(f"unknown base kernel {self.base!r}")
-        if self.transform not in ("power", "exp"):
-            raise ValueError(f"unknown transform {self.transform!r}")
         if self.base == "free":
-            if self.d < 3:
-                raise ValueError("free-space base requires d >= 3")
             if self.radius is not None:
                 raise ValueError("free-space base takes no radius")
         else:
@@ -148,24 +179,11 @@ class KernelSpec:
                 raise ValueError("disk base requires d == 2")
             if self.radius is None or self.radius <= 0:
                 raise ValueError("disk base requires a positive radius")
-        if self.transform == "power":
-            if self.param < 1:
-                raise ValueError("power transform requires param >= 1")
-            if self.base == "free" and self.param >= self.d / (self.d - 2):
-                raise ValueError("power transform of the free-space base requires param < d/(d-2)")
-        else:
-            if self.base != "disk":
-                raise ValueError("exp transform is only defined for the disk base")
-            if not 0 < self.param < 2 * math.pi:
-                raise ValueError("exp transform requires 0 < param < 2*pi")
+        check_transform(self.transform, self.param, self.d, self.base == "free")
 
     def to_json(self) -> str:
         base = "free" if self.base == "free" else {"disk": self.radius}
-        return json.dumps(
-            {"d": self.d, "base": base, "transform": {self.transform: self.param}},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return canonical_json({"d": self.d, "base": base, "transform": {self.transform: self.param}})
 
     @classmethod
     def from_json(cls, text: str) -> "KernelSpec":
@@ -207,10 +225,7 @@ def riesz_params(d: int, beta: float) -> RieszParams:
     the returned coefficient is the multiple in front of the expected
     occupation of the subordinated Brownian motion.
     """
-    if d < 3:
-        raise ValueError("requires d >= 3")
-    if not 1 <= beta < d / (d - 2):
-        raise ValueError("requires 1 <= beta < d/(d-2)")
+    check_transform("power", beta, d, free=True)
     from scipy.special import gamma
 
     alpha = d - beta * (d - 2)
@@ -346,10 +361,7 @@ def volume_bound(d: int, beta: float, diameter: float) -> float:
     radius is the diameter of the set:
     ``C(d)^beta S(d) R^(d - beta(d-2)) / (d - beta(d-2))``.
     """
-    if d < 3:
-        raise ValueError("requires d >= 3")
-    if not 1 <= beta < d / (d - 2):
-        raise ValueError("requires 1 <= beta < d/(d-2)")
+    check_transform("power", beta, d, free=True)
     if diameter < 0:
         raise ValueError("diameter must be nonnegative")
     p = d - beta * (d - 2)

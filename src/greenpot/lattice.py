@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import green_constant
+from .kernels import canonical_json, green_constant
 
 __all__ = [
     "LatticeSet",
@@ -140,11 +140,7 @@ class LatticeSet:
         return int(self.rows_of([key])[0])
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"d": self.d, "points": self.points.tolist()},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return canonical_json({"d": self.d, "points": self.points.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "LatticeSet":
@@ -325,15 +321,11 @@ class KilledGreenMatrix:
         return float(self.entries[self.lattice.index_of(x), self.lattice.index_of(y)])
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "d": self.d,
-                "points": self.lattice.points.tolist(),
-                "entries": [float(v) for v in self.entries.reshape(-1)],
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return canonical_json({
+            "d": self.d,
+            "points": self.lattice.points.tolist(),
+            "entries": [float(v) for v in self.entries.reshape(-1)],
+        })
 
     @classmethod
     def from_json(cls, text: str) -> "KilledGreenMatrix":

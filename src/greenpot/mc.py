@@ -17,7 +17,6 @@ for a given (seed, stream) at any GREENPOT_THREADS setting.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -26,10 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import GridSpec, grid_points, round_to_grid
-from .kernels import riesz_params
+from .kernels import canonical_json, riesz_params
 from .lattice import LatticeSet, potential_kernel_2d, unit_steps, whole_space_green
 
 __all__ = [
+    "generator",
     "RngStream",
     "McEstimate",
     "StepBudgetError",
@@ -73,30 +73,28 @@ def _block_sizes(trials: int):
             for b in range((trials + TRIAL_CHUNK - 1) // TRIAL_CHUNK)]
 
 
+def generator(seed: int, *key: int) -> np.random.Generator:
+    """The one seeded generator: PCG64 on ``SeedSequence(seed, spawn_key=key)``.
+
+    Distinct keys give statistically independent generators through the
+    seed-sequence spawning mechanism; the empty key is the plain seed.
+    """
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
 @dataclass(frozen=True)
 class RngStream:
-    """Reproducible random source: (seed, stream) fixes every draw.
-
-    Distinct stream indices give statistically independent generators
-    through the seed-sequence spawning mechanism.
-    """
+    """Reproducible random source: (seed, stream) fixes every draw."""
 
     seed: int
     stream: int = 0
-    algorithm: str = "pcg64"
-
-    def __post_init__(self):
-        if self.algorithm != "pcg64":
-            raise ValueError(f"unsupported rng algorithm {self.algorithm!r}")
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
-        return np.random.Generator(np.random.PCG64(seq))
+        return generator(self.seed, self.stream)
 
     def child(self, index: int) -> np.random.Generator:
         """Independent generator for a numbered block of trials."""
-        seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream, index))
-        return np.random.Generator(np.random.PCG64(seq))
+        return generator(self.seed, self.stream, index)
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,7 @@ class McEstimate:
                "trials": self.trials, "seed": self.seed}
         if self.tail_bound is not None:
             obj["tail_bound"] = self.tail_bound
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        return canonical_json(obj)
 
 
 def _estimate(total: float, total_sq: float, trials: int, seed: int,

@@ -20,15 +20,14 @@ at ``x`` is bilinearly interpolated at ``y``.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .domains import TIE_TOL, Ball, GridSpec, exterior_grid, grid_points, round_to_grid
-from .kernels import KernelSpec, ball_kernel_integral, sphere_surface
+from .domains import Ball, GridSpec, exterior_grid, grid_points, round_to_grid, split_ties
+from .kernels import KernelSpec, ball_kernel_integral, canonical_json, check_transform, sphere_surface
 from .lattice import (
     EXACT_RANGE,
     LatticeSet,
@@ -75,25 +74,6 @@ class BallIndicator:
         delta = arr - np.asarray(self.center)
         out = (np.einsum("ij,ij->i", delta, delta) < self.radius**2).astype(float)
         return out if np.asarray(pts).ndim == 2 else float(out[0])
-
-
-def _check_transform(transform, d: int, free: bool):
-    kind, param = transform
-    if free and d < 3:
-        raise ValueError("free-space operators require d >= 3")
-    if kind == "power":
-        if param < 1:
-            raise ValueError("power transform requires param >= 1")
-        if free and param >= d / (d - 2):
-            raise ValueError("free-space operators require power < d/(d-2)")
-    elif kind == "exp":
-        if d != 2:
-            raise ValueError("exp transform is only defined in the plane")
-        if not 0 < param < 2 * math.pi:
-            raise ValueError("exp transform requires 0 < param < 2*pi")
-    else:
-        raise ValueError(f"unknown transform {kind!r}")
-    return kind, float(param)
 
 
 @dataclass(frozen=True)
@@ -157,10 +137,8 @@ def assemble(
     if (domain is None) == (free_region is None):
         raise ValueError("exactly one of domain and free_region is required")
     free = domain is None
-    kind, param = _check_transform(transform, grid.d, free)
+    kind, param = check_transform(*transform, grid.d, free)
     if free:
-        if grid.d < 3:
-            raise ValueError("free-space operators require d >= 3")
         lattice = exterior_grid(free_region, grid)
         extra = [round_to_grid(p, grid) for p in include_points]
         extra = [z for z in extra if z not in lattice]
@@ -240,10 +218,7 @@ def equicontinuity_cap(d: int, beta: float, support_radius: float) -> float:
     ``c3`` times the largest Riesz mass of the support inflated by two
     sup-norm lattice cells, bounded here through an enclosing ball.
     """
-    if d < 3:
-        raise ValueError("requires d >= 3")
-    if not 1 <= beta < d / (d - 2):
-        raise ValueError("requires 1 <= beta < d/(d-2)")
+    check_transform("power", beta, d, free=True)
     g00 = whole_space_green(d, (0,) * d)
     diag = g00**beta * d ** ((d / 2.0) * (1.0 - beta))
     c3 = (decay_constant(d) / d) ** beta * (1.0 + math.sqrt(d) / 2.0) ** (beta * (d - 2))
@@ -311,20 +286,16 @@ class ConvergenceReport:
         return tuple(out)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "d": self.d,
-                "levels": list(self.levels),
-                "values": list(self.values),
-                "reference": self.reference,
-                "provenance": self.provenance,
-                "abs_errors": list(self.abs_errors),
-                "rel_errors": list(self.rel_errors),
-                "rates": list(self.rates),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return canonical_json({
+            "d": self.d,
+            "levels": list(self.levels),
+            "values": list(self.values),
+            "reference": self.reference,
+            "provenance": self.provenance,
+            "abs_errors": list(self.abs_errors),
+            "rel_errors": list(self.rel_errors),
+            "rates": list(self.rates),
+        })
 
     def csv_rows(self):
         header = ["n", "value", "reference", "abs_err", "rel_err", "rate"]
@@ -335,12 +306,10 @@ class ConvergenceReport:
 
 
 def _split_cells(t: np.ndarray):
-    """Integer cells and in-cell fractions of `t`; fractions within
-    `TIE_TOL` of 0 or 1 snap to the nearer cell corner."""
-    near = np.round(t)
-    tie = np.abs(t - near) <= TIE_TOL * np.maximum(1.0, np.abs(t))
-    cell = np.where(tie, near, np.floor(t))
-    return cell.astype(np.int64), np.where(tie, 0.0, t - cell)
+    """Integer cells and in-cell fractions of `t`; a tie snaps to its
+    cell corner with fraction 0."""
+    cell, tie = split_ties(t)
+    return cell, np.where(tie, 0.0, t - cell)
 
 
 def _disk_point_value(domain, transform, x, y, grid: GridSpec) -> float:
@@ -415,9 +384,9 @@ def converge(domain, transform, x, target, levels: int, base: int) -> Convergenc
             spec = KernelSpec(d=2, base="disk", transform=kind, param=param, radius=domain.radius)
         reference = ball_kernel_integral(spec, x, target.center, target.radius)
         provenance = "ball kernel integral, adaptive quadrature"
-    ns, values = [], []
-    for k in range(levels):
-        grid = GridSpec(d=d, n=base * 9**k)
+    grids = GridSpec.level_sequence(d, base, levels)
+    values = []
+    for grid in grids:
         if pointwise:
             values.append(_disk_point_value(domain, transform, x, target, grid))
         elif domain is not None:
@@ -427,6 +396,5 @@ def converge(domain, transform, x, target, levels: int, base: int) -> Convergenc
             region = Ball(center=target.center, radius=target.radius)
             op = assemble(grid, transform, free_region=region, include_points=[x])
             values.append(apply_operator(op, target, x))
-        ns.append(grid.n)
-    return ConvergenceReport(d=d, levels=tuple(ns), values=tuple(values),
+    return ConvergenceReport(d=d, levels=tuple(g.n for g in grids), values=tuple(values),
                              reference=reference, provenance=provenance)

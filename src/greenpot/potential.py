@@ -12,13 +12,14 @@ route to the same class.  Entrywise powers ``U^(beta)`` with
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
+from .kernels import canonical_json
 from .lattice import LatticeSet, KilledGreenMatrix, killed_green_matrix, unit_steps
+from .mc import generator
 
 __all__ = [
     "PotentialReport",
@@ -59,7 +60,7 @@ class PotentialReport:
         for k, v in obj.items():
             if isinstance(v, float) and math.isnan(v):
                 obj[k] = None
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        return canonical_json(obj)
 
 
 def _check_square_nonneg(u) -> np.ndarray:
@@ -76,10 +77,11 @@ def is_inverse_m_matrix(u, tol: float = DEFAULT_TOL) -> PotentialReport:
 
     Inverts ``u`` and checks that all off-diagonal entries of the inverse
     are ``<= tol * scale`` and all row sums are ``>= -tol * scale``, where
-    ``scale`` is the largest magnitude in the inverse.  The reported
-    ``condition`` is the 1-norm condition number ``|u|_1 |u^-1|_1``, taken
-    from the inverse already in hand; values beyond 1e12 mark the report
-    unreliable instead of deciding.
+    ``scale`` is the largest magnitude in the inverse; either extreme
+    within ``tol * scale`` of 0 is reported as 0.0, so roundoff does not
+    reach the report.  The reported ``condition`` is the 1-norm condition
+    number ``|u|_1 |u^-1|_1``, taken from the inverse already in hand;
+    values beyond 1e12 mark the report unreliable instead of deciding.
     """
     a = _check_square_nonneg(u)
     try:
@@ -105,11 +107,12 @@ def is_inverse_m_matrix(u, tol: float = DEFAULT_TOL) -> PotentialReport:
     mask = ~np.eye(a.shape[0], dtype=bool)
     max_off = float(np.max(inv[mask])) if a.shape[0] > 1 else 0.0
     min_row = float(np.min(inv.sum(axis=1)))
-    ok = max_off <= tol * scale and min_row >= -tol * scale
+    cut = tol * scale
+    ok = max_off <= cut and min_row >= -cut
     return PotentialReport(
         nonsingular=True,
-        max_offdiag_of_inverse=max_off,
-        min_row_sum_of_inverse=min_row,
+        max_offdiag_of_inverse=0.0 if abs(max_off) <= cut else max_off,
+        min_row_sum_of_inverse=0.0 if abs(min_row) <= cut else min_row,
         is_potential=bool(ok),
         condition=cond,
     )
@@ -149,7 +152,7 @@ def sample_cmp(u, trials: int, seed: int, include_adversarial: bool = True):
     if trials < 1:
         raise ValueError("trials must be positive")
     m = a.shape[0]
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = generator(seed)
     vs = rng.standard_normal((trials, m))
     if include_adversarial:
         vs = np.vstack([vs, _adversarial(a)])
@@ -165,17 +168,7 @@ def classify(u, trials: int = 0, seed: int = 0, tol: float = DEFAULT_TOL) -> Pot
     if trials <= 0:
         return report
     value, _ = sample_cmp(u, trials=trials, seed=seed)
-    return PotentialReport(
-        nonsingular=report.nonsingular,
-        max_offdiag_of_inverse=report.max_offdiag_of_inverse,
-        min_row_sum_of_inverse=report.min_row_sum_of_inverse,
-        is_potential=report.is_potential,
-        unreliable=report.unreliable,
-        condition=report.condition,
-        cmp_inequality_min=value,
-        trials=trials,
-        seed=seed,
-    )
+    return replace(report, cmp_inequality_min=value, trials=trials, seed=seed)
 
 
 def hadamard_power(u, beta: float) -> np.ndarray:
@@ -202,7 +195,7 @@ def random_potential(d: int, size_range: tuple[int, int], seed: int) -> KilledGr
     lo, hi = size_range
     if not 1 <= lo <= hi:
         raise ValueError("size_range must satisfy 1 <= lo <= hi")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = generator(seed)
     size = int(rng.integers(lo, hi + 1))
     steps = unit_steps(d)
     pos = np.zeros(d, dtype=np.int64)

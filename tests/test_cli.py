@@ -4,6 +4,7 @@ Each subcommand runs in-process through ``main`` with small workloads;
 file outputs, config layering, and exit codes are checked explicitly.
 """
 
+import argparse
 import json
 import os
 import shutil
@@ -180,6 +181,45 @@ def test_explicit_flags_beat_config_unless_forced(tmp_path, capsys):
     assert rc == 0 and json.loads(out)["n"] == 18
     rc, out, _ = run_cli(capsys, ["domain-grid", "--config", str(cfg), "--n", "18", "--force"])
     assert rc == 0 and json.loads(out)["n"] == 32
+
+
+def test_config_matrix_may_be_an_array(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"matrix": [[2, 1], [1, 2]], "trials": 50}))
+    rc, out, err = run_cli(capsys, ["check-potential", "--config", str(cfg)])
+    assert rc == 0, err
+    assert json.loads(out)["size"] == 2
+
+
+def test_config_values_go_through_their_flag_parsers(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"domain": json.loads(DISK), "n": "8", "mode": "interior"}))
+    rc, out, err = run_cli(capsys, ["domain-grid", "--config", str(cfg)])
+    assert rc == 0, err
+    assert json.loads(out)["n"] == 8
+    for bad in ({"n": True}, {"n": 8.5}, {"n": [8]}, {"n": "eight"}, {"mode": 3},
+                {"mode": "outer"}, {"domain": 5}, {"domain": [1, 2]}):
+        cfg.write_text(json.dumps({"domain": json.loads(DISK), **bad}))
+        rc, _, err = run_cli(capsys, ["domain-grid", "--config", str(cfg)])
+        assert rc == 2 and err.startswith("error:") and "Traceback" not in err, bad
+
+
+def test_parser_flags_come_from_the_table():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli.EXPERIMENTS) == list(cli.RUNNERS) == list(cli.DEFAULTS)
+    for name, parser in sub.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        table = {"--" + key.replace("_", "-") for key in cli.DEFAULTS[name]}
+        assert flags == table | {"--seed", "--out", "--config", "--force"}, name
+
+
+def test_config_holding_the_defaults_changes_nothing(tmp_path):
+    parser = cli.build_parser()
+    cfg = tmp_path / "cfg.json"
+    for name, defaults in cli.DEFAULTS.items():
+        cfg.write_text(json.dumps(defaults))
+        assert (cli.merge_config(parser.parse_args([name, "--config", str(cfg)]))
+                == cli.merge_config(parser.parse_args([name]))), name
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):

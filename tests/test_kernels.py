@@ -129,6 +129,8 @@ def _disk_pairs(draw):
 
 @given(_disk_pairs())
 @example(pair=((6.7810086751207964e-161, 0.0), (0.5, 0.0)))  # |x|^2 is subnormal
+@example(pair=((-5e-324, 5e-324), (0.5, 0.0)))  # hypot rounds a subnormal |x| to 5e-324
+@example(pair=((1e-320, 1e-320), (0.5, 0.0)))  # a subnormal |x| keeps 4 digits
 def test_disk_green_symmetric_and_positive(pair):
     x, y = pair
     g = disk_green_2d(1.0, x, y)

@@ -52,8 +52,6 @@ def test_rng_stream_reproducible_and_stream_separated():
     d = RngStream(2024).child(3).integers(0, 2**32, 8)
     e = RngStream(2024).child(4).integers(0, 2**32, 8)
     assert not np.array_equal(d, e)
-    with pytest.raises(ValueError):
-        RngStream(1, algorithm="mt19937")
 
 
 def test_mc_estimate_validation_and_json():

@@ -111,6 +111,35 @@ def test_assemble_validation():
         assemble(grid2, ("power", 1.0), domain=Ball((0.25, 0.25), 0.1))  # empty grid
 
 
+def _accepts(build) -> bool:
+    try:
+        build()
+    except ValueError:
+        return False
+    return True
+
+
+def test_kernel_spec_and_assemble_accept_the_same_transforms():
+    cases = [("power", 1.0, 2, True), ("exp", 1.0, 3, True), ("exp", 1.0, 4, True),
+             ("power", 2.0, 2, False), ("power", 0.99, 2, False), ("cos", 1.0, 2, False)]
+    for d in (3, 4):
+        top = d / (d - 2)
+        cases += [("power", b, d, True)
+                  for b in (0.99, 1.0, math.nextafter(top, 0.0), top, math.nan)]
+    cases += [("exp", a, 2, False)
+              for a in (0.0, 1e-9, 1.0, math.nextafter(2 * math.pi, 0.0), 2 * math.pi)]
+    verdicts = set()
+    for kind, param, d, free in cases:
+        spec_ok = _accepts(lambda: KernelSpec(d=d, base="free" if free else "disk", transform=kind,
+                                              param=param, radius=None if free else 1.0))
+        where = ({"free_region": Ball((0.0,) * d, 0.3)} if free
+                 else {"domain": Ball((0.0, 0.0), 1.0)})
+        op_ok = _accepts(lambda: assemble(GridSpec(d=d, n=d if free else 8), (kind, param), **where))
+        assert spec_ok == op_ok, (kind, param, d, free)
+        verdicts.add(spec_ok)
+    assert verdicts == {True, False}
+
+
 def test_assemble_respects_point_cap():
     with pytest.raises(ResourceLimitError):
         assemble(GridSpec(d=2, n=8), ("power", 1.0), domain=Ball((0.0, 0.0), 1.0), max_points=3)
