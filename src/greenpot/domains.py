@@ -300,26 +300,58 @@ def _shape_obj(domain):
     raise TypeError(f"not a domain: {domain!r}")
 
 
+def _vector(value) -> tuple:
+    if not isinstance(value, list):
+        raise TypeError("not an array")
+    return tuple(float(c) for c in value)
+
+
+def _basis(value) -> tuple:
+    if not isinstance(value, list) or not all(isinstance(k, list) for k in value):
+        raise TypeError("not an array of arrays")
+    return tuple(tuple(int(c) for c in k) for k in value)
+
+
+def _field(owner: str, body: dict, name: str, parse=None):
+    """``parse(body[name])``; a missing or ill-typed field is a ValueError naming it."""
+    if name not in body:
+        raise ValueError(f"{owner} is missing field {name!r}")
+    if parse is None:
+        return body[name]
+    try:
+        return parse(body[name])
+    except (TypeError, ValueError):
+        raise ValueError(f"{owner} field {name!r} is ill-typed: {body[name]!r}") from None
+
+
 def _shape_from_obj(obj):
+    if not isinstance(obj, dict) or len(obj) != 1:
+        raise ValueError(f"a shape is a JSON object with one key, its kind; got {obj!r}")
     (kind, body), = obj.items()
-    if kind == "ball":
-        return Ball(center=tuple(body["center"]), radius=float(body["radius"]))
+    if kind not in ("ball", "box", "cubic", "intersect_ball"):
+        raise ValueError(f"unknown shape kind {kind!r}")
+    if not isinstance(body, dict):
+        raise ValueError(f"{kind} shape must be a JSON object of fields; got {body!r}")
+    owner = f"{kind} shape"
     if kind == "box":
-        return Box(lo=tuple(body["lo"]), hi=tuple(body["hi"]))
+        return Box(lo=_field(owner, body, "lo", _vector), hi=_field(owner, body, "hi", _vector))
     if kind == "cubic":
-        return CubicSet(height=int(body["height"]), basis=tuple(tuple(k) for k in body["basis"]))
-    if kind == "intersect_ball":
-        inner = _shape_from_obj(body["inner"])
-        return Intersection(inner=inner, ball=Ball(center=tuple(body["center"]), radius=float(body["radius"])))
-    raise ValueError(f"unknown shape kind {kind!r}")
+        return CubicSet(height=_field(owner, body, "height", int),
+                        basis=_field(owner, body, "basis", _basis))
+    ball = Ball(center=_field(owner, body, "center", _vector),
+                radius=_field(owner, body, "radius", float))
+    if kind == "ball":
+        return ball
+    return Intersection(inner=_shape_from_obj(_field(owner, body, "inner")), ball=ball)
 
 
 def domain_from_json(text: str):
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("a domain is a JSON object")
-    domain = _shape_from_obj(obj["shape"])
-    if domain.d != int(obj["d"]):
+    d = _field("domain", obj, "d", int)
+    domain = _shape_from_obj(_field("domain", obj, "shape"))
+    if domain.d != d:
         raise ValueError("declared dimension does not match the shape")
     return domain
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .domains import GridSpec, grid_points, round_to_grid
 from .kernels import canonical_json, riesz_params
-from .lattice import LatticeSet, potential_kernel_2d, unit_steps, whole_space_green
+from .lattice import LatticeSet, potential_kernel_2d, unit_steps, whole_space_green_array
 
 __all__ = [
     "generator",
@@ -219,12 +219,10 @@ def exit_statistics(lattice: LatticeSet, start, trials: int, rng: RngStream,
 
 
 def _green_at_differences(d: int, diffs: np.ndarray) -> np.ndarray:
+    if d >= 3:
+        return whole_space_green_array(d, diffs)
     uniq, inverse = np.unique(diffs, axis=0, return_inverse=True)
-    if d == 2:
-        vals = np.array([potential_kernel_2d(row) for row in uniq])
-    else:
-        vals = np.array([whole_space_green(d, row) for row in uniq])
-    return vals[inverse]
+    return np.array([potential_kernel_2d(row) for row in uniq])[inverse]
 
 
 def estimate_boundary_term(domain, grid: GridSpec, x, y, trials: int, rng: RngStream,

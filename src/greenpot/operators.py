@@ -35,6 +35,7 @@ from .lattice import (
     killed_green_entries,
     killed_green_matrix,
     whole_space_green,
+    whole_space_green_array,
 )
 
 __all__ = [
@@ -51,6 +52,8 @@ __all__ = [
 ]
 
 MAX_POINTS = 20000
+# rows gathered at once when a free-space operator's matrix is formed
+_ROW_BLOCK = 256
 
 
 class ResourceLimitError(RuntimeError):
@@ -76,30 +79,72 @@ class BallIndicator:
         return out if np.asarray(pts).ndim == 2 else float(out[0])
 
 
-@dataclass(frozen=True)
 class DiscreteOperator:
-    """Grid Green operator: index set, entry matrix, and provenance."""
+    """Grid Green operator: index set, entry matrix, and provenance.
 
-    grid: GridSpec
-    lattice: LatticeSet
-    matrix: np.ndarray
-    transform: tuple
-    domain: object = None  # None marks the free-space operator
+    A killed operator holds its entry matrix.  The entries of a
+    free-space operator depend only on the absolute index difference per
+    axis, so it holds them as one cube over those differences: a row is
+    an O(m) gather from the cube, and `matrix` gathers every row, under
+    the point cap, when first read.
+    """
+
+    def __init__(self, grid: GridSpec, lattice: LatticeSet, matrix, transform: tuple,
+                 domain=None):
+        self.grid = grid
+        self.lattice = lattice
+        self.transform = transform
+        self.domain = domain  # None marks the free-space operator
+        self._matrix = matrix
+        self._cube = None
+        self._max_points = MAX_POINTS
 
     @property
     def d(self) -> int:
         return self.grid.d
 
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            m = len(self.lattice)
+            _check_points(m, self._max_points)
+            matrix = np.empty((m, m))
+            for lo in range(0, m, _ROW_BLOCK):
+                matrix[lo:lo + _ROW_BLOCK] = self._gather(slice(lo, lo + _ROW_BLOCK))
+            self._matrix = matrix
+        return self._matrix
 
-def _free_entries(lattice: LatticeSet, exact_range: int) -> np.ndarray:
+    def _row(self, i: int) -> np.ndarray:
+        return self._matrix[i] if self._matrix is not None else self._gather([i])[0]
+
+    def _gather(self, rows) -> np.ndarray:
+        """Entries of the given rows, gathered from the difference cube."""
+        pts = self.lattice.points
+        return self._cube[tuple(np.abs(pts[rows, None, k] - pts[None, :, k])
+                                for k in range(self.d))]
+
+
+def _check_points(m: int, max_points: int) -> None:
+    if m > max_points:
+        raise ResourceLimitError(f"{m} grid points exceed the cap of {max_points}")
+
+
+def _weighted(green: np.ndarray, grid: GridSpec, kind: str, param: float) -> np.ndarray:
+    """Operator entries ``h^d T(scale * green)`` of Green values."""
+    scaled = green * grid.green_scale
+    weight = grid.h**grid.d
+    if kind == "power":
+        return weight * scaled**param
+    return weight * np.exp(param * scaled)
+
+
+def _free_cube(lattice: LatticeSet, exact_range: int) -> np.ndarray:
+    """Whole-space Green values at every per-axis absolute index difference
+    of the set: the table below `exact_range`, the asymptote beyond."""
     pts = lattice.points
-    span = int(np.max(pts, axis=0).max() - np.min(pts, axis=0).min()) if len(pts) else 0
-    d = lattice.d
-    table = np.empty((span + 1,) * d)
-    for idx in np.ndindex(*table.shape):
-        table[idx] = whole_space_green(d, idx, exact_range=exact_range)
-    diffs = [np.abs(pts[:, None, k] - pts[None, :, k]) for k in range(d)]
-    return table[tuple(diffs)]
+    shape = tuple(int(s) + 1 for s in pts.max(axis=0) - pts.min(axis=0))
+    diffs = np.indices(shape).reshape(lattice.d, -1).T
+    return whole_space_green_array(lattice.d, diffs, exact_range).reshape(shape)
 
 
 def assemble(
@@ -132,7 +177,10 @@ def assemble(
         set of a free-space operator, so rows at query points away from
         the support exist.
     max_points : int
-        Dense-storage cap; larger index sets raise ResourceLimitError.
+        Dense-storage cap: a killed operator over more points, or reading
+        the `matrix` of such a free-space operator, raises
+        ResourceLimitError.  Free-space rows are read without forming
+        the matrix and take no cap.
     """
     if (domain is None) == (free_region is None):
         raise ValueError("exactly one of domain and free_region is required")
@@ -150,18 +198,13 @@ def assemble(
         lattice = grid_points(domain, grid)
         if len(lattice) == 0:
             raise ValueError("domain grid is empty at this resolution")
-    if len(lattice) > max_points:
-        raise ResourceLimitError(f"{len(lattice)} grid points exceed the cap of {max_points}")
     if free:
-        green = _free_entries(lattice, exact_range)
-    else:
-        green = killed_green_matrix(lattice).entries
-    scaled = green * grid.green_scale
-    weight = grid.h**grid.d
-    if kind == "power":
-        entries = weight * scaled**param
-    else:
-        entries = weight * np.exp(param * scaled)
+        op = DiscreteOperator(grid=grid, lattice=lattice, matrix=None, transform=(kind, param))
+        op._cube = _weighted(_free_cube(lattice, exact_range), grid, kind, param)
+        op._max_points = max_points
+        return op
+    _check_points(len(lattice), max_points)
+    entries = _weighted(killed_green_matrix(lattice).entries, grid, kind, param)
     return DiscreteOperator(grid=grid, lattice=lattice, matrix=entries,
                             transform=(kind, param), domain=domain)
 
@@ -187,7 +230,7 @@ def apply_operator(op: DiscreteOperator, f, x) -> float:
     h = op.grid.h
     shift = np.asarray(x, dtype=float) - h * z
     samples = _eval_on_points(f, op.lattice.points * h + shift)
-    return float(op.matrix[op.lattice.index_of(z)] @ samples)
+    return float(op._row(op.lattice.index_of(z)) @ samples)
 
 
 def _grid_values(op: DiscreteOperator, f) -> np.ndarray:

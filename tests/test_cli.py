@@ -76,6 +76,31 @@ def test_usage_errors_return_two(capsys):
     assert run_cli(capsys, ["converge-disk", "--levels"])[0] == 2  # missing value
 
 
+@pytest.mark.parametrize("domain,named", [
+    ('{"d":2,"shape":5}', "shape"),
+    ('{"d":2,"shape":{"ball":5}}', "ball"),
+    ('{"d":2}', "shape"),
+    ('{"d":2,"shape":{"ball":{"center":[0.0,0.0]}}}', "radius"),
+    ('{"d":2,"shape":{"ball":{"center":5,"radius":1.0}}}', "center"),
+    ('{"d":2,"shape":{"box":{"lo":[0,0],"hi":"x"}}}', "hi"),
+    ('{"d":2,"shape":{"cubic":{"height":8,"basis":[0,1]}}}', "basis"),
+    ('{"d":[2],"shape":{"ball":{"center":[0.0,0.0],"radius":1.0}}}', "'d'"),
+])
+def test_malformed_domain_is_usage_error(capsys, domain, named):
+    rc, out, err = run_cli(capsys, ["domain-grid", "--domain", domain])
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and named in err and "Traceback" not in err
+
+
+def test_converge_free_reaches_level_four(capsys):
+    # n = 2187, about 1e5 points: read one row at a time, never dense
+    rc, out, err = run_cli(capsys, ["converge-free", "--levels", "4"])
+    assert rc == 0, err
+    errors = json.loads(out)["rel_errors"]
+    assert len(errors) == 4
+    assert all(b < a for a, b in zip(errors, errors[1:]))
+
+
 def test_asymmetric_solve_is_numerical_failure(capsys, monkeypatch):
     monkeypatch.setattr(lattice_module, "SYMMETRY_TOL", -1.0)
     rc, out, err = run_cli(capsys, ["killed-green", "--domain", DISK, "--n", "18"])

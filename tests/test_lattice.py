@@ -2,10 +2,13 @@
 
 Independent oracles: the Fourier representation of the walk Green function
 (reduced to a 2-d integral with the inner coordinate integrated in closed
-form), the Fourier difference representation of the planar potential kernel,
-and absorbing-chain linear algebra on tiny hand-checked sets.
+form), one adaptive quadrature per key of the Bessel integral behind the
+whole-space table, the Fourier difference representation of the planar
+potential kernel, and absorbing-chain linear algebra on tiny hand-checked
+sets.
 """
 
+import itertools
 import math
 import warnings
 
@@ -36,6 +39,7 @@ from greenpot import (
     whole_space_green,
 )
 from greenpot import lattice as lattice_module
+from greenpot.lattice import EXACT_RANGE, whole_space_green_array
 
 
 def _fourier_green_3d(x):
@@ -129,6 +133,54 @@ def test_whole_space_green_exact_range_consistency():
         a = whole_space_green(3, pt, exact_range=16)
         b = whole_space_green(3, pt, exact_range=24)
         assert a == pytest.approx(b, rel=2e-3)
+
+
+def _quad_green(d, key):
+    """The Bessel integral of one key by adaptive quadrature, one scalar call per key."""
+    from scipy.special import ive
+
+    ns = np.asarray(key, dtype=float)
+    return lattice_module._time_integral(lambda t: float(np.prod(ive(ns, t / d))), float(ns @ ns))
+
+
+@pytest.mark.parametrize("d,top,ranges", [(3, 20, (EXACT_RANGE, 20)), (4, 8, (8,)), (5, 5, (5,))])
+def test_bessel_table_matches_scalar_quadrature(d, top, ranges):
+    # every sorted key of each table; d = 3 covers the default range and
+    # the range 20 read by the acceptance tests
+    keys = np.array(list(itertools.combinations_with_replacement(range(top + 1), d)))
+    oracle = np.array([_quad_green(d, k) for k in keys])
+    for exact_range in ranges:
+        near = keys[:, -1] <= exact_range
+        table = whole_space_green_array(d, keys[near], exact_range=exact_range)
+        np.testing.assert_allclose(table, oracle[near], rtol=1e-11, atol=0)
+
+
+def test_bessel_table_asymptotic_branch():
+    # the largest nodes reach z ~ 4e9, where scipy's ive gives NaN; the
+    # Hankel series there continues ive's 1/sqrt(2 pi z) decay, and ive
+    # itself is kept wherever it is defined
+    from scipy.special import ive
+
+    orders = np.arange(0.0, 21.0)
+    t, _ = lattice_module._time_rule()
+    assert np.isnan(ive(0.0, t.max() / 3))
+    assert np.all(np.isfinite(lattice_module._scaled_bessel(orders, t / 3)))
+    series = lattice_module._scaled_bessel(orders, np.array([2e9]))[:, 0]
+    np.testing.assert_allclose(series, ive(orders, 1e9) / math.sqrt(2.0), rtol=1e-6)
+    z = np.array([1e6, 1e8, 1e9])
+    np.testing.assert_array_equal(lattice_module._scaled_bessel(orders, z),
+                                  ive(orders[:, None], z[None, :]))
+
+
+def test_whole_space_green_exact_under_permutations_and_sign_flips():
+    rng = np.random.default_rng(11)
+    for d, top in [(3, 20), (4, 18)]:
+        pts = rng.integers(-top, top + 1, size=(300, d))
+        base = whole_space_green_array(d, pts)
+        for perm in itertools.permutations(range(d)):
+            flipped = rng.choice([-1, 1], size=pts.shape) * pts[:, list(perm)]
+            np.testing.assert_array_equal(whole_space_green_array(d, flipped), base)
+        assert [whole_space_green(d, p) for p in pts[:30]] == base[:30].tolist()
 
 
 def test_decay_constant_dominates_scanned_values():

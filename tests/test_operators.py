@@ -7,6 +7,7 @@ ball integrals from the kernel module (independent quadrature).
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from greenpot import (
     DiscreteOperator,
     GridSpec,
     KernelSpec,
+    LatticeSet,
     ResourceLimitError,
     apply_operator,
     assemble,
@@ -34,8 +36,10 @@ from greenpot import (
     killed_green_entry,
     killed_green_matrix,
     oscillation,
+    round_to_grid,
     whole_space_green,
 )
+from greenpot.operators import _free_cube
 
 ORIGIN3 = (0.0, 0.0, 0.0)
 
@@ -143,6 +147,53 @@ def test_kernel_spec_and_assemble_accept_the_same_transforms():
 def test_assemble_respects_point_cap():
     with pytest.raises(ResourceLimitError):
         assemble(GridSpec(d=2, n=8), ("power", 1.0), domain=Ball((0.0, 0.0), 1.0), max_points=3)
+
+
+def test_free_rows_take_no_point_cap_but_the_matrix_does():
+    grid = GridSpec(d=3, n=12)
+    op = assemble(grid, ("power", 1.0), free_region=Ball(ORIGIN3, 0.8), max_points=3)
+    assert len(op.lattice) > 3
+    assert apply_operator(op, lambda p: 1.0, ORIGIN3) > 0
+    with pytest.raises(ResourceLimitError):
+        op.matrix
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.5])
+@pytest.mark.parametrize("n", [3, 27, 243])
+def test_free_row_route_matches_dense_matrix_row(n, beta):
+    # apply_operator gathers one row from the difference cube; the dense
+    # matrix gathers all of them, and the row dot must agree bit for bit
+    grid = GridSpec(d=3, n=n)
+    x = (0.1, 0.0, -0.05)
+    op = assemble(grid, ("power", beta), free_region=Ball(ORIGIN3, 1.0), include_points=[x])
+
+    def f(p):
+        return np.exp(-np.sum(np.asarray(p) ** 2, axis=-1))
+
+    z = round_to_grid(x, grid)
+    samples = f(op.lattice.points * grid.h + (np.asarray(x) - grid.h * z))
+    assert apply_operator(op, f, x) == float(op.matrix[op.lattice.index_of(z)] @ samples)
+
+
+def test_free_cube_asymptote_equals_scalar_green_bit_for_bit():
+    lattice = LatticeSet.from_points(3, [(0, 0, 0), (24, 18, 20)])
+    cube = _free_cube(lattice, 16)
+    assert cube.shape == (25, 19, 21)
+    idx = np.indices(cube.shape).reshape(3, -1).T
+    scalar = np.array([whole_space_green(3, k) for k in idx])
+    assert np.any(idx.max(axis=1) > 16)
+    np.testing.assert_array_equal(cube.reshape(-1), scalar)
+
+
+def test_free_convergence_holds_no_dense_matrix():
+    # the dense route peaked at 682 MB traced for this study
+    tracemalloc.start()
+    try:
+        converge(None, ("power", 1.0), ORIGIN3, BallIndicator(ORIGIN3, 1.0), 3, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_apply_operator_two_point_exact():
