@@ -52,7 +52,8 @@ __all__ = [
 ]
 
 MAX_POINTS = 20000
-# rows gathered at once when a free-space operator's matrix is formed
+# rows per gather when a free-space matrix is formed; bounds the per-axis
+# difference arrays to d * 256 * m int64 instead of d * m * m
 _ROW_BLOCK = 256
 
 
