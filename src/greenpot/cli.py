@@ -63,6 +63,7 @@ from .operators import (
     assemble,
     cmp_functional,
     converge,
+    is_origin_disk,
 )
 from .potential import classify, hadamard_exp, hadamard_power, is_inverse_m_matrix, random_potential
 
@@ -336,7 +337,7 @@ def run_exit_mc(cfg):
               "estimate": json.loads(est.to_json())}
     passed = None
     reference = None
-    if domain.d == 2 and isinstance(domain, Ball) and not any(domain.center):
+    if is_origin_disk(domain):
         reference = disk_green_2d(domain.radius, cfg["x"], cfg["y"])
         gap = abs(est.mean - reference)
         tolerance = max(4 * est.stderr, 0.05 * reference)

@@ -3,13 +3,18 @@
 Domains are described exactly (balls, axis boxes, glued unions of closed
 cubes, intersections with balls) so membership and sup-norm distances to
 the set and its complement are computed in closed form rather than from
-sampled distance fields.  Grids use the scaling ``h = sqrt(d / n)``; a
-refinement step multiplies ``n`` by 9, which halves nothing but divides
-the spacing by 3 so successive grids nest.
+sampled distance fields.  Each is written once, as a method on a ``(k, d)``
+float array of points that also takes one point.  Grids use the scaling
+``h = sqrt(d / n)``; a refinement step multiplies ``n`` by 9, which divides
+the spacing by 3 so successive grids nest.  A sup distance within
+``TIE_TOL`` of one spacing is on neither the interior nor the exterior
+grid, so a domain shifted by a lattice vector has the shifted grids.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import logging
 import math
@@ -39,6 +44,29 @@ logger = logging.getLogger(__name__)
 
 # snapping tolerance for exact-tie detection in cube-index space
 TIE_TOL = 1e-9
+# candidate points per evaluation of a grid's membership test; bounds the
+# float temporaries of the distance methods to a few MB at any grid size
+_ROW_BLOCK = 1 << 14
+
+
+def _pointwise(method):
+    """Let a method written for a ``(k, d)`` float array of points also take
+    one point, returning the Python ``bool`` or ``float`` of its row.  Points
+    arrive in C order: the rounding of a row's sum of squares in `einsum`
+    and BLAS depends on the memory layout."""
+
+    @functools.wraps(method)
+    def call(self, x):
+        pts = np.asarray(x, dtype=float, order="C")
+        if pts.ndim == 2:
+            return method(self, pts)
+        return method(self, pts.reshape(1, -1))[0].item()
+
+    return call
+
+
+def _box_dist_inf(x: np.ndarray, lo, hi) -> np.ndarray:
+    return np.maximum(np.max(np.maximum(lo - x, x - hi), axis=1), 0.0)
 
 
 @dataclass(frozen=True)
@@ -57,45 +85,38 @@ class Ball:
     def d(self) -> int:
         return len(self.center)
 
-    def contains(self, x) -> bool:
-        return float(np.linalg.norm(np.asarray(x, dtype=float) - self.center)) < self.radius
-
-    def contains_many(self, pts: np.ndarray) -> np.ndarray:
-        delta = pts - np.asarray(self.center)
+    @_pointwise
+    def contains(self, x):
+        delta = x - np.asarray(self.center)
         return np.einsum("ij,ij->i", delta, delta) < self.radius**2
 
     def bbox(self):
         c = np.asarray(self.center)
         return c - self.radius, c + self.radius
 
-    def dist_inf_to_complement(self, x) -> float:
+    @_pointwise
+    def dist_inf_to_complement(self, x):
         # largest t with sum_i (|x_i - c_i| + t)^2 <= r^2: the worst corner
         # of the sup-norm cube of half-width t must stay inside the ball
-        a = np.abs(np.asarray(x, dtype=float) - self.center)
-        gap = self.radius**2 - float(a @ a)
-        if gap <= 0:
-            return 0.0
-        s, d = float(a.sum()), len(a)
-        return (math.sqrt(s * s + d * gap) - s) / d
+        a = np.abs(x - np.asarray(self.center))
+        gap = self.radius**2 - (a[:, None, :] @ a[:, :, None])[:, 0, 0]  # a BLAS dot per row
+        s, d = a.sum(axis=1), x.shape[1]
+        t = (np.sqrt(s * s + d * np.maximum(gap, 0.0)) - s) / d
+        return np.where(gap > 0, t, 0.0)
 
-    def dist_inf_to_set(self, x) -> float:
+    @_pointwise
+    def dist_inf_to_set(self, x):
         # smallest t with sum_i max(|x_i - c_i| - t, 0)^2 <= r^2, solved on
         # the sorted breakpoints where coordinates saturate
-        a = np.sort(np.abs(np.asarray(x, dtype=float) - self.center))[::-1]
-        if float(a @ a) < self.radius**2:
-            return 0.0
-        r2 = self.radius**2
-        d = len(a)
-        for k in range(d):  # active coordinates a[0..k]
-            hi = a[k + 1] if k + 1 < d else 0.0
-            m, s, q = k + 1, float(a[: k + 1].sum()), float(a[: k + 1] @ a[: k + 1])
-            disc = s * s - m * (q - r2)
-            if disc < 0:
-                continue
-            t = (s - math.sqrt(disc)) / m
-            if hi <= t <= a[k] + 1e-12:
-                return max(t, 0.0)
-        return 0.0
+        a = np.sort(np.abs(x - np.asarray(self.center)), axis=1)[:, ::-1]
+        m = np.arange(1, x.shape[1] + 1)
+        s, q = np.cumsum(a, axis=1), np.cumsum(a * a, axis=1)
+        disc = s * s - m * (q - self.radius**2)
+        t = (s - np.sqrt(np.maximum(disc, 0.0))) / m
+        nxt = np.concatenate([a[:, 1:], np.zeros((len(a), 1))], axis=1)
+        ok = (disc >= 0) & (nxt <= t) & (t <= a + 1e-12)
+        first = np.take_along_axis(t, ok.argmax(axis=1)[:, None], axis=1)[:, 0]
+        return np.where(ok.any(axis=1) & (q[:, -1] >= self.radius**2), np.maximum(first, 0.0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -117,27 +138,20 @@ class Box:
     def d(self) -> int:
         return len(self.lo)
 
-    def contains(self, x) -> bool:
-        p = np.asarray(x, dtype=float)
-        return bool(np.all(p > self.lo) and np.all(p < self.hi))
-
-    def contains_many(self, pts: np.ndarray) -> np.ndarray:
-        return np.all(pts > self.lo, axis=1) & np.all(pts < self.hi, axis=1)
+    @_pointwise
+    def contains(self, x):
+        return np.all(x > self.lo, axis=1) & np.all(x < self.hi, axis=1)
 
     def bbox(self):
         return np.asarray(self.lo), np.asarray(self.hi)
 
-    def dist_inf_to_complement(self, x) -> float:
-        p = np.asarray(x, dtype=float)
-        margin = float(np.min(np.minimum(p - self.lo, self.hi - p)))
-        return max(margin, 0.0)
+    @_pointwise
+    def dist_inf_to_complement(self, x):
+        return np.maximum(np.min(np.minimum(x - self.lo, self.hi - x), axis=1), 0.0)
 
-    def dist_inf_to_set(self, x) -> float:
-        return _box_dist_inf(np.asarray(x, dtype=float), np.asarray(self.lo), np.asarray(self.hi))
-
-
-def _box_dist_inf(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    return max(float(np.max(np.maximum(lo - x, x - hi))), 0.0)
+    @_pointwise
+    def dist_inf_to_set(self, x):
+        return _box_dist_inf(x, np.asarray(self.lo), np.asarray(self.hi))
 
 
 @dataclass(frozen=True)
@@ -146,7 +160,8 @@ class CubicSet:
 
     Cubes are centered at ``side * k`` for index vectors ``k`` in `basis`.
     Points on a face shared by two basis cubes are interior; points only
-    on corners or exposed faces are not.
+    on corners or exposed faces are not.  A basis too wide for one packed
+    lattice index is a ValueError.
     """
 
     height: int
@@ -158,12 +173,16 @@ class CubicSet:
         basis = tuple(sorted(tuple(int(c) for c in k) for k in self.basis))
         if not basis:
             raise ValueError("basis must be nonempty")
-        if len(set(basis)) != len(basis):
-            raise ValueError("duplicate basis cubes")
         if len({len(k) for k in basis}) != 1:
             raise ValueError("basis cubes must share one dimension")
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_basis_set", set(basis))
+        cells = LatticeSet.from_points(len(basis[0]), basis)
+        # the cells outside the basis that touch it, where every interior
+        # point's nearest complement point lies
+        near = cells.points[:, None, :] - 1 + np.indices((3,) * cells.d).reshape(cells.d, -1).T
+        near = np.unique(near.reshape(-1, cells.d), axis=0)
+        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "_frontier", near[cells.rows_of(near) < 0])
 
     @property
     def d(self) -> int:
@@ -173,74 +192,34 @@ class CubicSet:
     def side(self) -> float:
         return math.sqrt(self.d / self.height)
 
-    def _slabs(self, x: np.ndarray):
-        """Per coordinate, the cube indices whose closed slab contains x."""
-        cell, tie = split_ties(x / self.side + 0.5)  # integer exactly on a face plane
-        return [(int(c) - 1, int(c)) if t else (int(c),) for c, t in zip(cell, tie)]
-
-    def contains(self, x) -> bool:
+    @_pointwise
+    def contains(self, x):
         # interior point iff every orthant of an infinitesimal cube at x
-        # is covered by a basis cube
-        slabs = self._slabs(np.asarray(x, dtype=float))
-        idx = [0] * self.d
-        while True:
-            if tuple(s[i] for s, i in zip(slabs, idx)) not in self._basis_set:
-                return False
-            for j in range(self.d):
-                if idx[j] + 1 < len(slabs[j]):
-                    idx[j] += 1
-                    break
-                idx[j] = 0
-            else:
-                return True
-
-    def contains_many(self, pts: np.ndarray) -> np.ndarray:
-        return np.fromiter((self.contains(p) for p in pts), dtype=bool, count=len(pts))
+        # is covered by a basis cube; on a face plane (a tie) the slab
+        # below the plane covers the lower orthants
+        cell, tie = split_ties(x / self.side + 0.5)
+        inside = np.ones(len(x), dtype=bool)
+        for below in itertools.product((0, 1), repeat=self.d):
+            inside &= self._cells.rows_of(cell - np.asarray(below) * tie) >= 0
+        return inside
 
     def bbox(self):
         arr = np.asarray(self.basis, dtype=float) * self.side
         return arr.min(axis=0) - self.side / 2, arr.max(axis=0) + self.side / 2
 
-    def _cube_bounds(self, k):
-        c = np.asarray(k, dtype=float) * self.side
-        return c - self.side / 2, c + self.side / 2
-
-    def dist_inf_to_set(self, x) -> float:
-        p = np.asarray(x, dtype=float)
-        best = math.inf
-        for k in self.basis:
-            lo, hi = self._cube_bounds(k)
-            best = min(best, _box_dist_inf(p, lo, hi))
-            if best == 0.0:
-                return 0.0
+    def _min_cube_dist(self, x: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        best = np.full(len(x), np.inf)
+        for c in np.asarray(cells, dtype=float) * self.side:
+            np.minimum(best, _box_dist_inf(x, c - self.side / 2, c + self.side / 2), out=best)
         return best
 
-    def dist_inf_to_complement(self, x) -> float:
-        # distance to the nearest cell not in the basis, searched ring by
-        # ring around the containing cell; cells one ring further are at
-        # least (ring - 1/2) * side away so the scan terminates early
-        p = np.asarray(x, dtype=float)
-        home = np.round(p / self.side).astype(np.int64)
-        best = math.inf
-        ring = 0
-        while True:
-            if best <= (ring - 0.5) * self.side:
-                return best
-            for k in _index_ring(home, ring, self.d):
-                if k not in self._basis_set:
-                    lo, hi = self._cube_bounds(k)
-                    best = min(best, _box_dist_inf(p, lo, hi))
-            ring += 1
+    @_pointwise
+    def dist_inf_to_set(self, x):
+        return self._min_cube_dist(x, self._cells.points)
 
-
-def _index_ring(home: np.ndarray, ring: int, d: int):
-    if ring == 0:
-        yield tuple(int(c) for c in home)
-        return
-    for offset in np.ndindex(*([2 * ring + 1] * d)):
-        off = np.asarray(offset) - ring
-        if np.max(np.abs(off)) == ring:
-            yield tuple(int(c) for c in home + off)
+    @_pointwise
+    def dist_inf_to_complement(self, x):
+        return np.where(self.contains(x), self._min_cube_dist(x, self._frontier), 0.0)
 
 
 @dataclass(frozen=True)
@@ -258,24 +237,24 @@ class Intersection:
     def d(self) -> int:
         return self.ball.d
 
-    def contains(self, x) -> bool:
-        return self.ball.contains(x) and self.inner.contains(x)
-
-    def contains_many(self, pts: np.ndarray) -> np.ndarray:
-        return self.ball.contains_many(pts) & self.inner.contains_many(pts)
+    @_pointwise
+    def contains(self, x):
+        return self.ball.contains(x) & self.inner.contains(x)
 
     def bbox(self):
         lo1, hi1 = self.inner.bbox()
         lo2, hi2 = self.ball.bbox()
         return np.maximum(lo1, lo2), np.minimum(hi1, hi2)
 
-    def dist_inf_to_complement(self, x) -> float:
-        return min(self.inner.dist_inf_to_complement(x), self.ball.dist_inf_to_complement(x))
+    @_pointwise
+    def dist_inf_to_complement(self, x):
+        return np.minimum(self.inner.dist_inf_to_complement(x), self.ball.dist_inf_to_complement(x))
 
-    def dist_inf_to_set(self, x) -> float:
+    @_pointwise
+    def dist_inf_to_set(self, x):
         # lower bound (exact when one constraint is slack); errs on the
         # inclusive side, which keeps exterior grids supersets
-        return max(self.inner.dist_inf_to_set(x), self.ball.dist_inf_to_set(x))
+        return np.maximum(self.inner.dist_inf_to_set(x), self.ball.dist_inf_to_set(x))
 
 
 def cubic_open_set(height: int, basis) -> CubicSet:
@@ -386,14 +365,20 @@ class GridSpec:
         return [cls(d=d, n=base * 9**k) for k in range(count)]
 
 
-def _candidate_indices(domain, grid: GridSpec, pad: float = 0.0) -> np.ndarray:
-    lo, hi = domain.bbox()
+def _grid_where(domain, grid: GridSpec, keep, pad: float = 0.0) -> LatticeSet:
+    """Indices of the bounding box widened by `pad` whose scaled points
+    satisfy `keep`, evaluated on `_ROW_BLOCK` points at a time."""
+    if domain.d != grid.d:
+        raise ValueError("domain and grid dimensions differ")
     h = grid.h
-    lo_idx = np.floor((lo - pad) / h).astype(np.int64)
-    hi_idx = np.ceil((hi + pad) / h).astype(np.int64)
-    axes = [np.arange(a, b + 1) for a, b in zip(lo_idx, hi_idx)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=1)
+    lo, hi = domain.bbox()
+    first = np.floor((lo - pad) / h).astype(np.int64)
+    shape = np.ceil((hi + pad) / h).astype(np.int64) - first + 1
+    cand = first + np.indices(shape).reshape(grid.d, -1).T  # lexicographic rows
+    mask = np.empty(len(cand), dtype=bool)
+    for start in range(0, len(cand), _ROW_BLOCK):
+        mask[start:start + _ROW_BLOCK] = keep(cand[start:start + _ROW_BLOCK] * h)
+    return LatticeSet(d=grid.d, points=cand[mask])
 
 
 def grid_points(domain, grid: GridSpec) -> LatticeSet:
@@ -402,34 +387,23 @@ def grid_points(domain, grid: GridSpec) -> LatticeSet:
     Boundary points are excluded (open-set membership).  An empty result
     is reported but not fatal.
     """
-    if domain.d != grid.d:
-        raise ValueError("domain and grid dimensions differ")
-    cand = _candidate_indices(domain, grid)
-    keep = domain.contains_many(cand * grid.h)
-    pts = cand[keep]
+    pts = _grid_where(domain, grid, domain.contains)
     if len(pts) == 0:
         logger.warning("grid has no points inside the domain at n=%d", grid.n)
-    return LatticeSet(d=grid.d, points=pts.reshape(-1, grid.d))
+    return pts
 
 
 def interior_grid(domain, grid: GridSpec) -> LatticeSet:
-    """Points further than one spacing from the complement (in sup norm)."""
-    if domain.d != grid.d:
-        raise ValueError("domain and grid dimensions differ")
-    h = grid.h
-    cand = _candidate_indices(domain, grid)
-    keep = [domain.dist_inf_to_complement(p) > h for p in cand * h]
-    return LatticeSet(d=grid.d, points=cand[np.asarray(keep, dtype=bool)].reshape(-1, grid.d))
+    """Points further than one spacing from the complement (in sup norm);
+    a distance within ``TIE_TOL`` of one spacing is a tie, left out."""
+    return _grid_where(domain, grid, lambda x: domain.dist_inf_to_complement(x) / grid.h > 1 + TIE_TOL)
 
 
 def exterior_grid(domain, grid: GridSpec) -> LatticeSet:
-    """Points within one spacing of the domain (in sup norm)."""
-    if domain.d != grid.d:
-        raise ValueError("domain and grid dimensions differ")
-    h = grid.h
-    cand = _candidate_indices(domain, grid, pad=2.0 * h)
-    keep = [domain.dist_inf_to_set(p) < h for p in cand * h]
-    return LatticeSet(d=grid.d, points=cand[np.asarray(keep, dtype=bool)].reshape(-1, grid.d))
+    """Points within one spacing of the domain (in sup norm); a distance
+    within ``TIE_TOL`` of one spacing is a tie, left out."""
+    return _grid_where(domain, grid, lambda x: domain.dist_inf_to_set(x) / grid.h < 1 - TIE_TOL,
+                       pad=2.0 * grid.h)
 
 
 def round_to_grid(x, grid: GridSpec) -> np.ndarray:

@@ -71,11 +71,6 @@ def potential_kernel_constant() -> float:
     return POTENTIAL_KERNEL_CONSTANT
 
 
-def _lex_sorted(points: np.ndarray) -> np.ndarray:
-    order = np.lexsort(tuple(points[:, k] for k in range(points.shape[1] - 1, -1, -1)))
-    return points[order]
-
-
 class _PackedIndex:
     """Row lookup for a lexicographically sorted point set.
 
@@ -125,8 +120,10 @@ class LatticeSet:
         pts = np.asarray(self.points, dtype=np.int64)
         if pts.ndim != 2 or pts.shape[1] != self.d:
             raise ValueError(f"points must have shape (m, {self.d})")
-        pts = _lex_sorted(pts)
         index = _PackedIndex(pts)
+        if np.any(index.keys[1:] < index.keys[:-1]):  # packed keys sort lexicographically
+            order = np.argsort(index.keys, kind="stable")
+            pts, index.keys = pts[order], index.keys[order]
         if np.any(index.keys[1:] == index.keys[:-1]):
             raise ValueError("duplicate lattice points")
         object.__setattr__(self, "points", pts)

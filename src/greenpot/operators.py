@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .domains import Ball, GridSpec, exterior_grid, grid_points, round_to_grid, split_ties
+from .domains import Ball, GridSpec, _pointwise, exterior_grid, grid_points, round_to_grid, split_ties
 from .kernels import KernelSpec, ball_kernel_integral, canonical_json, check_transform, sphere_surface
 from .lattice import (
     EXACT_RANGE,
@@ -61,23 +61,17 @@ class ResourceLimitError(RuntimeError):
     """A request exceeded the configured storage limits."""
 
 
-@dataclass(frozen=True)
-class BallIndicator:
+class BallIndicator(Ball):
     """Indicator function of an open Euclidean ball."""
 
-    center: tuple
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-
+    @_pointwise
     def __call__(self, pts):
-        arr = np.atleast_2d(np.asarray(pts, dtype=float))
-        delta = arr - np.asarray(self.center)
-        out = (np.einsum("ij,ij->i", delta, delta) < self.radius**2).astype(float)
-        return out if np.asarray(pts).ndim == 2 else float(out[0])
+        return self.contains(pts).astype(float)
+
+
+def is_origin_disk(domain) -> bool:
+    """Whether `domain` is a planar disk about 0, whose killed kernel has a closed form."""
+    return isinstance(domain, Ball) and domain.d == 2 and not any(domain.center)
 
 
 class DiscreteOperator:
@@ -410,22 +404,18 @@ def converge(domain, transform, x, target, levels: int, base: int) -> Convergenc
         raise ValueError("levels and base must be positive")
     kind, param = transform
     pointwise = not isinstance(target, BallIndicator)
-    if pointwise:
-        if not isinstance(domain, Ball) or domain.d != 2 or any(domain.center):
-            raise ValueError("pointwise kernel convergence needs a planar disk about 0")
+    if domain is None and not pointwise:
+        d = len(np.asarray(x, dtype=float))
+        spec = KernelSpec(d=d, base="free", transform=kind, param=param)
+    elif is_origin_disk(domain):
+        d = 2
         spec = KernelSpec(d=2, base="disk", transform=kind, param=param, radius=domain.radius)
+    else:
+        raise ValueError("references exist for free-space operators and a planar disk about 0")
+    if pointwise:
         reference = kernels.kernel_eval(spec, x, target)
         provenance = "disk kernel, reflected-point formula"
-        d = 2
     else:
-        if domain is None:
-            d = len(np.asarray(x, dtype=float))
-            spec = KernelSpec(d=d, base="free", transform=kind, param=param)
-        else:
-            if not isinstance(domain, Ball) or domain.d != 2 or any(domain.center):
-                raise ValueError("operator references exist for free space or a planar disk about 0")
-            d = 2
-            spec = KernelSpec(d=2, base="disk", transform=kind, param=param, radius=domain.radius)
         reference = ball_kernel_integral(spec, x, target.center, target.radius)
         provenance = "ball kernel integral, adaptive quadrature"
     grids = GridSpec.level_sequence(d, base, levels)
@@ -433,12 +423,9 @@ def converge(domain, transform, x, target, levels: int, base: int) -> Convergenc
     for grid in grids:
         if pointwise:
             values.append(_disk_point_value(domain, transform, x, target, grid))
-        elif domain is not None:
-            op = assemble(grid, transform, domain=domain)
-            values.append(apply_operator(op, target, x))
-        else:
-            region = Ball(center=target.center, radius=target.radius)
-            op = assemble(grid, transform, free_region=region, include_points=[x])
-            values.append(apply_operator(op, target, x))
+            continue
+        op = (assemble(grid, transform, domain=domain) if domain is not None
+              else assemble(grid, transform, free_region=target, include_points=[x]))
+        values.append(apply_operator(op, target, x))
     return ConvergenceReport(d=d, levels=tuple(g.n for g in grids), values=tuple(values),
                              reference=reference, provenance=provenance)

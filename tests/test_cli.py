@@ -85,6 +85,7 @@ def test_usage_errors_return_two(capsys):
     ('{"d":2,"shape":{"box":{"lo":[0,0],"hi":"x"}}}', "hi"),
     ('{"d":2,"shape":{"cubic":{"height":8,"basis":[0,1]}}}', "basis"),
     ('{"d":[2],"shape":{"ball":{"center":[0.0,0.0],"radius":1.0}}}', "'d'"),
+    ('{"d":2,"shape":{"cubic":{"height":2,"basis":[[0,0],[4294967296,0]]}}}', "too wide"),
 ])
 def test_malformed_domain_is_usage_error(capsys, domain, named):
     rc, out, err = run_cli(capsys, ["domain-grid", "--domain", domain])

@@ -2,10 +2,14 @@
 
 Tiny grids are enumerated by hand; distance helpers are checked against
 closed-form sup-norm distances and against brute minimization over a fine
-sample of the domain.
+sample of the domain.  The array methods are checked bit for bit against
+per-point references: the breakpoint loop for a ball, and the orthant
+loop and ring search for a cubic set.
 """
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 from greenpot import (
     Ball,
     Box,
+    CubicSet,
     GridSpec,
     Intersection,
     cubic_open_set,
@@ -25,6 +30,7 @@ from greenpot import (
     interior_grid,
     round_to_grid,
 )
+from greenpot.domains import split_ties
 
 
 def test_grid_spec_spacing():
@@ -215,3 +221,187 @@ def test_domain_json_round_trips():
         assert back == dom
     with pytest.raises(ValueError):
         domain_from_json('{"d":2,"shape":{"pyramid":{}}}')
+
+
+# ---------------------------------------------------------------------------
+# per-point references for the array methods
+
+
+def _ball_contains(ball, p):
+    delta = p - np.asarray(ball.center)
+    return bool(np.einsum("i,i->", delta, delta) < ball.radius**2)
+
+
+def _ball_dist_inf_to_complement(ball, p):
+    a = np.abs(p - ball.center)
+    gap = ball.radius**2 - float(a @ a)
+    if gap <= 0:
+        return 0.0
+    s, d = float(a.sum()), len(a)
+    return (math.sqrt(s * s + d * gap) - s) / d
+
+
+def _ball_dist_inf_to_set(ball, p):
+    a = np.sort(np.abs(p - ball.center))[::-1]
+    if float(a @ a) < ball.radius**2:
+        return 0.0
+    r2 = ball.radius**2
+    d = len(a)
+    for k in range(d):  # active coordinates a[0..k]
+        hi = a[k + 1] if k + 1 < d else 0.0
+        m, s, q = k + 1, float(a[: k + 1].sum()), float(a[: k + 1] @ a[: k + 1])
+        disc = s * s - m * (q - r2)
+        if disc < 0:
+            continue
+        t = (s - math.sqrt(disc)) / m
+        if hi <= t <= a[k] + 1e-12:
+            return max(t, 0.0)
+    return 0.0
+
+
+def _box_dist(p, lo, hi):
+    return max(float(np.max(np.maximum(lo - p, p - hi))), 0.0)
+
+
+def _cube_bounds(dom, k):
+    c = np.asarray(k, dtype=float) * dom.side
+    return c - dom.side / 2, c + dom.side / 2
+
+
+def _cubic_contains(dom, p):
+    # every orthant of an infinitesimal cube at p lies in a basis cube
+    cell, tie = split_ties(p / dom.side + 0.5)
+    slabs = [(int(c) - 1, int(c)) if t else (int(c),) for c, t in zip(cell, tie)]
+    return all(k in dom.basis for k in itertools.product(*slabs))
+
+
+def _index_ring(home, ring, d):
+    if ring == 0:
+        yield tuple(int(c) for c in home)
+        return
+    for offset in np.ndindex(*([2 * ring + 1] * d)):
+        off = np.asarray(offset) - ring
+        if np.max(np.abs(off)) == ring:
+            yield tuple(int(c) for c in home + off)
+
+
+def _cubic_dist_inf_to_complement(dom, p):
+    # cells one ring further are at least (ring - 1/2) * side away
+    home = np.round(p / dom.side).astype(np.int64)
+    best, ring = math.inf, 0
+    while best > (ring - 0.5) * dom.side:
+        for k in _index_ring(home, ring, dom.d):
+            if k not in dom.basis:
+                best = min(best, _box_dist(p, *_cube_bounds(dom, k)))
+        ring += 1
+    return best
+
+
+def _cubic_dist_inf_to_set(dom, p):
+    return min(_box_dist(p, *_cube_bounds(dom, k)) for k in dom.basis)
+
+
+REFERENCES = {
+    (Ball, "contains"): _ball_contains,
+    (Ball, "dist_inf_to_complement"): _ball_dist_inf_to_complement,
+    (Ball, "dist_inf_to_set"): _ball_dist_inf_to_set,
+    (Box, "contains"): lambda b, p: bool(np.all(p > b.lo) and np.all(p < b.hi)),
+    (Box, "dist_inf_to_complement"):
+        lambda b, p: max(float(np.min(np.minimum(p - b.lo, b.hi - p))), 0.0),
+    (Box, "dist_inf_to_set"): lambda b, p: _box_dist(p, np.asarray(b.lo), np.asarray(b.hi)),
+    (CubicSet, "contains"): _cubic_contains,
+    (CubicSet, "dist_inf_to_complement"): _cubic_dist_inf_to_complement,
+    (CubicSet, "dist_inf_to_set"): _cubic_dist_inf_to_set,
+}
+
+
+def _reference(domain, method, p):
+    if isinstance(domain, Intersection):
+        a, b = _reference(domain.ball, method, p), _reference(domain.inner, method, p)
+        return {"contains": a and b, "dist_inf_to_complement": min(a, b),
+                "dist_inf_to_set": max(a, b)}[method]
+    return REFERENCES[type(domain), method](domain, p)
+
+
+ORACLE_DOMAINS = [
+    Ball((0.0, 0.0), 1.0),
+    Ball((0.3, -0.2), 1.3),
+    Ball((0.0, 0.0, 0.0), 1.0),
+    Ball((2.0, 0.0, 0.0), 1.0),
+    Box((-1.0, -0.5), (1.0, 0.8)),
+    Box((-1.0, -0.5, 0.0), (1.0, 0.8, 0.9)),
+    cubic_open_set(2, [(0, 0), (1, 0), (1, 1), (3, 3), (2, 2)]),
+    cubic_open_set(3, [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1), (3, 0, 0)]),
+    Intersection(Box((-5.0, -0.7), (5.0, 0.7)), Ball((0.0, 0.0), 1.5)),
+    Intersection(cubic_open_set(3, [(0, 0, 0), (1, 0, 0), (1, 1, 0)]), Ball((0.5, 0.0, 0.0), 1.2)),
+]
+METHODS = ("contains", "dist_inf_to_complement", "dist_inf_to_set")
+
+
+def _probe_points(domain, n, seed):
+    """Lattice points of spacing sqrt(d/n) around the domain, where
+    corners, faces and sphere crossings tie, plus uniform random points."""
+    h = math.sqrt(domain.d / n)
+    lo, hi = domain.bbox()
+    axes = [np.arange(math.floor(a / h) - 2, math.ceil(b / h) + 3) * h for a, b in zip(lo, hi)]
+    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, domain.d)
+    rng = np.random.default_rng(seed)
+    return np.vstack([lattice, rng.uniform(lo - 0.5, hi + 0.5, size=(200, domain.d))])
+
+
+@pytest.mark.parametrize("domain", ORACLE_DOMAINS,
+                         ids=[f"{type(d).__name__}{d.d}-{i}" for i, d in enumerate(ORACLE_DOMAINS)])
+@pytest.mark.parametrize("method", METHODS)
+def test_array_methods_match_point_references(domain, method):
+    for seed, n in enumerate((18, 27, 72)):
+        pts = _probe_points(domain, n, seed)
+        got = getattr(domain, method)(pts)
+        want = np.array([_reference(domain, method, p) for p in pts], dtype=got.dtype)
+        assert got.shape == (len(pts),)
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("domain", ORACLE_DOMAINS[::3], ids=lambda d: type(d).__name__)
+def test_one_point_is_the_row_of_the_array_call(domain):
+    pts = _probe_points(domain, 18, 0)[::7]
+    for method in METHODS:
+        rows = getattr(domain, method)(pts)
+        for p, row in zip(pts, rows):
+            value = getattr(domain, method)(tuple(p))
+            assert type(value) is (bool if method == "contains" else float)
+            assert value == row
+        empty = getattr(domain, method)(np.empty((0, domain.d)))
+        assert empty.shape == (0,) and empty.dtype == rows.dtype
+
+
+def test_cubic_basis_too_wide_to_index_is_rejected():
+    with pytest.raises(ValueError, match="too wide"):
+        cubic_open_set(2, [(0, 0), (2**32, 0)])
+
+
+@pytest.mark.parametrize("domain,n,interior,exterior", [
+    # candidates at sup distance exactly one spacing sit on both grids' tie
+    (Ball((0.0, 0.0, 0.0), 1.0), 27, 7, 311),
+    (Ball((2.0, 0.0, 0.0), 1.0), 27, 7, 311),  # a lattice shift of the same grids
+    (Ball((0.0, 0.0, 0.0), 1.0), 243, 1695, 4675),
+    (cubic_open_set(2, [(0, 0), (1, 0), (1, 1), (3, 3), (2, 2)]), 72, 63, 229),
+])
+def test_one_spacing_ties_are_on_neither_grid(domain, n, interior, exterior):
+    grid = GridSpec(d=domain.d, n=n)
+    assert len(interior_grid(domain, grid)) == interior
+    assert len(exterior_grid(domain, grid)) == exterior
+
+
+def test_exterior_grid_evaluates_candidates_in_blocks():
+    # 59^3 = 205379 candidates; one pass over all of them at once peaked
+    # at 43.7 MB traced, the blocks at 13.7 MB (the candidate indices
+    # take about 10 MB of that)
+    grid = GridSpec(d=3, n=2187)
+    tracemalloc.start()
+    try:
+        outer = exterior_grid(Ball((0.0, 0.0, 0.0), 1.0), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(outer) > 0
+    assert peak < 20 * 2**20
