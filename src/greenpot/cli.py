@@ -40,7 +40,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .domains import Ball, GridSpec, domain_from_json, exterior_grid, grid_points, interior_grid
+from .domains import (
+    Ball,
+    GridSpec,
+    domain_from_json,
+    exterior_grid,
+    grid_points,
+    interior_grid,
+    nonempty_grid_points,
+)
 from .kernels import (
     KernelSpec,
     QuadratureError,
@@ -177,9 +185,7 @@ def run_lattice_green(cfg):
 def run_killed_green(cfg):
     domain = load_domain(cfg)
     grid = GridSpec(d=domain.d, n=cfg["n"])
-    lattice = grid_points(domain, grid)
-    if len(lattice) == 0:
-        raise ValueError("domain grid is empty at this resolution")
+    lattice = nonempty_grid_points(domain, grid)
     matrix = killed_green_matrix(lattice)
     check = is_inverse_m_matrix(matrix.entries, tol=cfg["tol"])
     report = {

@@ -161,7 +161,8 @@ class CubicSet:
     Cubes are centered at ``side * k`` for index vectors ``k`` in `basis`.
     Points on a face shared by two basis cubes are interior; points only
     on corners or exposed faces are not.  A basis too wide for one packed
-    lattice index is a ValueError.
+    lattice index, or an index of magnitude ``2^53`` or more (beyond the
+    exact floats, so no cube centre can be placed), is a ValueError.
     """
 
     height: int
@@ -175,6 +176,8 @@ class CubicSet:
             raise ValueError("basis must be nonempty")
         if len({len(k) for k in basis}) != 1:
             raise ValueError("basis cubes must share one dimension")
+        if any(abs(c) >= 2**53 for k in basis for c in k):
+            raise ValueError("basis indices must have magnitude below 2^53")
         object.__setattr__(self, "basis", basis)
         cells = LatticeSet.from_points(len(basis[0]), basis)
         # the cells outside the basis that touch it, where every interior
@@ -390,6 +393,15 @@ def grid_points(domain, grid: GridSpec) -> LatticeSet:
     pts = _grid_where(domain, grid, domain.contains)
     if len(pts) == 0:
         logger.warning("grid has no points inside the domain at n=%d", grid.n)
+    return pts
+
+
+def nonempty_grid_points(domain, grid: GridSpec) -> LatticeSet:
+    """`grid_points` for a caller that needs at least one point: an empty
+    grid is a ValueError."""
+    pts = grid_points(domain, grid)
+    if len(pts) == 0:
+        raise ValueError("domain grid is empty at this resolution")
     return pts
 
 

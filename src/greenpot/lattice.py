@@ -18,13 +18,21 @@ node and the integrand of each key is a product of gathered rows; where
 scipy's ``ive`` gives NaN (``z`` above about 1e9) its Hankel expansion
 takes over.  Against adaptive quadrature of the same integral the table
 agrees to 5.2e-14 relative (d = 3, exact_range 16), 6.3e-15 (d = 4,
-exact range 8) and 2.1e-13 (d = 5, exact range 5).  The planar kernel
-keeps adaptive quadrature.  Killed Green matrices on finite index sets
-are obtained by direct linear solves against the one-step transition
-matrix.
+exact range 8) and 2.1e-13 (d = 5, exact range 5).
 
-scipy (quadrature, Bessel functions, sparse LU) is imported inside the
-functions that call it, so dense killed Green work needs only numpy.
+The planar potential kernel is the compensated integral
+``int_0^inf (B_0(t)^2 - B_{x_1}(t) B_{x_2}(t)) dt`` with
+``B_n(t) = e^(-t/2) I_n(t/2)``, summed on the same nodes from rows of
+``B_n`` cached per order.  Against adaptive quadrature it agrees to 1e-15
+relative on every key with ``|x|^2 < 2500``, where quadrature itself
+still converges, and it stays within 2e-9 of the three-term expansion
+``(2/pi) log|x| + kappa - cos(4 phi) / (6 pi |x|^2)`` for ``|x| >= 100``.
+
+Killed Green matrices on finite index sets are obtained by direct linear
+solves against the one-step transition matrix.
+
+scipy (Bessel functions, sparse LU) is imported inside the functions
+that call it, so dense killed Green work needs only numpy.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ __all__ = [
     "whole_space_green",
     "whole_space_green_array",
     "potential_kernel_2d",
+    "potential_kernel_2d_array",
     "potential_kernel_constant",
     "decay_constant",
     "killed_green_matrix",
@@ -178,24 +187,6 @@ def unit_steps(d: int) -> np.ndarray:
 # whole-space values
 
 
-def _time_integral(f, peak: float) -> float:
-    """Integrate ``f`` over (0, inf) with an exact algebraic-tail substitution."""
-    from scipy import integrate
-
-    cut = max(30.0, 4.0 * peak)
-    pts = [peak] if 0.0 < peak < cut else None
-    head, _ = integrate.quad(f, 0.0, cut, points=pts, epsabs=1e-13, epsrel=1e-11, limit=300)
-    tail, _ = integrate.quad(
-        lambda u: f(cut / (u * u)) * 2.0 * cut / u**3,
-        0.0,
-        1.0,
-        epsabs=1e-13,
-        epsrel=1e-11,
-        limit=300,
-    )
-    return head + tail
-
-
 # chunk of table keys whose integrands are held at once (about 4 MB)
 _KEY_CHUNK = 1024
 
@@ -305,39 +296,63 @@ def whole_space_green(d: int, x, exact_range: int = EXACT_RANGE) -> float:
     return float(whole_space_green_array(d, [key], exact_range)[0])
 
 
-_POTENTIAL_CACHE: dict[tuple, float] = {}
-
 # beyond this sup-norm radius the planar kernel uses its log asymptote
 POTENTIAL_EXACT_RANGE = 256
+
+# rows e^(-t/2) I_n(t/2) on the nodes of `_time_rule`, by order n
+_PLANAR_ROWS: dict[int, np.ndarray] = {}
+
+
+def _planar_rows(orders: list) -> np.ndarray:
+    """The Bessel rows of `orders`, stacked; missing orders are computed in one call."""
+    missing = [n for n in orders if n not in _PLANAR_ROWS]
+    if missing:
+        t, _ = _time_rule()
+        _PLANAR_ROWS.update(zip(missing, _scaled_bessel(np.array(missing, dtype=float), t / 2)))
+    return np.stack([_PLANAR_ROWS[n] for n in orders])
+
+
+def potential_kernel_2d_array(points, exact_range: int = POTENTIAL_EXACT_RANGE) -> np.ndarray:
+    """`potential_kernel_2d` at every row of a ``(k, 2)`` integer array.
+
+    Each distinct sorted key is summed once; values depend only on the
+    key, so permutations and sign flips leave them bit for bit unchanged.
+    """
+    keys = np.sort(np.abs(np.asarray(points, dtype=np.int64).reshape(-1, 2)), axis=1)
+    out = np.empty(len(keys))
+    near = keys[:, 1] <= exact_range
+    if near.any():
+        uniq, inverse = np.unique(keys[near], axis=0, return_inverse=True)
+        orders, slot = np.unique(uniq, return_inverse=True)
+        rows = _planar_rows([0] + orders.tolist())  # order 0, then order orders[i] at 1 + i
+        slot = 1 + slot.reshape(uniq.shape)
+        _, w = _time_rule()
+        origin = rows[0] * rows[0]
+        values = np.empty(len(uniq))
+        for lo in range(0, len(uniq), _KEY_CHUNK):
+            chunk = slot[lo:lo + _KEY_CHUNK]
+            values[lo:lo + len(chunk)] = ((origin - rows[chunk[:, 0]] * rows[chunk[:, 1]])
+                                          * w).sum(axis=1)
+        out[near] = values[inverse.reshape(-1)]
+    far = keys[~near].astype(float)
+    r = np.sqrt(np.einsum("ij,ij->i", far, far))
+    out[~near] = (2.0 / math.pi) * np.log(r) + POTENTIAL_KERNEL_CONSTANT
+    return out
 
 
 def potential_kernel_2d(x, exact_range: int = POTENTIAL_EXACT_RANGE) -> float:
     """Potential kernel ``a(x)`` of the planar simple random walk.
 
-    ``a(0) = 0``; elsewhere computed from the compensated Bessel integral
-    ``int_0^inf (e^-t I_0(t/2)^2 - e^-t I_{x_1}(t/2) I_{x_2}(t/2)) dt``.
-    Points with ``|x|_inf > exact_range`` use the asymptote
+    ``a(0) = 0``; elsewhere the compensated Bessel integral
+    ``int_0^inf (e^-t I_0(t/2)^2 - e^-t I_{x_1}(t/2) I_{x_2}(t/2)) dt`` on
+    the shared rule of the module docstring.  Points with
+    ``|x|_inf > exact_range`` use the asymptote
     ``(2/pi) log|x| + (2 gamma + log 8)/pi``.
     """
     key = _canonical(x)
     if len(key) != 2:
         raise ValueError("potential kernel is defined on Z^2")
-    if key == (0, 0):
-        return 0.0
-    if key[-1] > exact_range:
-        r = math.sqrt(key[0] ** 2 + key[1] ** 2)
-        return (2.0 / math.pi) * math.log(r) + POTENTIAL_KERNEL_CONSTANT
-    if key not in _POTENTIAL_CACHE:
-        from scipy.special import ive
-
-        ns = np.asarray(key, dtype=float)
-
-        def f(t):
-            z = t / 2.0
-            return float(ive(0.0, z) * ive(0.0, z) - ive(ns[0], z) * ive(ns[1], z))
-
-        _POTENTIAL_CACHE[key] = _time_integral(f, float(np.dot(ns, ns)))
-    return _POTENTIAL_CACHE[key]
+    return float(potential_kernel_2d_array([key], exact_range)[0])
 
 
 _DECAY_CACHE: dict[int, float] = {}

@@ -24,9 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import GridSpec, grid_points, round_to_grid
+from .domains import GridSpec, nonempty_grid_points, round_to_grid
 from .kernels import canonical_json, riesz_params
-from .lattice import LatticeSet, potential_kernel_2d, unit_steps, whole_space_green_array
+from .lattice import (
+    LatticeSet,
+    _neighbours,
+    potential_kernel_2d,
+    potential_kernel_2d_array,
+    unit_steps,
+    whole_space_green_array,
+)
 
 __all__ = [
     "generator",
@@ -139,31 +146,38 @@ def _cursor(gen: np.random.Generator) -> np.random.Generator:
 # ---------------------------------------------------------------- walks
 
 def _walk_block(lattice: LatticeSet, start: np.ndarray, trials: int, gen: np.random.Generator,
-                step_budget: int, counts: np.ndarray | None = None) -> np.ndarray:
+                step_budget: int, counts: np.ndarray | None = None,
+                nbr: np.ndarray | None = None) -> np.ndarray:
     """Walk `trials` paths from `start` until each exits; returns exits.
 
+    Walks move between rows of `lattice`: step ``k`` of `unit_steps` takes
+    row ``i`` to ``nbr[i, k]``, the neighbour table of `lattice._neighbours`
+    (built here when not given), and leaves the set where that is ``-1``.
     When `counts` (trials x set size) is given, tallies per-trial visit
     counts, start included.
     """
     steps = unit_steps(lattice.d)
-    pos = np.tile(start, (trials, 1))
+    if nbr is None:
+        nbr = _neighbours(lattice)[1]
+    row = np.full(trials, lattice.index_of(start))
     exits = np.empty((trials, lattice.d), dtype=np.int64)
     active = np.arange(trials)
     if counts is not None:
-        counts[:, lattice.index_of(start)] += 1
+        counts[:, row[0]] += 1
     spent = 0
     while len(active):
         if spent >= step_budget:
             raise StepBudgetError(f"{len(active)} walks still active at the step budget")
-        pos = pos + steps[gen.integers(0, len(steps), size=len(active))]
-        row = lattice.rows_of(pos)
-        inside = row >= 0
+        choice = gen.integers(0, len(steps), size=len(active))
+        nxt = nbr[row, choice]
+        inside = nxt >= 0
         if not inside.all():
             out = ~inside
-            exits[active[out]] = pos[out]
-            active, pos, row = active[inside], pos[inside], row[inside]
-        if counts is not None and len(active):
-            np.add.at(counts, (active, row), 1)
+            exits[active[out]] = lattice.points[row[out]] + steps[choice[out]]
+            active, nxt = active[inside], nxt[inside]
+        row = nxt
+        if counts is not None:
+            counts[active, row] += 1  # one entry per active walk, so no repeats
         spent += 1
     return exits
 
@@ -197,10 +211,11 @@ def exit_statistics(lattice: LatticeSet, start, trials: int, rng: RngStream,
         raise ValueError("need at least 2 trials")
     start_arr = np.asarray(start, dtype=np.int64)
     sizes = _block_sizes(trials)
+    nbr = _neighbours(lattice)[1]
 
     def worker(b):
         counts = np.zeros((sizes[b], len(lattice)), dtype=np.int64)
-        exits = _walk_block(lattice, start_arr, sizes[b], rng.child(b), step_budget, counts)
+        exits = _walk_block(lattice, start_arr, sizes[b], rng.child(b), step_budget, counts, nbr)
         return (counts.sum(axis=0).astype(float),
                 (counts.astype(float) ** 2).sum(axis=0), exits)
 
@@ -221,8 +236,7 @@ def exit_statistics(lattice: LatticeSet, start, trials: int, rng: RngStream,
 def _green_at_differences(d: int, diffs: np.ndarray) -> np.ndarray:
     if d >= 3:
         return whole_space_green_array(d, diffs)
-    uniq, inverse = np.unique(diffs, axis=0, return_inverse=True)
-    return np.array([potential_kernel_2d(row) for row in uniq])[inverse]
+    return potential_kernel_2d_array(diffs)
 
 
 def estimate_boundary_term(domain, grid: GridSpec, x, y, trials: int, rng: RngStream,
@@ -237,9 +251,7 @@ def estimate_boundary_term(domain, grid: GridSpec, x, y, trials: int, rng: RngSt
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    lattice = grid_points(domain, grid)
-    if len(lattice) == 0:
-        raise ValueError("domain grid is empty at this resolution")
+    lattice = nonempty_grid_points(domain, grid)
     u = round_to_grid(x, grid)
     v = round_to_grid(y, grid)
     if u not in lattice or v not in lattice:
@@ -250,9 +262,10 @@ def estimate_boundary_term(domain, grid: GridSpec, x, y, trials: int, rng: RngSt
     scale = grid.green_scale
     a_uv = potential_kernel_2d(u - v) if d == 2 else None
     sizes = _block_sizes(trials)
+    nbr = _neighbours(lattice)[1]
 
     def worker(b):
-        exits = _walk_block(lattice, u, sizes[b], rng.child(b), step_budget)
+        exits = _walk_block(lattice, u, sizes[b], rng.child(b), step_budget, nbr=nbr)
         if d == 2:
             vals = 0.5 * (_green_at_differences(2, np.abs(exits - v)) - a_uv)
         else:
@@ -291,9 +304,14 @@ def _uniform_angles(gen: np.random.Generator, size):
 
 
 def _kanter_from(rho: float, theta, w):
-    """Kanter's positive rho-stable variate from angles and unit exponentials."""
-    a = (np.sin(rho * theta) ** rho * np.sin((1.0 - rho) * theta) ** (1.0 - rho)
-         / np.sin(theta)) ** (1.0 / (1.0 - rho))
+    """Kanter's positive rho-stable variate from angles and unit exponentials.
+
+    At ``rho = 1/2`` (alpha = 1) the two sines of the numerator coincide
+    and are computed once.
+    """
+    lower = np.sin(rho * theta)
+    upper = lower if rho == 1.0 - rho else np.sin((1.0 - rho) * theta)
+    a = (lower ** rho * upper ** (1.0 - rho) / np.sin(theta)) ** (1.0 / (1.0 - rho))
     return (a / w) ** ((1.0 - rho) / rho)
 
 
@@ -348,6 +366,8 @@ def estimate_riesz_potential(d: int, beta: float, indicator, x, time_step: float
     draws of the whole-block order (all angles, then all waits, then all
     normals); they differ from it only where a uniform angle is exactly 0
     and is redrawn within its chunk, which has probability 2^-53 a draw.
+    A block fills one wait buffer and one move buffer in place, chunk after
+    chunk, and counts hits as integers; `indicator` must return 0 or 1.
     """
     params = riesz_params(d, beta)
     if time_step <= 0 or horizon < time_step:
@@ -363,29 +383,40 @@ def estimate_riesz_potential(d: int, beta: float, indicator, x, time_step: float
     sizes = _block_sizes(trials)
     rows = max(1, RIESZ_CHUNK_BYTES // (8 * nsteps * d))
     kanter = params.alpha < 2.0
+    eta_scale = time_step ** (2.0 / params.alpha)
 
     def worker(b):
         n = sizes[b]
-        chunks = [(lo, (min(rows, n - lo), nsteps)) for lo in range(0, n, rows)]
+        chunks = [(lo, min(rows, n - lo)) for lo in range(0, n, rows)]
+        wait = np.empty((min(rows, n), nsteps))
+        move = np.empty((min(rows, n), nsteps, d))
         angles = normals = rng.child(b)
         if kanter:
             waits = _cursor(angles)
             waits.bit_generator.advance(n * nsteps)  # one word per uniform
             normals = _cursor(waits)
-            for _, shape in chunks:  # the ziggurat takes a variable count of words
-                normals.exponential(1.0, shape)
-        vals = np.empty(n)
-        for lo, shape in chunks:
+            for _, r in chunks:  # the ziggurat takes a variable count of words
+                normals.standard_exponential(out=wait[:r])
+        hits = np.empty(n, dtype=np.int64)
+        for lo, r in chunks:
+            paths = move[:r]
+            normals.standard_normal(out=paths)
             if kanter:
-                eta = time_step ** (2.0 / params.alpha) * _kanter_from(
-                    params.alpha / 2.0, _uniform_angles(angles, shape),
-                    waits.exponential(1.0, shape))
+                w = wait[:r]
+                waits.standard_exponential(out=w)
+                eta = eta_scale * _kanter_from(params.alpha / 2.0,
+                                               _uniform_angles(angles, w.shape), w)
+                np.sqrt(eta, out=eta)
+                for k in range(d):  # one strided pass per axis, not a broadcast over d
+                    paths[..., k] *= eta
             else:
-                eta = np.full(shape, time_step)
-            moves = normals.standard_normal(shape + (d,)) * np.sqrt(eta)[..., None]
-            paths = np.cumsum(moves, axis=1) + x_arr
-            hits = np.asarray(indicator(paths.reshape(-1, d)), dtype=float).reshape(shape)
-            vals[lo:lo + shape[0]] = params.coefficient * time_step * hits.sum(axis=1)
+                paths *= math.sqrt(time_step)
+            np.cumsum(paths, axis=1, out=paths)
+            for k in range(d):
+                paths[..., k] += x_arr[k]
+            inside = np.reshape(indicator(paths.reshape(-1, d)), (r, nsteps))
+            hits[lo:lo + r] = np.count_nonzero(inside, axis=1)
+        vals = params.coefficient * time_step * hits
         return float(vals.sum()), float((vals**2).sum())
 
     parts = _map_blocks(worker, len(sizes))

@@ -26,7 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .domains import Ball, GridSpec, _pointwise, exterior_grid, grid_points, round_to_grid, split_ties
+from .domains import (
+    Ball,
+    GridSpec,
+    _pointwise,
+    exterior_grid,
+    grid_points,
+    nonempty_grid_points,
+    round_to_grid,
+    split_ties,
+)
 from .kernels import KernelSpec, ball_kernel_integral, canonical_json, check_transform, sphere_surface
 from .lattice import (
     EXACT_RANGE,
@@ -190,9 +199,7 @@ def assemble(
     else:
         if include_points:
             raise ValueError("include_points applies to free-space operators only")
-        lattice = grid_points(domain, grid)
-        if len(lattice) == 0:
-            raise ValueError("domain grid is empty at this resolution")
+        lattice = nonempty_grid_points(domain, grid)
     if free:
         op = DiscreteOperator(grid=grid, lattice=lattice, matrix=None, transform=(kind, param))
         op._cube = _weighted(_free_cube(lattice, exact_range), grid, kind, param)

@@ -6,6 +6,7 @@ file outputs, config layering, and exit codes are checked explicitly.
 
 import argparse
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -86,6 +87,7 @@ def test_usage_errors_return_two(capsys):
     ('{"d":2,"shape":{"cubic":{"height":8,"basis":[0,1]}}}', "basis"),
     ('{"d":[2],"shape":{"ball":{"center":[0.0,0.0],"radius":1.0}}}', "'d'"),
     ('{"d":2,"shape":{"cubic":{"height":2,"basis":[[0,0],[4294967296,0]]}}}', "too wide"),
+    ('{"d":2,"shape":{"cubic":{"height":2,"basis":[[0,0],[9223372036854775808,0]]}}}', "basis"),
 ])
 def test_malformed_domain_is_usage_error(capsys, domain, named):
     rc, out, err = run_cli(capsys, ["domain-grid", "--domain", domain])
@@ -372,13 +374,51 @@ assert "scipy" in sys.modules
 """
 
 
-def test_numpy_only_subcommands_do_not_import_scipy():
+def _run_fresh(script: str, arg) -> subprocess.CompletedProcess:
+    """Run `script` in a new interpreter with `arg` as JSON in ``sys.argv[1]``."""
     src = str(Path(greenpot.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, json.dumps(NUMPY_ONLY)],
+    return subprocess.run([sys.executable, "-c", script, json.dumps(arg)],
                           capture_output=True, text=True, timeout=300, env=env)
+
+
+def test_numpy_only_subcommands_do_not_import_scipy():
+    proc = _run_fresh(IMPORT_GUARD, NUMPY_ONLY)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+QUADRATURE_GUARD = """
+import json, sys
+from greenpot.cli import main
+assert main(json.loads(sys.argv[1])) == 0
+assert "scipy.special" in sys.modules
+assert "scipy.integrate" not in sys.modules
+"""
+
+
+def test_planar_exit_mc_does_not_import_quadrature():
+    # the planar kernel is summed on the shared Bessel rule, not by quad
+    proc = _run_fresh(QUADRATURE_GUARD, ["exit-mc", "--domain", DISK, "--trials", "200"])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_planar_lattice_green_is_finite(capsys):
+    # |x|^2 reaches 3600, past where scalar quadrature of a(x) gave NaN
+    rc, out, err = run_cli(capsys, ["lattice-green", "--d", "2", "--max", "60"])
+    assert rc == 0, err
+    entries = json.loads(out)["entries"]
+    assert len(entries) == 102
+    values = [e[k] for e in entries for k in ("value", "asymptote", "ratio")]
+    assert all(v is not None and math.isfinite(v) for v in values)
+
+
+def test_exit_mc_mean_is_finite_on_a_fine_disk(capsys):
+    # exit-minus-target keys reach |x|^2 = 3277, where quadrature of a(x) gave NaN
+    _, out, _ = run_cli(capsys, ["exit-mc", "--domain", DISK, "--n", "5000", "--trials", "200"])
+    report = json.loads(out)
+    assert report["estimate"]["mean"] is not None and math.isfinite(report["estimate"]["mean"])
+    assert report["gap"] is not None
 
 
 @pytest.mark.skipif(shutil.which("greenpot") is None, reason="console script not on PATH")

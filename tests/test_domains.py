@@ -146,6 +146,8 @@ def test_cubic_set_validation():
         cubic_open_set(2, [(0, 0), (0, 0)])
     with pytest.raises(ValueError):
         cubic_open_set(2, [(0, 0), (0, 0, 1)])
+    with pytest.raises(ValueError, match="basis"):
+        cubic_open_set(2, [(0, 0), (2**63, 0)])
 
 
 def test_intersection_truncates():

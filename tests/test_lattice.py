@@ -2,10 +2,10 @@
 
 Independent oracles: the Fourier representation of the walk Green function
 (reduced to a 2-d integral with the inner coordinate integrated in closed
-form), one adaptive quadrature per key of the Bessel integral behind the
-whole-space table, the Fourier difference representation of the planar
-potential kernel, and absorbing-chain linear algebra on tiny hand-checked
-sets.
+form), one adaptive quadrature per key of the Bessel integrals behind the
+whole-space table and the planar potential kernel, the Fourier difference
+representation of the planar potential kernel and its three-term
+expansion, and absorbing-chain linear algebra on tiny hand-checked sets.
 """
 
 import itertools
@@ -135,12 +135,42 @@ def test_whole_space_green_exact_range_consistency():
         assert a == pytest.approx(b, rel=2e-3)
 
 
+def _time_integral(f, peak: float) -> float:
+    """Integrate ``f`` over (0, inf) by adaptive quadrature, with an exact
+    algebraic-tail substitution ``t = cut / u^2`` past ``max(30, 4 peak)``."""
+    cut = max(30.0, 4.0 * peak)
+    pts = [peak] if 0.0 < peak < cut else None
+    head, _ = integrate.quad(f, 0.0, cut, points=pts, epsabs=1e-13, epsrel=1e-11, limit=300)
+    tail, _ = integrate.quad(
+        lambda u: f(cut / (u * u)) * 2.0 * cut / u**3,
+        0.0,
+        1.0,
+        epsabs=1e-13,
+        epsrel=1e-11,
+        limit=300,
+    )
+    return head + tail
+
+
 def _quad_green(d, key):
     """The Bessel integral of one key by adaptive quadrature, one scalar call per key."""
     from scipy.special import ive
 
     ns = np.asarray(key, dtype=float)
-    return lattice_module._time_integral(lambda t: float(np.prod(ive(ns, t / d))), float(ns @ ns))
+    return _time_integral(lambda t: float(np.prod(ive(ns, t / d))), float(ns @ ns))
+
+
+def _quad_potential_kernel(key):
+    """The compensated planar Bessel integral of one key by adaptive quadrature."""
+    from scipy.special import ive
+
+    ns = np.asarray(key, dtype=float)
+
+    def f(t):
+        z = t / 2.0
+        return float(ive(0.0, z) * ive(0.0, z) - ive(ns[0], z) * ive(ns[1], z))
+
+    return _time_integral(f, float(ns @ ns))
 
 
 @pytest.mark.parametrize("d,top,ranges", [(3, 20, (EXACT_RANGE, 20)), (4, 8, (8,)), (5, 5, (5,))])
@@ -224,6 +254,41 @@ def test_potential_kernel_log_asymptote():
         r = math.hypot(*pt)
         expected = (2 / math.pi) * math.log(r) + kappa
         assert potential_kernel_2d(pt) == pytest.approx(expected, abs=2e-4)
+
+
+def _kernel_expansion(key):
+    """Three terms of a(x): (2/pi) log|x| + kappa - cos(4 phi) / (6 pi |x|^2)."""
+    r = math.hypot(*key)
+    phi = math.atan2(key[1], key[0])
+    return ((2 / math.pi) * math.log(r) + potential_kernel_constant()
+            - math.cos(4 * phi) / (6 * math.pi * r * r))
+
+
+def test_potential_kernel_matches_scalar_quadrature():
+    # every sorted key with |x|^2 < 2500; quadrature gives NaN at about
+    # |x|^2 > 2600, where the shared rule keeps going
+    keys = [(i, j) for j in range(50) for i in range(j + 1) if 0 < i * i + j * j < 2500]
+    assert len(keys) == 1020
+    oracle = np.array([_quad_potential_kernel(k) for k in keys])
+    np.testing.assert_allclose(lattice_module.potential_kernel_2d_array(keys), oracle,
+                               rtol=1e-13, atol=0)
+
+
+def test_potential_kernel_finite_past_quadrature_and_near_expansion():
+    for key in [(36, 36), (0, 52), (256, 256)]:
+        assert math.isfinite(potential_kernel_2d(key))
+    for key in [(0, 100), (60, 80), (100, 100), (17, 200), (0, 256), (256, 256)]:
+        assert abs(potential_kernel_2d(key) - _kernel_expansion(key)) <= 2e-9
+
+
+def test_potential_kernel_array_matches_scalar_under_symmetries():
+    rng = np.random.default_rng(5)
+    pts = rng.integers(-300, 301, size=(400, 2))
+    base = lattice_module.potential_kernel_2d_array(pts)
+    flipped = rng.choice([-1, 1], size=pts.shape) * pts[:, ::-1]
+    np.testing.assert_array_equal(lattice_module.potential_kernel_2d_array(flipped), base)
+    assert [potential_kernel_2d(p) for p in pts[:40]] == base[:40].tolist()
+    assert lattice_module.potential_kernel_2d_array(np.zeros((0, 2), dtype=int)).shape == (0,)
 
 
 def test_lattice_set_basics():

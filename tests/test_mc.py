@@ -22,6 +22,7 @@ from greenpot import (
     McEstimate,
     RngStream,
     StepBudgetError,
+    cubic_open_set,
     disk_green_2d,
     estimate_boundary_term,
     estimate_riesz_potential,
@@ -114,14 +115,19 @@ def _loop_walk(lattice, start, trials, gen):
 
 
 def test_vectorized_walk_matches_loop():
-    grid = GridSpec(d=3, n=12)
-    lat = grid_points(Ball(center=(0.0, 0.0, 0.0), radius=1.0), grid)
-    start = round_to_grid((0.2, -0.1, 0.0), grid)
-    counts = np.zeros((300, len(lat)), dtype=np.int64)
-    exits = mc._walk_block(lat, start, 300, RngStream(11).child(0), 10**6, counts)
-    ref_exits, ref_counts = _loop_walk(lat, tuple(start), 300, RngStream(11).child(0))
-    assert [tuple(int(c) for c in e) for e in exits] == ref_exits
-    assert np.array_equal(counts, ref_counts)
+    # a 3-d ball, a planar disk and an L of three unit squares
+    cases = [(Ball(center=(0.0, 0.0, 0.0), radius=1.0), 12, (0.2, -0.1, 0.0)),
+             (Ball(center=(0.0, 0.0), radius=1.0), 162, (0.1, 0.05)),
+             (cubic_open_set(2, [(0, 0), (1, 0), (1, 1)]), 18, (0.5, 0.0))]
+    for domain, n, x in cases:
+        grid = GridSpec(d=domain.d, n=n)
+        lat = grid_points(domain, grid)
+        start = round_to_grid(x, grid)
+        counts = np.zeros((300, len(lat)), dtype=np.int64)
+        exits = mc._walk_block(lat, start, 300, RngStream(11).child(0), 10**6, counts)
+        ref_exits, ref_counts = _loop_walk(lat, tuple(start), 300, RngStream(11).child(0))
+        assert [tuple(int(c) for c in e) for e in exits] == ref_exits
+        assert np.array_equal(counts, ref_counts)
 
 
 def test_exit_statistics_bit_reproducible(monkeypatch):
