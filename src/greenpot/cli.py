@@ -152,26 +152,19 @@ def _jsonable(v):
 def run_lattice_green(cfg):
     d = cfg["d"]
     top = cfg["max"]
-    rows = []
     if d == 2:
         kappa = potential_kernel_constant()
-        points = [(k, 0) for k in range(1, top + 1)]
-        points += [(k, k) for k in range(1, top + 1) if k * math.sqrt(2) <= top]
-        for p in points:
-            val = potential_kernel_2d(p)
-            asym = (2.0 / math.pi) * math.log(math.hypot(*p)) + kappa
-            rows.append([p, val, asym, val / asym if asym else math.inf])
-        origin = potential_kernel_2d((0, 0))
+        kernel, asymptote = potential_kernel_2d, lambda r: (2.0 / math.pi) * math.log(r) + kappa
     else:
-        points = [(k,) + (0,) * (d - 1) for k in range(1, top + 1)]
-        points += [(k, k) + (0,) * (d - 2) for k in range(1, top + 1)
-                   if k * math.sqrt(2) <= top]
-        for p in points:
-            val = whole_space_green(d, p)
-            r = math.sqrt(sum(c * c for c in p))
-            asym = d * green_constant(d) * r ** (2 - d)
-            rows.append([p, val, asym, val / asym])
-        origin = whole_space_green(d, (0,) * d)
+        kernel, asymptote = (lambda p: whole_space_green(d, p),
+                             lambda r: d * green_constant(d) * r ** (2 - d))
+    points = [(k,) + (0,) * (d - 1) for k in range(1, top + 1)]
+    points += [(k, k) + (0,) * (d - 2) for k in range(1, top + 1) if k * math.sqrt(2) <= top]
+    rows = []
+    for p in points:
+        val, asym = kernel(p), asymptote(math.hypot(*p))
+        rows.append([p, val, asym, val / asym if asym else math.inf])
+    origin = kernel((0,) * d)
     report = {
         "experiment": "lattice-green",
         "d": d,

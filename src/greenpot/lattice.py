@@ -8,24 +8,26 @@ computed from the continuous-time representation
 which is the lattice Fourier integral with the angular variables reduced
 to modified Bessel functions.
 
-Whole-space values come from one table per ``(d, exact_range)``, built on
-first use for every sorted key ``0 <= k_1 <= ... <= k_d <= exact_range``
-with one shared-node rule: an 8-node Gauss-Legendre panel on
+Both kernels are one evaluator: absolute coordinates are sorted into
+keys, and each distinct key with sup norm at most the exact range is
+summed once on one shared-node rule: an 8-node Gauss-Legendre panel on
 ``[0, 1e-6]``, 30 panels of 16 nodes in ``log t`` on ``[1e-6, 1e4]``, and
 40 nodes in ``u`` after ``t = 1e4/u^2``, which turns the algebraic tail
-into a polynomial.  ``e^(-z) I_n(z)`` is evaluated once per order and
-node and the integrand of each key is a product of gathered rows; where
-scipy's ``ive`` gives NaN (``z`` above about 1e9) its Hankel expansion
-takes over.  Against adaptive quadrature of the same integral the table
-agrees to 5.2e-14 relative (d = 3, exact_range 16), 6.3e-15 (d = 4,
-exact range 8) and 2.1e-13 (d = 5, exact range 5).
+into a polynomial.  ``e^(-t/d) I_n(t/d)`` is evaluated once per
+``(d, n)`` on the nodes and cached; where scipy's ``ive`` gives NaN
+(argument above about 1e9) its Hankel expansion takes over.  Keys past
+the exact range take the continuum asymptote.  Only the integrand
+depends on d.  For ``d >= 3`` it is the product of the key's rows, and
+against adaptive quadrature of the same integral it agrees to 5.2e-14
+relative (d = 3, every key up to 16), 6.3e-15 (d = 4, up to 8) and
+2.1e-13 (d = 5, up to 5).  The cost scales with the keys read, not with
+the exact range.
 
-The planar potential kernel is the compensated integral
-``int_0^inf (B_0(t)^2 - B_{x_1}(t) B_{x_2}(t)) dt`` with
-``B_n(t) = e^(-t/2) I_n(t/2)``, summed on the same nodes from rows of
-``B_n`` cached per order.  Against adaptive quadrature it agrees to 1e-15
-relative on every key with ``|x|^2 < 2500``, where quadrature itself
-still converges, and it stays within 2e-9 of the three-term expansion
+The planar potential kernel is the compensated integrand
+``B_0(t)^2 - B_{x_1}(t) B_{x_2}(t)`` with ``B_n(t) = e^(-t/2) I_n(t/2)``.
+Against adaptive quadrature it agrees to 1e-15 relative on every key
+with ``|x|^2 < 2500``, where quadrature itself still converges, and it
+stays within 2e-9 of the three-term expansion
 ``(2/pi) log|x| + kappa - cos(4 phi) / (6 pi |x|^2)`` for ``|x| >= 100``.
 
 Killed Green matrices on finite index sets are obtained by direct linear
@@ -187,7 +189,7 @@ def unit_steps(d: int) -> np.ndarray:
 # whole-space values
 
 
-# chunk of table keys whose integrands are held at once (about 4 MB)
+# chunk of keys whose integrands are held at once (about 4 MB)
 _KEY_CHUNK = 1024
 
 
@@ -227,39 +229,52 @@ def _scaled_bessel(orders: np.ndarray, z: np.ndarray) -> np.ndarray:
     return vals
 
 
-@functools.cache
-def _green_table(d: int, top: int) -> tuple:
-    """Index of the sorted keys with sup-norm at most `top`, and their
-    whole-space Green values in index order."""
-    keys = np.array(list(itertools.combinations_with_replacement(range(top + 1), d)),
-                    dtype=np.int64)
-    t, w = _time_rule()
-    bessel = _scaled_bessel(np.arange(top + 1, dtype=float), t / d)
-    values = np.empty(len(keys))
-    for lo in range(0, len(keys), _KEY_CHUNK):
-        chunk = keys[lo:lo + _KEY_CHUNK]
-        integrand = bessel[chunk[:, 0]] * w
-        for j in range(1, d):
-            integrand *= bessel[chunk[:, j]]
-        values[lo:lo + len(chunk)] = integrand.sum(axis=1)
-    values.setflags(write=False)
-    return _PackedIndex(keys), values
+# rows e^(-t/d) I_n(t/d) on the nodes of `_time_rule`, by (d, n)
+_BESSEL_ROWS: dict[tuple, np.ndarray] = {}
+
+
+def _lattice_kernel(d: int, points, exact_range: int, far) -> np.ndarray:
+    """The Bessel key sum of the module docstring at every row of a
+    ``(k, d)`` integer array, and ``far(|x|)`` past sup norm `exact_range`.
+
+    Each distinct sorted key is summed once, so a value depends only on
+    its key: permutations and sign flips leave it bit for bit unchanged.
+    """
+    keys = np.sort(np.abs(np.asarray(points, dtype=np.int64).reshape(-1, d)), axis=1)
+    out = np.empty(len(keys))
+    near = keys[:, -1] <= exact_range
+    if near.any():
+        uniq, inverse = np.unique(keys[near], axis=0, return_inverse=True)
+        # order 0 is always present, as rows[0], for the planar integrand
+        orders, slot = np.unique(np.append(uniq, 0), return_inverse=True)
+        slot = slot[:-1].reshape(uniq.shape)
+        t, w = _time_rule()
+        missing = [n for n in orders.tolist() if (d, n) not in _BESSEL_ROWS]
+        if missing:
+            _BESSEL_ROWS.update(zip([(d, n) for n in missing],
+                                    _scaled_bessel(np.array(missing, dtype=float), t / d)))
+        rows = np.stack([_BESSEL_ROWS[d, n] for n in orders.tolist()])
+        values = np.empty(len(uniq))
+        for lo in range(0, len(uniq), _KEY_CHUNK):
+            chunk = slot[lo:lo + _KEY_CHUNK]
+            if d == 2:  # compensated: B_0^2 - B_{x_1} B_{x_2}
+                integrand = (rows[0] * rows[0] - rows[chunk[:, 0]] * rows[chunk[:, 1]]) * w
+            else:
+                integrand = rows[chunk[:, 0]] * w
+                for j in range(1, d):
+                    integrand *= rows[chunk[:, j]]
+            values[lo:lo + len(chunk)] = integrand.sum(axis=1)
+        out[near] = values[inverse.reshape(-1)]
+    far_keys = keys[~near].astype(float)
+    out[~near] = far(np.sqrt(np.einsum("ij,ij->i", far_keys, far_keys)))
+    return out
 
 
 def whole_space_green_array(d: int, points, exact_range: int = EXACT_RANGE) -> np.ndarray:
     """`whole_space_green` at every row of a ``(k, d)`` integer array."""
     if d < 3:
         raise ValueError("whole-space Green function requires d >= 3 (transience)")
-    keys = np.sort(np.abs(np.asarray(points, dtype=np.int64).reshape(-1, d)), axis=1)
-    out = np.empty(len(keys))
-    near = keys[:, -1] <= exact_range
-    if near.any():
-        index, values = _green_table(d, exact_range)
-        out[near] = values[index.rows(keys[near])]
-    far = keys[~near]
-    r = np.sqrt(np.einsum("ij,ij->i", far, far).astype(float))
-    out[~near] = d * green_constant(d) * r ** (2 - d)
-    return out
+    return _lattice_kernel(d, points, exact_range, lambda r: d * green_constant(d) * r ** (2 - d))
 
 
 def _canonical(x) -> tuple:
@@ -270,12 +285,11 @@ def _canonical(x) -> tuple:
 def whole_space_green(d: int, x, exact_range: int = EXACT_RANGE) -> float:
     """Expected visits to ``x`` by the walk started at 0, for ``d >= 3``.
 
-    Values with ``|x|_inf <= exact_range`` are read from the Bessel
-    table of the module docstring, built once per ``(d, exact_range)``
-    and checked against adaptive quadrature to 1e-11 relative; beyond
-    that the asymptote ``d C(d) |x|^(2-d)`` is used.  Values depend only
-    on the sorted absolute coordinates, so coordinate permutations and
-    sign flips leave them bit for bit unchanged.
+    Values with ``|x|_inf <= exact_range`` are the Bessel key sum of the
+    module docstring, checked against adaptive quadrature to 1e-11
+    relative; beyond that the asymptote ``d C(d) |x|^(2-d)`` is used.
+    Values depend only on the sorted absolute coordinates, so coordinate
+    permutations and sign flips leave them bit for bit unchanged.
 
     Parameters
     ----------
@@ -284,7 +298,7 @@ def whole_space_green(d: int, x, exact_range: int = EXACT_RANGE) -> float:
     x : array_like of int
         Lattice point.
     exact_range : int
-        Sup-norm radius of the table.
+        Sup-norm radius of the Bessel key sum.
 
     Returns
     -------
@@ -299,45 +313,11 @@ def whole_space_green(d: int, x, exact_range: int = EXACT_RANGE) -> float:
 # beyond this sup-norm radius the planar kernel uses its log asymptote
 POTENTIAL_EXACT_RANGE = 256
 
-# rows e^(-t/2) I_n(t/2) on the nodes of `_time_rule`, by order n
-_PLANAR_ROWS: dict[int, np.ndarray] = {}
-
-
-def _planar_rows(orders: list) -> np.ndarray:
-    """The Bessel rows of `orders`, stacked; missing orders are computed in one call."""
-    missing = [n for n in orders if n not in _PLANAR_ROWS]
-    if missing:
-        t, _ = _time_rule()
-        _PLANAR_ROWS.update(zip(missing, _scaled_bessel(np.array(missing, dtype=float), t / 2)))
-    return np.stack([_PLANAR_ROWS[n] for n in orders])
-
 
 def potential_kernel_2d_array(points, exact_range: int = POTENTIAL_EXACT_RANGE) -> np.ndarray:
-    """`potential_kernel_2d` at every row of a ``(k, 2)`` integer array.
-
-    Each distinct sorted key is summed once; values depend only on the
-    key, so permutations and sign flips leave them bit for bit unchanged.
-    """
-    keys = np.sort(np.abs(np.asarray(points, dtype=np.int64).reshape(-1, 2)), axis=1)
-    out = np.empty(len(keys))
-    near = keys[:, 1] <= exact_range
-    if near.any():
-        uniq, inverse = np.unique(keys[near], axis=0, return_inverse=True)
-        orders, slot = np.unique(uniq, return_inverse=True)
-        rows = _planar_rows([0] + orders.tolist())  # order 0, then order orders[i] at 1 + i
-        slot = 1 + slot.reshape(uniq.shape)
-        _, w = _time_rule()
-        origin = rows[0] * rows[0]
-        values = np.empty(len(uniq))
-        for lo in range(0, len(uniq), _KEY_CHUNK):
-            chunk = slot[lo:lo + _KEY_CHUNK]
-            values[lo:lo + len(chunk)] = ((origin - rows[chunk[:, 0]] * rows[chunk[:, 1]])
-                                          * w).sum(axis=1)
-        out[near] = values[inverse.reshape(-1)]
-    far = keys[~near].astype(float)
-    r = np.sqrt(np.einsum("ij,ij->i", far, far))
-    out[~near] = (2.0 / math.pi) * np.log(r) + POTENTIAL_KERNEL_CONSTANT
-    return out
+    """`potential_kernel_2d` at every row of a ``(k, 2)`` integer array."""
+    return _lattice_kernel(2, points, exact_range,
+                           lambda r: (2.0 / math.pi) * np.log(r) + POTENTIAL_KERNEL_CONSTANT)
 
 
 def potential_kernel_2d(x, exact_range: int = POTENTIAL_EXACT_RANGE) -> float:
@@ -358,20 +338,20 @@ def potential_kernel_2d(x, exact_range: int = POTENTIAL_EXACT_RANGE) -> float:
 _DECAY_CACHE: dict[int, float] = {}
 
 
-def decay_constant(d: int, scan_range: int = 8) -> float:
+def decay_constant(d: int) -> float:
     """Uniform constant with ``g(0, x) <= c |x|^(2-d)`` for ``x != 0``.
 
-    Estimated once as the maximum of ``g(0, x) |x|^(d-2)`` over the scanned
-    cube and frozen for the session; the maximum sits at the unit vectors
-    and the scanned ratios decrease toward ``d C(d)``, so the scan radius
-    is not critical.
+    Estimated once as the maximum of ``g(0, x) |x|^(d-2)`` over the sorted
+    keys of sup norm at most 8 and frozen for the session; the maximum
+    sits at the unit vectors and the scanned ratios decrease toward
+    ``d C(d)``, so the scan radius is not critical.
     """
     if d not in _DECAY_CACHE:
-        keys = np.array(list(itertools.combinations_with_replacement(range(scan_range + 1), d))[1:])
+        keys = np.array(list(itertools.combinations_with_replacement(range(9), d))[1:])
         r2 = np.einsum("ij,ij->i", keys, keys)
-        ratios = whole_space_green_array(d, keys, exact_range=scan_range) * r2 ** ((d - 2) / 2.0)
+        ratios = whole_space_green_array(d, keys) * r2 ** ((d - 2) / 2.0)
         _DECAY_CACHE[d] = best = float(ratios.max())
-        logger.info("decay constant for d=%d frozen at %.12g (scan range %d)", d, best, scan_range)
+        logger.info("decay constant for d=%d frozen at %.12g", d, best)
     return _DECAY_CACHE[d]
 
 
@@ -462,12 +442,12 @@ def _check_symmetric(skew: float, scale: float) -> None:
             f"killed Green solve asymmetric beyond tolerance: {skew / scale:.3e}")
 
 
-def killed_green_matrix(lattice: LatticeSet, dense_limit: int = DENSE_LIMIT) -> KilledGreenMatrix:
+def killed_green_matrix(lattice: LatticeSet) -> KilledGreenMatrix:
     """Solve ``(I - P) G = I`` for the walk restricted to `lattice`.
 
     ``P`` keeps probability ``1/(2d)`` on nearest-neighbor pairs inside the
     set; mass stepping outside is killed.  A dense numpy inverse is used up
-    to `dense_limit` points and a sparse LU factorization beyond.
+    to `DENSE_LIMIT` points and a sparse LU factorization beyond.
 
     Returns
     -------
@@ -486,7 +466,7 @@ def killed_green_matrix(lattice: LatticeSet, dense_limit: int = DENSE_LIMIT) -> 
     m = len(lattice)
     if m == 0:
         raise ValueError("lattice set is empty")
-    if m <= dense_limit:
+    if m <= DENSE_LIMIT:
         rows, cols = _transition_coo(lattice)
         a = np.eye(m)
         a[rows, cols] = -1.0 / (2 * lattice.d)

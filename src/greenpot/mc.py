@@ -233,12 +233,6 @@ def exit_statistics(lattice: LatticeSet, start, trials: int, rng: RngStream,
     return mean, np.sqrt(var / trials), {k: v / trials for k, v in sorted(exit_counts.items())}
 
 
-def _green_at_differences(d: int, diffs: np.ndarray) -> np.ndarray:
-    if d >= 3:
-        return whole_space_green_array(d, diffs)
-    return potential_kernel_2d_array(diffs)
-
-
 def estimate_boundary_term(domain, grid: GridSpec, x, y, trials: int, rng: RngStream,
                            step_budget: int = STEP_BUDGET) -> McEstimate:
     """Walk-exit estimate of the boundary term in the killed-kernel split.
@@ -267,9 +261,9 @@ def estimate_boundary_term(domain, grid: GridSpec, x, y, trials: int, rng: RngSt
     def worker(b):
         exits = _walk_block(lattice, u, sizes[b], rng.child(b), step_budget, nbr=nbr)
         if d == 2:
-            vals = 0.5 * (_green_at_differences(2, np.abs(exits - v)) - a_uv)
+            vals = 0.5 * (potential_kernel_2d_array(exits - v) - a_uv)
         else:
-            vals = scale * _green_at_differences(d, np.abs(exits - v))
+            vals = scale * whole_space_green_array(d, exits - v)
         return float(vals.sum()), float((vals**2).sum())
 
     parts = _map_blocks(worker, len(sizes))

@@ -38,7 +38,6 @@ from .domains import (
 )
 from .kernels import KernelSpec, ball_kernel_integral, canonical_json, check_transform, sphere_surface
 from .lattice import (
-    EXACT_RANGE,
     LatticeSet,
     decay_constant,
     killed_green_entries,
@@ -101,7 +100,6 @@ class DiscreteOperator:
         self.domain = domain  # None marks the free-space operator
         self._matrix = matrix
         self._cube = None
-        self._max_points = MAX_POINTS
 
     @property
     def d(self) -> int:
@@ -111,7 +109,7 @@ class DiscreteOperator:
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
             m = len(self.lattice)
-            _check_points(m, self._max_points)
+            _check_points(m)
             matrix = np.empty((m, m))
             for lo in range(0, m, _ROW_BLOCK):
                 matrix[lo:lo + _ROW_BLOCK] = self._gather(slice(lo, lo + _ROW_BLOCK))
@@ -128,9 +126,9 @@ class DiscreteOperator:
                                 for k in range(self.d))]
 
 
-def _check_points(m: int, max_points: int) -> None:
-    if m > max_points:
-        raise ResourceLimitError(f"{m} grid points exceed the cap of {max_points}")
+def _check_points(m: int) -> None:
+    if m > MAX_POINTS:
+        raise ResourceLimitError(f"{m} grid points exceed the cap of {MAX_POINTS}")
 
 
 def _weighted(green: np.ndarray, grid: GridSpec, kind: str, param: float) -> np.ndarray:
@@ -142,13 +140,14 @@ def _weighted(green: np.ndarray, grid: GridSpec, kind: str, param: float) -> np.
     return weight * np.exp(param * scaled)
 
 
-def _free_cube(lattice: LatticeSet, exact_range: int) -> np.ndarray:
+def _free_cube(lattice: LatticeSet) -> np.ndarray:
     """Whole-space Green values at every per-axis absolute index difference
-    of the set: the table below `exact_range`, the asymptote beyond."""
+    of the set: the Bessel key sum up to `EXACT_RANGE`, the asymptote
+    beyond."""
     pts = lattice.points
     shape = tuple(int(s) + 1 for s in pts.max(axis=0) - pts.min(axis=0))
     diffs = np.indices(shape).reshape(lattice.d, -1).T
-    return whole_space_green_array(lattice.d, diffs, exact_range).reshape(shape)
+    return whole_space_green_array(lattice.d, diffs).reshape(shape)
 
 
 def assemble(
@@ -157,8 +156,6 @@ def assemble(
     domain=None,
     free_region=None,
     include_points=(),
-    max_points: int = MAX_POINTS,
-    exact_range: int = EXACT_RANGE,
 ) -> DiscreteOperator:
     """Build the operator matrix over a domain grid or a free-space window.
 
@@ -180,11 +177,10 @@ def assemble(
         Extra continuum points whose rounded grid points join the index
         set of a free-space operator, so rows at query points away from
         the support exist.
-    max_points : int
-        Dense-storage cap: a killed operator over more points, or reading
-        the `matrix` of such a free-space operator, raises
-        ResourceLimitError.  Free-space rows are read without forming
-        the matrix and take no cap.
+
+    A killed operator over more than `MAX_POINTS` points, or reading the
+    `matrix` of such a free-space operator, raises ResourceLimitError.
+    Free-space rows are read without forming the matrix and take no cap.
     """
     if (domain is None) == (free_region is None):
         raise ValueError("exactly one of domain and free_region is required")
@@ -202,10 +198,9 @@ def assemble(
         lattice = nonempty_grid_points(domain, grid)
     if free:
         op = DiscreteOperator(grid=grid, lattice=lattice, matrix=None, transform=(kind, param))
-        op._cube = _weighted(_free_cube(lattice, exact_range), grid, kind, param)
-        op._max_points = max_points
+        op._cube = _weighted(_free_cube(lattice), grid, kind, param)
         return op
-    _check_points(len(lattice), max_points)
+    _check_points(len(lattice))
     entries = _weighted(killed_green_matrix(lattice).entries, grid, kind, param)
     return DiscreteOperator(grid=grid, lattice=lattice, matrix=entries,
                             transform=(kind, param), domain=domain)

@@ -134,8 +134,9 @@ def test_exactly_singular_sparse_factor_is_numerical_failure(capsys, monkeypatch
     with pytest.raises(RuntimeError, match="singular"):  # what splu itself raises
         splu(singular(lat))
     monkeypatch.setattr(lattice_module, "_killed_laplacian", singular)
+    monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        killed_green_matrix(lat, dense_limit=0)
+        killed_green_matrix(lat)
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
         killed_green_entry(lat, tuple(lat.points[0]), tuple(lat.points[-1]))
     rc, out, err = run_cli(capsys, ["converge-disk", "--levels", "1"])

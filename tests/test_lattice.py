@@ -3,9 +3,10 @@
 Independent oracles: the Fourier representation of the walk Green function
 (reduced to a 2-d integral with the inner coordinate integrated in closed
 form), one adaptive quadrature per key of the Bessel integrals behind the
-whole-space table and the planar potential kernel, the Fourier difference
-representation of the planar potential kernel and its three-term
-expansion, and absorbing-chain linear algebra on tiny hand-checked sets.
+whole-space Green function and the planar potential kernel, the Fourier
+difference representation of the planar potential kernel and its
+three-term expansion, and absorbing-chain linear algebra on tiny
+hand-checked sets.
 """
 
 import itertools
@@ -291,6 +292,45 @@ def test_potential_kernel_array_matches_scalar_under_symmetries():
     assert lattice_module.potential_kernel_2d_array(np.zeros((0, 2), dtype=int)).shape == (0,)
 
 
+def _kernel_pair(d):
+    """The array and scalar evaluators of the walk kernel in dimension `d`."""
+    if d == 2:
+        return lattice_module.potential_kernel_2d_array, potential_kernel_2d
+    return (lambda pts, r: whole_space_green_array(d, pts, r),
+            lambda p, r: whole_space_green(d, p, r))
+
+
+@pytest.mark.parametrize("d,top", [(2, 50), (3, 20), (4, 11)])
+def test_key_sum_independent_of_batch(d, top):
+    # more distinct keys than one integrand chunk holds: a key's value must
+    # not depend on the other keys of the batch or on their order
+    keys = np.array(list(itertools.combinations_with_replacement(range(top + 1), d)))
+    assert len(keys) > lattice_module._KEY_CHUNK
+    batch, scalar = _kernel_pair(d)
+    values = batch(keys, top)
+    np.testing.assert_array_equal(batch(keys[::-1], top), values[::-1])
+    assert [scalar(k, top) for k in keys] == values.tolist()
+
+
+def test_bessel_rows_cached_per_dimension(monkeypatch):
+    # the plane and d = 3 read the same orders at different arguments t/d
+    pts2 = np.array([(i, j) for i in range(6) for j in range(6)])
+    pts3 = np.array([(i, j, k) for i in range(4) for j in range(4) for k in range(4)])
+
+    def planar():
+        return lattice_module.potential_kernel_2d_array(pts2)
+
+    def spatial():
+        return whole_space_green_array(3, pts3)
+
+    runs = []
+    for order in ((planar, spatial), (spatial, planar)):
+        monkeypatch.setattr(lattice_module, "_BESSEL_ROWS", {})
+        runs.append({f.__name__: f() for f in order})
+    for name in ("planar", "spatial"):
+        np.testing.assert_array_equal(runs[0][name], runs[1][name])
+
+
 def test_lattice_set_basics():
     s = LatticeSet.from_points(2, [(1, 0), (0, 0), (0, 1)])
     assert len(s) == 3
@@ -349,11 +389,13 @@ def test_killed_green_matches_absorbing_chain_oracle():
     assert np.allclose(got, ref, rtol=1e-12, atol=1e-13)
 
 
-def test_killed_green_sparse_dense_agree():
+def test_killed_green_sparse_dense_agree(monkeypatch):
     pts = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]
     lat = LatticeSet.from_points(3, pts)
-    dense = killed_green_matrix(lat, dense_limit=1000)
-    sparse = killed_green_matrix(lat, dense_limit=1)
+    monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 1000)
+    dense = killed_green_matrix(lat)
+    monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 1)
+    sparse = killed_green_matrix(lat)
     assert np.allclose(dense.entries, sparse.entries, rtol=1e-9, atol=1e-11)
 
 
@@ -541,13 +583,14 @@ def _posv_green(lat):
 
 
 @pytest.mark.parametrize("n", [18, 162, None], ids=lambda n: f"disk{n}" if n else "random3d")
-def test_dense_route_matches_sparse_posv_and_entries(n):
+def test_dense_route_matches_sparse_posv_and_entries(n, monkeypatch):
     lat = _disk(n) if n else _random_set(3, 80, 3)
     assert len(lat) <= lattice_module.DENSE_LIMIT
     dense = killed_green_matrix(lat).entries
     pts = [tuple(p) for p in lat.points]
     x = pts[len(pts) // 2]
     row = killed_green_entries(lat, x, pts)
-    for ref in (killed_green_matrix(lat, dense_limit=0).entries, _posv_green(lat)):
+    monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
+    for ref in (killed_green_matrix(lat).entries, _posv_green(lat)):
         np.testing.assert_allclose(dense, ref, rtol=1e-12, atol=1e-300)
     np.testing.assert_allclose(dense[lat.index_of(x)], row, rtol=1e-12, atol=1e-300)

@@ -39,6 +39,7 @@ from greenpot import (
     round_to_grid,
     whole_space_green,
 )
+from greenpot import operators as operators_module
 from greenpot.operators import _free_cube
 
 ORIGIN3 = (0.0, 0.0, 0.0)
@@ -144,14 +145,16 @@ def test_kernel_spec_and_assemble_accept_the_same_transforms():
     assert verdicts == {True, False}
 
 
-def test_assemble_respects_point_cap():
+def test_assemble_respects_point_cap(monkeypatch):
+    monkeypatch.setattr(operators_module, "MAX_POINTS", 3)
     with pytest.raises(ResourceLimitError):
-        assemble(GridSpec(d=2, n=8), ("power", 1.0), domain=Ball((0.0, 0.0), 1.0), max_points=3)
+        assemble(GridSpec(d=2, n=8), ("power", 1.0), domain=Ball((0.0, 0.0), 1.0))
 
 
-def test_free_rows_take_no_point_cap_but_the_matrix_does():
+def test_free_rows_take_no_point_cap_but_the_matrix_does(monkeypatch):
+    monkeypatch.setattr(operators_module, "MAX_POINTS", 3)
     grid = GridSpec(d=3, n=12)
-    op = assemble(grid, ("power", 1.0), free_region=Ball(ORIGIN3, 0.8), max_points=3)
+    op = assemble(grid, ("power", 1.0), free_region=Ball(ORIGIN3, 0.8))
     assert len(op.lattice) > 3
     assert apply_operator(op, lambda p: 1.0, ORIGIN3) > 0
     with pytest.raises(ResourceLimitError):
@@ -177,7 +180,7 @@ def test_free_row_route_matches_dense_matrix_row(n, beta):
 
 def test_free_cube_asymptote_equals_scalar_green_bit_for_bit():
     lattice = LatticeSet.from_points(3, [(0, 0, 0), (24, 18, 20)])
-    cube = _free_cube(lattice, 16)
+    cube = _free_cube(lattice)
     assert cube.shape == (25, 19, 21)
     idx = np.indices(cube.shape).reshape(3, -1).T
     scalar = np.array([whole_space_green(3, k) for k in idx])
