@@ -51,12 +51,12 @@ from .lattice import (
 )
 from .mc import (
     McEstimate,
+    RieszEstimate,
     RngStream,
     StepBudgetError,
     estimate_boundary_term,
     estimate_riesz_potential,
     exit_statistics,
-    riesz_tail_bound,
     sample_exit,
     sample_half_stable,
     sample_stable_increment,

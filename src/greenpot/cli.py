@@ -313,18 +313,18 @@ def run_riesz_mc(cfg):
     indicator = BallIndicator(center=cfg["center"], radius=cfg["radius"])
     est = estimate_riesz_potential(cfg["d"], cfg["beta"], indicator, cfg["x"],
                                    cfg["time_step"], cfg["horizon"], cfg["trials"],
-                                   RngStream(cfg["seed"], stream=STREAMS["riesz"]),
-                                   tail_tolerance=cfg["tail_tolerance"])
+                                   RngStream(cfg["seed"], stream=STREAMS["riesz"]))
     spec = KernelSpec(d=cfg["d"], base="free", transform="power", param=cfg["beta"])
     oracle = ball_kernel_integral(spec, cfg["x"], cfg["center"], cfg["radius"])
     gap = abs(est.mean - oracle)
-    tolerance = 3 * est.stderr + est.tail_bound
+    tolerance = 3 * est.stderr + est.step_error
     passed = bool(gap <= tolerance)
     report = {"experiment": "riesz-mc", "estimate": json.loads(est.to_json()),
               "oracle": oracle, "gap": gap, "tolerance": tolerance, "passed": passed}
-    rows = [[est.mean, est.stderr, est.tail_bound, oracle, gap, tolerance, passed]]
-    return report, (["mean", "stderr", "tail_bound", "oracle", "gap", "tolerance", "passed"],
-                    rows), passed
+    rows = [[est.mean, est.stderr, est.step_error, est.window_share, oracle,
+             est.subordination_oracle, gap, tolerance, passed]]
+    return report, (["mean", "stderr", "step_error", "window_share", "oracle",
+                     "subordination_oracle", "gap", "tolerance", "passed"], rows), passed
 
 
 def run_exit_mc(cfg):
@@ -366,7 +366,6 @@ FLAGS = {
     "d": int, "n": int, "max": int, "count": int, "trials": int, "functions": int,
     "levels": int, "base": int, "dump_limit": int,
     "tol": float, "radius": float, "beta": float, "time_step": float, "horizon": float,
-    "tail_tolerance": float,
     "x": parse_floats, "y": parse_floats, "center": parse_floats, "betas": parse_floats,
     "alphas": parse_floats, "sizes": parse_ints, "transform": parse_transform,
     "domain": str, "matrix": str, "mode": ("exact", "interior", "exterior"),
@@ -402,8 +401,7 @@ EXPERIMENTS = {
                        "radius": 1.0, "levels": 3, "base": 3, "tol": None}),
     "riesz-mc": (run_riesz_mc, "occupation-time estimate vs quadrature oracle",
                  {"d": 3, "beta": 2.0, "x": (0.0, 0.0, 0.0), "center": (2.0, 0.0, 0.0),
-                  "radius": 1.0, "time_step": 0.05, "horizon": 12.0, "trials": 100000,
-                  "tail_tolerance": None}),
+                  "radius": 1.0, "time_step": 0.05, "horizon": 1.0, "trials": 100000}),
     "exit-mc": (run_exit_mc, "walk-exit estimate of the killed kernel boundary term",
                 {"domain": None, "n": 1458, "x": (1 / 9, 0.0), "y": (-1 / 9, 1 / 27),
                  "trials": 4000}),

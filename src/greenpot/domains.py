@@ -87,8 +87,13 @@ class Ball:
 
     @_pointwise
     def contains(self, x):
-        delta = x - np.asarray(self.center)
-        return np.einsum("ij,ij->i", delta, delta) < self.radius**2
+        # |x - c|^2 summed axis by axis, one strided pass each, in a fixed
+        # order; a point within TIE_TOL (relative) of the sphere is outside
+        q = np.zeros(len(x))
+        for k, c in enumerate(self.center):
+            t = x[:, k] - c
+            q += t * t
+        return q < self.radius**2 * (1.0 - TIE_TOL)
 
     def bbox(self):
         c = np.asarray(self.center)

@@ -5,10 +5,12 @@ estimate exit laws, visit counts, and the boundary term of the killed
 Green decomposition.  Subordinator routines sample the one-sided stable
 laws normalized to the Laplace exponent ``lambda^(alpha/2)``; the plain
 Brownian case ``alpha = 2`` uses deterministic time increments.  The
-Riesz occupation estimator runs Brownian motion at independent stable
-time increments and accumulates a Riemann sum of indicator hits; its
-truncation error carries a rigorous bound through the uniform density
-cap ``(2 pi)^(-d/2) E[eta_t^(-d/2)]`` of the subordinated process.
+Riesz occupation estimator samples only the stable clock: given the
+clock, the Brownian position is integrated out in closed form (a
+Rao-Blackwell step), and the time in the ball after the horizon is the
+exact Bochner integral against the stable potential density.  What is
+left is a trapezoid rule over the sampled window, whose bias a
+Richardson estimate at twice the step measures.
 
 Trials are processed in fixed-size blocks with per-block derived
 generators and reduced in block order, so estimates are bit-identical
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,13 +48,16 @@ __all__ = [
     "sample_half_stable",
     "sample_stable_increment",
     "estimate_riesz_potential",
-    "riesz_tail_bound",
+    "RieszEstimate",
     "thread_count",
 ]
 
 STEP_BUDGET = 10**8
 TRIAL_CHUNK = 8192  # fixed so reductions are identical at any thread count
-RIESZ_CHUNK_BYTES = 1 << 18  # normals held at once by one Riesz block
+CHUNK_DRAWS = 1 << 12  # clock increments (or tail terms) one Riesz chunk holds at once
+CLOSED_FORM_LIMIT = 100.0  # the d = 3 ball chance is closed-form up to s = 100 r^2
+TAIL_NODES = 800  # log-uniform points of the Bochner tail table
+TAIL_STEP = 0.25  # trapezoid step in log s of each tail integral
 
 
 class StepBudgetError(RuntimeError):
@@ -110,37 +115,38 @@ class McEstimate:
     stderr: float
     trials: int
     seed: int
-    tail_bound: float | None = None
 
     def __post_init__(self):
         if self.trials < 2:
             raise ValueError("an estimate needs at least 2 trials")
 
     def to_json(self) -> str:
-        obj = {"mean": self.mean, "stderr": self.stderr,
-               "trials": self.trials, "seed": self.seed}
-        if self.tail_bound is not None:
-            obj["tail_bound"] = self.tail_bound
-        return canonical_json(obj)
+        return canonical_json(asdict(self))
 
 
-def _estimate(total: float, total_sq: float, trials: int, seed: int,
-              tail_bound=None) -> McEstimate:
+@dataclass(frozen=True)
+class RieszEstimate(McEstimate):
+    """An occupation estimate with its quadrature diagnostics.
+
+    `step_error` is the Richardson estimate of the trapezoid bias,
+    `window_share` the part of the mean from the sampled window before the
+    horizon, and `subordination_oracle` the exact potential ``D h(0)`` by
+    the Bochner integral alone.
+    """
+
+    step_error: float
+    window_share: float
+    subordination_oracle: float
+
+
+def _estimate(total: float, total_sq: float, trials: int, seed: int) -> McEstimate:
     mean = total / trials
     var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
-    return McEstimate(mean=mean, stderr=math.sqrt(var / trials), trials=trials,
-                      seed=seed, tail_bound=tail_bound)
+    return McEstimate(mean=mean, stderr=math.sqrt(var / trials), trials=trials, seed=seed)
 
 
 def _as_generator(rng) -> np.random.Generator:
     return rng.generator() if isinstance(rng, RngStream) else rng
-
-
-def _cursor(gen: np.random.Generator) -> np.random.Generator:
-    """A second generator that starts where `gen` stands now."""
-    bits = np.random.PCG64()
-    bits.state = gen.bit_generator.state
-    return np.random.Generator(bits)
 
 
 # ---------------------------------------------------------------- walks
@@ -297,123 +303,161 @@ def _uniform_angles(gen: np.random.Generator, size):
     return theta
 
 
-def _kanter_from(rho: float, theta, w):
-    """Kanter's positive rho-stable variate from angles and unit exponentials.
-
-    At ``rho = 1/2`` (alpha = 1) the two sines of the numerator coincide
-    and are computed once.
-    """
-    lower = np.sin(rho * theta)
-    upper = lower if rho == 1.0 - rho else np.sin((1.0 - rho) * theta)
-    a = (lower ** rho * upper ** (1.0 - rho) / np.sin(theta)) ** (1.0 / (1.0 - rho))
-    return (a / w) ** ((1.0 - rho) / rho)
-
-
 def sample_stable_increment(alpha: float, dt: float, rng, size=None):
     """Increment of the alpha/2-stable subordinator over time `dt`.
 
     Exponential-uniform (Kanter) draw of the positive stable law with
-    Laplace exponent ``lambda^(alpha/2)``, scaled by ``dt^(2/alpha)``.
+    Laplace exponent ``lambda^(alpha/2)``, scaled by ``dt^(2/alpha)``.  At
+    ``alpha = 1`` the two sines of the numerator coincide and are computed
+    once.
     """
     if not 0 < alpha < 2:
         raise ValueError("alpha must lie in (0, 2)")
     if dt <= 0:
         raise ValueError("dt must be positive")
     gen = _as_generator(rng)
-    theta = _uniform_angles(gen, size)
-    return dt ** (2.0 / alpha) * _kanter_from(alpha / 2.0, theta, gen.exponential(1.0, size))
+    rho, theta = alpha / 2.0, _uniform_angles(gen, size)
+    lower = np.sin(rho * theta)
+    upper = lower if rho == 1.0 - rho else np.sin((1.0 - rho) * theta)
+    a = (lower ** rho * upper ** (1.0 - rho) / np.sin(theta)) ** (1.0 / (1.0 - rho))
+    return dt ** (2.0 / alpha) * (a / gen.exponential(1.0, size)) ** ((1.0 - rho) / rho)
 
 
 # ------------------------------------------------------ Riesz potential
 
-def riesz_tail_bound(d: int, beta: float, radius: float, horizon: float) -> float:
-    """Truncation bound D * integral_T^inf P(X_t in ball) dt.
+def _ball_chance(d: int, m: float, r: float, s):
+    """``P(|m e_1 + sqrt(s) Z| < r)`` for standard normal Z in R^d, per entry of s > 0.
 
-    Uses the uniform density cap of the subordinated process, so the
-    bound holds for every start point and ball position.
+    A noncentral chi-square distribution function.  In d = 3 it is the
+    closed form ``Phi(a) - Phi(-b) + sqrt(s)/m (phi(b) - phi(a))``, with
+    ``a = (r - m)/sqrt(s)``, ``b = (r + m)/sqrt(s)`` and ``phi(b) = phi(a)
+    e^(-2rm/s)``, up to ``s = CLOSED_FORM_LIMIT r^2``; past that its terms
+    cancel to a value of order ``(r^2/s)^(3/2)`` and `chndtr` takes over.
+    `chndtr` alone costs several times more where ``m^2/s`` is large and
+    returns 0 below about 1e-60.
     """
-    params = riesz_params(d, beta)
-    alpha = params.alpha
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    from scipy.special import chndtr, ndtr
+
+    s = np.asarray(s, dtype=float)
+    if d != 3 or m == 0.0:
+        return chndtr(r * r / s, d, m * m / s)
+    root = np.sqrt(s)
+    a = (r - m) / root
+    out = ndtr(a)
+    out -= ndtr(-(r + m) / root)
+    out += root * np.exp(-0.5 * a * a) * np.expm1(-2.0 * r * m / s) / (m * math.sqrt(2 * math.pi))
+    np.maximum(out, 0.0, out=out)  # a subnormal remainder may round below 0
+    far = s > CLOSED_FORM_LIMIT * r * r
+    if far.any():
+        out[far] = chndtr(r * r / s[far], d, m * m / s[far])
+    return out
+
+
+def _tail_table(d: int, alpha: float, m: float, r: float):
+    """The Bochner tail ``h(s0) = int_0^inf P(s0 + s) s^(a-1) / Gamma(a) ds``, a = alpha/2.
+
+    ``s^(a-1)/Gamma(a)`` is the potential density of the alpha/2-stable
+    subordinator, so ``h(S_T)`` is the mean time in the ball after T given
+    the clock ``S_T``, and ``h(0)`` the whole mean occupation.  Each value
+    is the trapezoid rule in ``v = log s`` at step `TAIL_STEP`, which
+    converges geometrically for an integrand analytic in a strip; its ends
+    are the geometric series of the limits ``P(s0) e^(a v)`` and
+    ``r^d / (2^(d/2) Gamma(d/2 + 1)) e^((a - d/2) v)``.  `TAIL_NODES`
+    log-uniform s0 span ``1e-6 L^2 .. 1e8 L^2``, ``L = m + r``, in chunks of
+    at most `CHUNK_DRAWS` terms.  Returns ``h(0)`` and a function of an
+    array of s0 that interpolates ``log h`` cubically in ``log s0``, holds h
+    flat below the table and extends it by the power ``s0^(a - d/2)`` above.
+    """
     from scipy.special import gamma
 
-    vol = math.pi ** (d / 2.0) / gamma(d / 2.0 + 1.0) * radius**d
-    inv_moment = gamma(d / alpha) / ((alpha / 2.0) * gamma(d / 2.0))
-    time_integral = (alpha / (d - alpha)) * horizon ** (-(d - alpha) / alpha)
-    return params.coefficient * vol * (2.0 * math.pi) ** (-d / 2.0) * inv_moment * time_integral
+    a, decay = alpha / 2.0, alpha / 2.0 - d / 2.0
+    scale = math.log((m + r) ** 2)
+    v = np.arange(scale - 30.0, scale + 48.5, TAIL_STEP)
+    ev, weight = np.exp(v), np.exp(a * v)
+    grow, fall = math.exp(-a * TAIL_STEP), math.exp(decay * TAIL_STEP)
+    lower = weight[0] * grow / (1.0 - grow)
+    upper = r**d / (2 ** (d / 2) * gamma(d / 2 + 1)) * math.exp(decay * v[-1]) * fall / (1 - fall)
+    u = np.linspace(scale - 6.0 * math.log(10.0), scale + 8.0 * math.log(10.0), TAIL_NODES)
+    s0 = np.concatenate([[0.0], np.exp(u)])
+    h = np.empty(len(s0))
+    rows = max(1, CHUNK_DRAWS // len(v))
+    for lo in range(0, len(s0), rows):
+        h[lo:lo + rows] = _ball_chance(d, m, r, s0[lo:lo + rows, None] + ev) @ weight
+    h += _ball_chance(d, m, r, np.maximum(s0, 1e-6 * ev[0])) * lower + upper  # P(0) at a tiny s
+    h *= TAIL_STEP / gamma(a)
+    logh, du = np.log(h[1:]), u[1] - u[0]
+
+    def interp(s):
+        t = (np.log(s) - u[0]) / du
+        beyond = np.maximum(t - (len(u) - 1), 0.0) * du * decay
+        t = np.clip(t, 0.0, len(u) - 1)
+        i = np.clip(t.astype(np.int64), 1, len(u) - 3)
+        f = t - i  # four-point Lagrange weights on nodes i - 1 .. i + 2
+        w = (-f * (f - 1) * (f - 2) / 6, (f + 1) * (f - 1) * (f - 2) / 2,
+             -(f + 1) * f * (f - 2) / 2, (f + 1) * f * (f - 1) / 6)
+        return np.exp(sum(wk * logh[i + k - 1] for k, wk in enumerate(w)) + beyond)
+
+    return float(h[0]), interp
 
 
 def estimate_riesz_potential(d: int, beta: float, indicator, x, time_step: float,
-                             horizon: float, trials: int, rng: RngStream,
-                             tail_tolerance: float | None = None) -> McEstimate:
-    """Occupation-time estimate of the power kernel potential at `x`.
+                             horizon: float, trials: int, rng: RngStream) -> RieszEstimate:
+    """Occupation-time estimate of the power kernel potential of a ball at `x`.
 
-    Simulates Brownian motion at the random times of an independent
-    alpha/2-stable subordinator (deterministic times when beta = 1),
-    forms the Riemann sum ``D * time_step * sum_k F(X_k)`` up to the
-    horizon, and reports mean, stderr, and the rigorous tail bound.
-
-    Each block of trials runs in row chunks holding at most
-    `RIESZ_CHUNK_BYTES` of normals, so memory does not grow with the
-    number of steps.  Three cursors on the block's generator keep the
-    draws of the whole-block order (all angles, then all waits, then all
-    normals); they differ from it only where a uniform angle is exactly 0
-    and is redrawn within its chunk, which has probability 2^-53 a draw.
-    A block fills one wait buffer and one move buffer in place, chunk after
-    chunk, and counts hits as integers; `indicator` must return 0 or 1.
+    Samples only the alpha/2-stable clock S on the grid ``k * time_step``
+    up to the horizon, by `sample_stable_increment` (a fixed clock when
+    beta = 1).  Given S, the chance that ``x + B(S_k)`` lies in the ball
+    `indicator` (anything with `center` and `radius`) is ``P(S_k)`` of
+    `_ball_chance`, and the mean time there after the horizon is ``h(S_N)``
+    of `_tail_table`, so a trial's value is ``D [time_step (P(0)/2 + P(S_1)
+    + ... + P(S_N)/2) + h(S_N)]``.  The same rule at twice the step (its
+    last panel the fine one when N is odd) gives the Richardson estimate
+    `step_error` of the trapezoid bias.  Each 8192-trial block runs in
+    chunks of at most `CHUNK_DRAWS` increments, each from its own generator
+    ``generator(seed, stream, block, chunk)``, so memory does not grow with
+    N and the estimate does not depend on the thread count.
     """
     params = riesz_params(d, beta)
-    if time_step <= 0 or horizon < time_step:
-        raise ValueError("need 0 < time_step <= horizon")
+    nsteps = int(round(horizon / time_step)) if time_step > 0 else 0
+    if nsteps < 2:
+        raise ValueError("need 0 < 2 time_step <= horizon")
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    nsteps = int(round(horizon / time_step))
-    bound = riesz_tail_bound(d, beta, float(indicator.radius), nsteps * time_step)
-    if tail_tolerance is not None and bound > tail_tolerance:
-        raise ValueError(f"horizon too small: tail bound {bound:.3g} exceeds "
-                         f"{tail_tolerance:.3g}")
-    x_arr = np.asarray(x, dtype=float)
-    sizes = _block_sizes(trials)
-    rows = max(1, RIESZ_CHUNK_BYTES // (8 * nsteps * d))
-    kanter = params.alpha < 2.0
-    eta_scale = time_step ** (2.0 / params.alpha)
+    offset = np.asarray(x, dtype=float) - np.asarray(indicator.center, dtype=float)
+    m, r = math.sqrt(offset @ offset), float(indicator.radius)
+    h0, tail = _tail_table(d, params.alpha, m, r)
+    start = 1.0 if m < r else 0.5 if m == r else 0.0  # P(0)
+    even = nsteps - nsteps % 2
+    scale = params.coefficient * time_step
 
-    def worker(b):
-        n = sizes[b]
-        chunks = [(lo, min(rows, n - lo)) for lo in range(0, n, rows)]
-        wait = np.empty((min(rows, n), nsteps))
-        move = np.empty((min(rows, n), nsteps, d))
-        angles = normals = rng.child(b)
-        if kanter:
-            waits = _cursor(angles)
-            waits.bit_generator.advance(n * nsteps)  # one word per uniform
-            normals = _cursor(waits)
-            for _, r in chunks:  # the ziggurat takes a variable count of words
-                normals.standard_exponential(out=wait[:r])
-        hits = np.empty(n, dtype=np.int64)
-        for lo, r in chunks:
-            paths = move[:r]
-            normals.standard_normal(out=paths)
-            if kanter:
-                w = wait[:r]
-                waits.standard_exponential(out=w)
-                eta = eta_scale * _kanter_from(params.alpha / 2.0,
-                                               _uniform_angles(angles, w.shape), w)
-                np.sqrt(eta, out=eta)
-                for k in range(d):  # one strided pass per axis, not a broadcast over d
-                    paths[..., k] *= eta
-            else:
-                paths *= math.sqrt(time_step)
-            np.cumsum(paths, axis=1, out=paths)
-            for k in range(d):
-                paths[..., k] += x_arr[k]
-            inside = np.reshape(indicator(paths.reshape(-1, d)), (r, nsteps))
-            hits[lo:lo + r] = np.count_nonzero(inside, axis=1)
-        vals = params.coefficient * time_step * hits
-        return float(vals.sum()), float((vals**2).sum())
+    def values(s):
+        """Per-trial values of a (trials, N) clock, and the window sums of both steps."""
+        p = _ball_chance(d, m, r, s)
+        fine = p.sum(axis=1) - 0.5 * p[:, -1] + 0.5 * start
+        coarse = start + 2.0 * p[:, 1:even - 2:2].sum(axis=1) + p[:, even - 1]
+        if even < nsteps:
+            coarse += 0.5 * (p[:, -2] + p[:, -1])
+        vals = scale * fine + params.coefficient * tail(s[:, -1])
+        return vals, np.array([vals.sum(), vals @ vals, scale * fine.sum(), scale * coarse.sum()])
 
-    parts = _map_blocks(worker, len(sizes))
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
-    return _estimate(total, total_sq, trials, rng.seed, tail_bound=bound)
+    if params.alpha == 2.0:  # every trial is the same quadrature
+        vals, sums = values(time_step * np.arange(1.0, nsteps + 1)[None, :])
+        est, count = McEstimate(float(vals[0]), 0.0, trials, rng.seed), 1
+    else:
+        sizes = _block_sizes(trials)
+        rows = max(1, CHUNK_DRAWS // nsteps)
+
+        def worker(b):
+            sums = np.zeros(4)
+            for c, lo in enumerate(range(0, sizes[b], rows)):
+                s = sample_stable_increment(params.alpha, time_step,
+                                            generator(rng.seed, rng.stream, b, c),
+                                            size=(min(rows, sizes[b] - lo), nsteps))
+                sums += values(np.cumsum(s, axis=1, out=s))[1]
+            return sums
+
+        sums = sum(_map_blocks(worker, len(sizes)))
+        est, count = _estimate(sums[0], sums[1], trials, rng.seed), trials
+    return RieszEstimate(**asdict(est), step_error=abs(sums[3] - sums[2]) / (3.0 * count),
+                         window_share=sums[2] / sums[0],
+                         subordination_oracle=params.coefficient * h0)

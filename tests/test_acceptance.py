@@ -201,11 +201,12 @@ def test_riesz_walk_estimate_matches_quadrature_oracle(checklist):
                                    (0.0, 0.0, 0.0), time_step=0.05, horizon=12.0,
                                    trials=100_000, rng=RngStream(2024))
     gap = abs(est.mean - oracle)
-    tol = 3.0 * est.stderr + est.tail_bound
+    tol = 3.0 * est.stderr + est.step_error
     ok = gap <= tol and est.stderr <= 0.05 * oracle
-    checklist(9, ok, "estimate %.6f vs oracle %.6f; gap %.2e <= %.2e; "
-              "stderr %.1f%% of oracle (cap 5%%)"
-              % (est.mean, oracle, gap, tol, 100 * est.stderr / oracle))
+    checklist(9, ok, "estimate %.6f vs oracle %.6f; gap %.2e <= %.2e (3 stderr + "
+              "step error %.1e); stderr %.2f%% of oracle (cap 5%%); window share %.3f"
+              % (est.mean, oracle, gap, tol, est.step_error, 100 * est.stderr / oracle,
+                 est.window_share))
     assert gap <= tol
     assert est.stderr <= 0.05 * oracle
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import greenpot
-from greenpot import Ball, GridSpec, McEstimate, grid_points, killed_green_entry, killed_green_matrix
+from greenpot import Ball, GridSpec, RieszEstimate, grid_points, killed_green_entry, killed_green_matrix
 from greenpot import cli
 from greenpot import lattice as lattice_module
 from greenpot.cli import canonical_json, csv_text, derived_seed, main
@@ -152,7 +152,9 @@ def test_numpy_false_from_runner_fails(capsys, monkeypatch):
 
 
 def test_failed_monte_carlo_check_exits_one(capsys, monkeypatch):
-    far_off = McEstimate(mean=1.0, stderr=1e-6, trials=100, seed=0, tail_bound=np.float64(1e-6))
+    far_off = RieszEstimate(mean=1.0, stderr=1e-6, trials=100, seed=0,
+                            step_error=np.float64(1e-6), window_share=0.5,
+                            subordination_oracle=0.028)
     monkeypatch.setattr(cli, "estimate_riesz_potential", lambda *a, **k: far_off)
     report, _, passed = cli.run_riesz_mc({**cli.DEFAULTS["riesz-mc"], "seed": 0})
     assert passed is False and report["passed"] is False
@@ -257,6 +259,17 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     rc, _, err = run_cli(capsys, ["domain-grid", "--config", str(cfg)])
     assert rc == 2
     assert "bogus" in err
+
+
+def test_config_setting_the_removed_tail_tolerance_is_a_usage_error(tmp_path, capsys):
+    # the Riesz tail is integrated exactly, so no horizon guard is left to set
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tail_tolerance": 1e-3}))
+    rc, _, err = run_cli(capsys, ["riesz-mc", "--config", str(cfg)])
+    assert rc == 2
+    assert "tail_tolerance" in err
+    rc, _, err = run_cli(capsys, ["riesz-mc", "--tail-tolerance", "1e-3"])
+    assert rc == 2 and "--tail-tolerance" in err
 
 
 def test_config_can_set_output_path(tmp_path, capsys):
@@ -401,6 +414,20 @@ assert "scipy.integrate" not in sys.modules
 def test_planar_exit_mc_does_not_import_quadrature():
     # the planar kernel is summed on the shared Bessel rule, not by quad
     proc = _run_fresh(QUADRATURE_GUARD, ["exit-mc", "--domain", DISK, "--trials", "200"])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+STATS_GUARD = """
+import json, sys
+from greenpot.cli import main
+assert main(json.loads(sys.argv[1])) == 0
+assert "scipy.stats" not in sys.modules
+"""
+
+
+def test_riesz_mc_does_not_import_scipy_stats():
+    # the ball chance is a scipy.special distribution function, not ncx2
+    proc = _run_fresh(STATS_GUARD, ["riesz-mc", "--trials", "200"])
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 

@@ -30,7 +30,7 @@ from greenpot import (
     interior_grid,
     round_to_grid,
 )
-from greenpot.domains import split_ties
+from greenpot.domains import TIE_TOL, split_ties
 
 
 def test_grid_spec_spacing():
@@ -230,8 +230,9 @@ def test_domain_json_round_trips():
 
 
 def _ball_contains(ball, p):
-    delta = p - np.asarray(ball.center)
-    return bool(np.einsum("i,i->", delta, delta) < ball.radius**2)
+    # the open ball; within TIE_TOL (relative) of the sphere counts as on it
+    q = sum((float(a) - c) ** 2 for a, c in zip(p, ball.center))
+    return q < ball.radius**2 * (1.0 - TIE_TOL)
 
 
 def _ball_dist_inf_to_complement(ball, p):
@@ -374,6 +375,29 @@ def test_one_point_is_the_row_of_the_array_call(domain):
             assert value == row
         empty = getattr(domain, method)(np.empty((0, domain.d)))
         assert empty.shape == (0,) and empty.dtype == rows.dtype
+
+
+def test_open_ball_leaves_out_lattice_points_on_its_sphere():
+    # at n = 72 in d = 3, h^2 = 1/24: the 24 index permutations of
+    # (+-2, +-2, +-4) have |x| = 1, and roundoff kept 8 of them before
+    ball, grid = Ball((0.0, 0.0, 0.0), 1.0), GridSpec(d=3, n=72)
+    sphere = {p for q in itertools.permutations((2, 2, 4))
+              for p in itertools.product(*[(c, -c) for c in q])}
+    assert len(sphere) == 24
+    kept = {tuple(int(c) for c in p) for p in grid_points(ball, grid).points}
+    assert not kept & sphere
+    assert not ball.contains(np.array(sorted(sphere), dtype=float) * grid.h).any()
+
+
+def test_ball_contains_does_not_depend_on_memory_order():
+    # the wrapped method takes the array as given, bypassing the C-order copy
+    ball, grid = Ball((0.0, 0.0, 0.0), 1.0), GridSpec(d=3, n=72)
+    axis = np.arange(-6, 7) * grid.h
+    pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    c_order = Ball.contains.__wrapped__(ball, np.ascontiguousarray(pts))
+    f_order = Ball.contains.__wrapped__(ball, np.asfortranarray(pts))
+    np.testing.assert_array_equal(c_order, f_order)
+    assert c_order.sum() == len(grid_points(ball, grid))
 
 
 def test_cubic_basis_too_wide_to_index_is_rejected():

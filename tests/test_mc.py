@@ -12,16 +12,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
+from scipy.special import chndtr, gamma
 
 from greenpot import (
     Ball,
     BallIndicator,
     GridSpec,
+    KernelSpec,
     LatticeSet,
     McEstimate,
+    RieszEstimate,
     RngStream,
     StepBudgetError,
+    ball_kernel_integral,
     cubic_open_set,
     disk_green_2d,
     estimate_boundary_term,
@@ -32,7 +36,6 @@ from greenpot import (
     killed_green_matrix,
     outer_boundary,
     riesz_params,
-    riesz_tail_bound,
     round_to_grid,
     sample_exit,
     sample_half_stable,
@@ -56,11 +59,13 @@ def test_rng_stream_reproducible_and_stream_separated():
 
 
 def test_mc_estimate_validation_and_json():
-    est = McEstimate(mean=1.0, stderr=0.1, trials=100, seed=7, tail_bound=0.01)
-    obj = json.loads(est.to_json())
-    assert obj == {"mean": 1.0, "stderr": 0.1, "trials": 100, "seed": 7, "tail_bound": 0.01}
     bare = McEstimate(mean=1.0, stderr=0.1, trials=100, seed=7)
-    assert "tail_bound" not in json.loads(bare.to_json())
+    assert json.loads(bare.to_json()) == {"mean": 1.0, "stderr": 0.1, "trials": 100, "seed": 7}
+    est = RieszEstimate(mean=1.0, stderr=0.1, trials=100, seed=7, step_error=0.01,
+                        window_share=0.2, subordination_oracle=0.9)
+    assert json.loads(est.to_json()) == {"mean": 1.0, "stderr": 0.1, "trials": 100, "seed": 7,
+                                         "step_error": 0.01, "window_share": 0.2,
+                                         "subordination_oracle": 0.9}
     with pytest.raises(ValueError):
         McEstimate(mean=0.0, stderr=0.0, trials=1, seed=0)
 
@@ -239,6 +244,23 @@ def test_stable_increment_validation():
         sample_stable_increment(1.0, -0.1, gen)
 
 
+def riesz_tail_bound(d: int, beta: float, radius: float, horizon: float) -> float:
+    """Oracle bound on D * integral_T^inf P(X_t in ball) dt.
+
+    Uses the uniform density cap ``(2 pi)^(-d/2) E[eta_t^(-d/2)]`` of the
+    subordinated process, so it holds for every start point and ball
+    position; the exact tail ``D E[h(S_T)]`` must lie below it.
+    """
+    params = riesz_params(d, beta)
+    alpha = params.alpha
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    vol = math.pi ** (d / 2.0) / gamma(d / 2.0 + 1.0) * radius**d
+    inv_moment = gamma(d / alpha) / ((alpha / 2.0) * gamma(d / 2.0))
+    time_integral = (alpha / (d - alpha)) * horizon ** (-(d - alpha) / alpha)
+    return params.coefficient * vol * (2.0 * math.pi) ** (-d / 2.0) * inv_moment * time_integral
+
+
 def test_riesz_tail_bound_closed_form_alpha_two():
     # alpha = 2 (beta = 1): D = 1 and the bound is
     # vol(B) (2 pi)^(-3/2) * 2 * T^(-1/2)
@@ -254,6 +276,84 @@ def test_riesz_tail_bound_monotone():
         riesz_tail_bound(3, 2.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("beta,horizon",
+                         [(1.0, 1.0), (1.5, 1.0), (2.0, 1.0), (2.0, 4.0), (2.7, 1.0)])
+def test_exact_riesz_tail_lies_below_the_density_cap_bound(beta, horizon):
+    ind = BallIndicator((2.0, 0.0, 0.0), 1.0)
+    est = estimate_riesz_potential(3, beta, ind, (0.0, 0.0, 0.0), time_step=0.05,
+                                   horizon=horizon, trials=2_000, rng=RngStream(6))
+    tail = est.mean * (1.0 - est.window_share)  # D E[h(S_T)]
+    assert 0.0 < tail <= riesz_tail_bound(3, beta, 1.0, horizon)
+
+
+# (m, r): the default geometry, a start inside, nearly at the center, and a small far ball
+GEOMETRIES = [(2.0, 1.0), (0.5, 1.0), (1e-3, 1.0), (3.0, 0.1)]
+
+
+@pytest.mark.parametrize("m,r", GEOMETRIES)
+def test_ball_chance_agrees_with_chndtr_from_small_to_huge_times(m, r):
+    s = np.geomspace(1e-3, 1e14, 400)
+    ref = chndtr(r * r / s, 3, m * m / s)
+    p = mc._ball_chance(3, m, r, s)
+    # chndtr returns 0 for chances below about 1e-60; the closed form does not
+    tiny = ref < 1e-30
+    np.testing.assert_allclose(p[~tiny], ref[~tiny], rtol=1e-12)
+    assert np.all((p[tiny] >= 0.0) & (p[tiny] < 1e-30))
+
+
+def test_ball_chance_matches_sampling_and_stays_finite():
+    z = RngStream(14).generator().standard_normal((400_000, 3))
+    for s in (0.3, 1.0, 4.0):
+        p = float(mc._ball_chance(3, 2.0, 1.0, np.array([s]))[0])
+        assert p == pytest.approx(float(chndtr(1.0 / s, 3, 4.0 / s)), rel=1e-12)
+        pts = math.sqrt(s) * z
+        pts[:, 0] += 2.0
+        hits = np.einsum("ij,ij->i", pts, pts) < 1.0
+        assert abs(hits.mean() - p) <= 4.0 * math.sqrt(p * (1 - p) / len(z))
+    # the d = 3 closed form alone cancels to -6.6e-13 at s = 1e10
+    far = mc._ball_chance(3, 2.0, 1.0, np.array([1e10, 1e14]))
+    assert np.all(np.isfinite(far)) and np.all(far >= 0.0)
+    np.testing.assert_allclose(far, chndtr(1.0 / np.array([1e10, 1e14]), 3,
+                                           4.0 / np.array([1e10, 1e14])), rtol=1e-12)
+
+
+@pytest.mark.parametrize("d,beta", [(3, 1.5), (3, 2.0), (3, 2.7), (4, 1.5)])
+def test_subordination_oracle_matches_ball_integral(d, beta):
+    # D h(0) is the whole expected occupation, by the Bochner integral alone
+    x, center = (0.0,) * d, (2.0,) + (0.0,) * (d - 1)
+    params = riesz_params(d, beta)
+    h0, _ = mc._tail_table(d, params.alpha, 2.0, 1.0)
+    spec = KernelSpec(d=d, base="free", transform="power", param=beta)
+    ref = ball_kernel_integral(spec, x, center, 1.0)
+    assert params.coefficient * h0 == pytest.approx(ref, rel=1e-9)
+
+
+def _tail_by_quad(d, alpha, m, r, s0):
+    """Oracle for one tail value: adaptive quadrature in log s, the ends in closed form."""
+    a = alpha / 2.0
+    scale = (m + r) ** 2
+    lo, hi = math.log(1e-16 * scale), math.log(1e16 * max(scale, s0))
+
+    def chance(s):
+        return float(chndtr(r * r / s, d, m * m / s))
+
+    inner = integrate.quad(lambda v: chance(s0 + math.exp(v)) * math.exp(a * v), lo, hi,
+                           points=sorted({math.log(scale), math.log(max(s0, 1e-16 * scale))}),
+                           epsabs=0.0, epsrel=1e-12, limit=500)[0]
+    below = (chance(s0) if s0 > 0 else float(m < r)) * math.exp(a * lo) / a
+    above = (r**d / (2 ** (d / 2) * gamma(d / 2 + 1)) * math.exp((a - d / 2) * hi)
+             / (d / 2 - a))
+    return (inner + below + above) / gamma(a)
+
+
+@pytest.mark.parametrize("d,alpha,m", [(3, 1.0, 2.0), (3, 0.3, 2.0), (3, 2.0, 0.5), (4, 1.0, 2.0)])
+def test_tail_table_interpolation_matches_quad(d, alpha, m):
+    _, tail = mc._tail_table(d, alpha, m, 1.0)
+    s0 = np.geomspace(1e-4, 1e12, 50)
+    ref = np.array([_tail_by_quad(d, alpha, m, 1.0, s) for s in s0])
+    np.testing.assert_allclose(tail(s0), ref, rtol=1e-6)
+
+
 def test_riesz_estimate_matches_closed_form_target():
     # target (1 - (3/4) log 3) / (2 pi), the exact squared-kernel mass
     ind = BallIndicator((2.0, 0.0, 0.0), 1.0)
@@ -262,88 +362,120 @@ def test_riesz_estimate_matches_closed_form_target():
         trials=20_000, rng=RngStream(77),
     )
     oracle = 0.02801776087962292
-    assert abs(est.mean - oracle) <= 3 * est.stderr + est.tail_bound
-    assert est.tail_bound == pytest.approx(riesz_tail_bound(3, 2.0, 1.0, 8.0), rel=1e-12)
+    assert abs(est.mean - oracle) <= 3 * est.stderr + est.step_error
+    assert est.subordination_oracle == pytest.approx(oracle, rel=1e-12)
+    assert 0.0 < est.window_share < 1.0
 
 
 def test_riesz_estimate_deterministic_times_at_beta_one():
-    # beta = 1 runs Brownian motion on a fixed time grid; same target as
-    # the Newton value 1/3 up to the (large) tail at this short horizon
+    # beta = 1 runs on a fixed clock: no noise, and the trapezoid bias is
+    # the whole error, which the Richardson estimate tracks once the step
+    # resolves the rise of P(t); the Newton value is 1/3
     ind = BallIndicator((2.0, 0.0, 0.0), 1.0)
-    est = estimate_riesz_potential(
-        3, 1.0, ind, (0.0, 0.0, 0.0), time_step=0.1, horizon=20.0,
-        trials=10_000, rng=RngStream(80),
-    )
-    assert abs(est.mean - 1.0 / 3.0) <= 3 * est.stderr + est.tail_bound
+    for time_step in (0.02, 0.01):
+        est = estimate_riesz_potential(
+            3, 1.0, ind, (0.0, 0.0, 0.0), time_step=time_step, horizon=4.0,
+            trials=10_000, rng=RngStream(80),
+        )
+        assert est.stderr == 0.0
+        assert abs(est.mean - 1.0 / 3.0) == pytest.approx(est.step_error, rel=0.1)
+        assert est.subordination_oracle == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_riesz_estimate_horizon_guard():
     ind = BallIndicator((2.0, 0.0, 0.0), 1.0)
-    with pytest.raises(ValueError, match="horizon too small"):
-        estimate_riesz_potential(
-            3, 2.0, ind, (0.0, 0.0, 0.0), time_step=0.1, horizon=2.0,
-            trials=100, rng=RngStream(0), tail_tolerance=1e-4,
-        )
-    with pytest.raises(ValueError):
-        estimate_riesz_potential(
-            3, 2.0, ind, (0.0, 0.0, 0.0), time_step=0.0, horizon=2.0,
-            trials=100, rng=RngStream(0),
-        )
+    for time_step, horizon, trials in ((0.0, 2.0, 100), (0.2, 0.2, 100), (0.1, 2.0, 1)):
+        with pytest.raises(ValueError):
+            estimate_riesz_potential(3, 2.0, ind, (0.0, 0.0, 0.0), time_step=time_step,
+                                     horizon=horizon, trials=trials, rng=RngStream(0))
 
 
 def test_riesz_estimate_bit_reproducible(monkeypatch):
     ind = BallIndicator((2.0, 0.0, 0.0), 1.0)
-    kwargs = dict(time_step=0.2, horizon=4.0, trials=10_000, rng=RngStream(5))
+    kwargs = dict(time_step=0.2, horizon=4.0, trials=2 * mc.TRIAL_CHUNK + 5, rng=RngStream(5))
+    monkeypatch.setenv("GREENPOT_THREADS", "1")
     a = estimate_riesz_potential(3, 2.0, ind, (0.0, 0.0, 0.0), **kwargs)
     monkeypatch.setenv("GREENPOT_THREADS", "3")
     b = estimate_riesz_potential(3, 2.0, ind, (0.0, 0.0, 0.0), **kwargs)
     assert a == b
 
 
-def _whole_block_riesz(d, beta, indicator, x, time_step, horizon, trials, rng):
-    """Oracle for the chunked worker: each block draws all its uniforms,
-    then all its exponentials, then all its normals, and holds them at once."""
-    params = riesz_params(d, beta)
-    nsteps = int(round(horizon / time_step))
-    x_arr = np.asarray(x, dtype=float)
-    total = total_sq = 0.0
-    for b, n in enumerate(mc._block_sizes(trials)):
-        gen = rng.child(b)
-        shape = (n, nsteps)
-        if params.alpha == 2.0:
-            eta = np.full(shape, time_step)
-        else:
-            rho = params.alpha / 2.0
-            theta = gen.uniform(0.0, math.pi, shape)
-            assert not np.any(theta == 0.0)
-            w = gen.exponential(1.0, shape)
-            a = (np.sin(rho * theta) ** rho * np.sin((1.0 - rho) * theta) ** (1.0 - rho)
-                 / np.sin(theta)) ** (1.0 / (1.0 - rho))
-            eta = time_step ** (2.0 / params.alpha) * (a / w) ** ((1.0 - rho) / rho)
-        moves = gen.standard_normal(shape + (d,)) * np.sqrt(eta)[..., None]
-        paths = np.cumsum(moves, axis=1) + x_arr
-        hits = np.asarray(indicator(paths.reshape(-1, d)), dtype=float).reshape(shape)
-        vals = params.coefficient * time_step * hits.sum(axis=1)
-        total += float(vals.sum())
-        total_sq += float((vals**2).sum())
-    bound = riesz_tail_bound(d, beta, indicator.radius, nsteps * time_step)
-    return mc._estimate(total, total_sq, trials, rng.seed, tail_bound=bound)
+def _clock(params, time_step, nsteps, rng, block, chunk, rows):
+    """The clock of one chunk of the estimator: its draws, summed along each row."""
+    gen = mc.generator(rng.seed, rng.stream, block, chunk)
+    return np.cumsum(sample_stable_increment(params.alpha, time_step, gen,
+                                             size=(rows, nsteps)), axis=1)
 
 
-@pytest.mark.parametrize("chunk_bytes", [1, 2**40], ids=["row", "block"])
+def _block_clocks(params, time_step, nsteps, rng, trials):
+    """Each block's clocks, its chunks drawn as the estimator draws them and stacked."""
+    rows = max(1, mc.CHUNK_DRAWS // nsteps)
+    return [np.vstack([_clock(params, time_step, nsteps, rng, b, c, min(rows, n - lo))
+                       for c, lo in enumerate(range(0, n, rows))])
+            for b, n in enumerate(mc._block_sizes(trials))]
+
+
+def _conditional_values(d, params, m, r, time_step, clock):
+    """Per-trial values of the conditional route, x outside the ball so P(0) = 0:
+    the trapezoid of P(S_k) plus h(S_N), times D."""
+    _, tail = mc._tail_table(d, params.alpha, m, r)
+    p = chndtr(r * r / clock, d, m * m / clock)
+    window = time_step * (p.sum(axis=1) - 0.5 * p[:, -1])
+    return params.coefficient * (window + tail(clock[:, -1]))
+
+
+@pytest.mark.parametrize("chunk_draws", [1, 2**40], ids=["row", "block"])
 @pytest.mark.parametrize("beta", [1.0, 2.0, 2.7])
-def test_chunked_riesz_worker_matches_whole_block_oracle(monkeypatch, beta, chunk_bytes):
+def test_chunked_riesz_worker_matches_whole_block_oracle(monkeypatch, beta, chunk_draws):
     # a short last block and, at one row per chunk or one chunk per
-    # block, a short last chunk; two threads share the blocks
-    ind = BallIndicator((1.0, 0.0, 0.0), 1.0)
-    args = (3, beta, ind, (0.0, 0.0, 0.0), 0.25, 3.0, mc.TRIAL_CHUNK + 37, RngStream(19))
-    monkeypatch.setattr(mc, "RIESZ_CHUNK_BYTES", chunk_bytes)
+    # block, a short last chunk; two threads share the blocks; each
+    # block's clock is evaluated whole, P by chndtr alone
+    ind = BallIndicator((1.0, 0.0, 0.0), 0.5)
+    trials, time_step, horizon = mc.TRIAL_CHUNK + 37, 0.25, 3.0
+    monkeypatch.setattr(mc, "CHUNK_DRAWS", chunk_draws)
     monkeypatch.setenv("GREENPOT_THREADS", "2")
-    assert estimate_riesz_potential(*args).to_json() == _whole_block_riesz(*args).to_json()
+    est = estimate_riesz_potential(3, beta, ind, (0.0, 0.0, 0.0), time_step, horizon,
+                                   trials, RngStream(19))
+    params = riesz_params(3, beta)
+    if beta == 1.0:
+        clocks = [time_step * np.arange(1.0, 13.0)[None, :]]
+    else:
+        clocks = _block_clocks(params, time_step, 12, RngStream(19), trials)
+    vals = np.concatenate([_conditional_values(3, params, 1.0, 0.5, time_step, c)
+                           for c in clocks])
+    assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
+    if beta != 1.0:
+        assert len(vals) == trials
+        assert est.stderr == pytest.approx(vals.std(ddof=1) / math.sqrt(trials), rel=1e-9)
+
+
+def test_conditional_route_matches_path_route_at_equal_draws():
+    # the old route: Brownian paths at the sampled clock, hits of the ball
+    # counted with the same trapezoid weights, and the same exact tail;
+    # given the clock its mean is the conditional value, so the per-trial
+    # differences average to zero
+    d, beta, time_step, horizon, trials = 3, 2.0, 0.1, 2.0, 3_000
+    ind = BallIndicator((2.0, 0.0, 0.0), 1.0)
+    rng = RngStream(23)
+    est = estimate_riesz_potential(d, beta, ind, (0.0, 0.0, 0.0), time_step, horizon,
+                                   trials, rng)
+    params = riesz_params(d, beta)
+    (clock,) = _block_clocks(params, time_step, 20, rng, trials)
+    cond = _conditional_values(d, params, 2.0, 1.0, time_step, clock)
+    assert est.mean == pytest.approx(cond.mean(), rel=1e-12)
+    steps = np.diff(clock, axis=1, prepend=0.0)
+    normals = RngStream(24).generator().standard_normal(clock.shape + (d,))
+    moves = normals * np.sqrt(steps)[..., None]
+    hits = ind(np.cumsum(moves, axis=1).reshape(-1, d)).reshape(clock.shape)
+    _, tail = mc._tail_table(d, params.alpha, 2.0, 1.0)
+    path = params.coefficient * (time_step * (hits.sum(axis=1) - 0.5 * hits[:, -1])
+                                 + tail(clock[:, -1]))
+    diff = path - cond
+    assert abs(path.mean() - est.mean) <= 3.0 * diff.std(ddof=1) / math.sqrt(trials)
 
 
 def test_riesz_worker_memory_stays_within_the_chunk():
-    # one block of 200 trials x 12000 steps held whole is about 200 MiB
+    # one block of 200 trials x 12000 steps held whole is 18 MiB an array
     ind = BallIndicator((2.0, 0.0, 0.0), 1.0)
     args = (3, 2.0, ind, (0.0, 0.0, 0.0), 0.001, 12.0)
     estimate_riesz_potential(*args, trials=2, rng=RngStream(3))  # warm-up
