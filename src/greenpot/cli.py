@@ -310,8 +310,8 @@ def run_converge_free(cfg):
 
 
 def run_riesz_mc(cfg):
-    indicator = BallIndicator(center=cfg["center"], radius=cfg["radius"])
-    est = estimate_riesz_potential(cfg["d"], cfg["beta"], indicator, cfg["x"],
+    ball = Ball(center=cfg["center"], radius=cfg["radius"])
+    est = estimate_riesz_potential(cfg["d"], cfg["beta"], ball, cfg["x"],
                                    cfg["time_step"], cfg["horizon"], cfg["trials"],
                                    RngStream(cfg["seed"], stream=STREAMS["riesz"]))
     spec = KernelSpec(d=cfg["d"], base="free", transform="power", param=cfg["beta"])

@@ -10,7 +10,8 @@ clock, the Brownian position is integrated out in closed form (a
 Rao-Blackwell step), and the time in the ball after the horizon is the
 exact Bochner integral against the stable potential density.  What is
 left is a trapezoid rule over the sampled window, whose bias a
-Richardson estimate at twice the step measures.
+Richardson estimate at twice the step measures; on the fixed clock of
+``alpha = 2`` the window is known exactly and the bias is measured.
 
 Trials are processed in fixed-size blocks with per-block derived
 generators and reduced in block order, so estimates are bit-identical
@@ -26,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .domains import GridSpec, nonempty_grid_points, round_to_grid
+from .domains import Ball, GridSpec, nonempty_grid_points, round_to_grid
 from .kernels import canonical_json, riesz_params
 from .lattice import (
     LatticeSet,
@@ -58,6 +59,7 @@ CHUNK_DRAWS = 1 << 12  # clock increments (or tail terms) one Riesz chunk holds 
 CLOSED_FORM_LIMIT = 100.0  # the d = 3 ball chance is closed-form up to s = 100 r^2
 TAIL_NODES = 800  # log-uniform points of the Bochner tail table
 TAIL_STEP = 0.25  # trapezoid step in log s of each tail integral
+TAIL_RTOL = 1e-9  # relative accuracy of h(0), tested against the ball integral
 
 
 class StepBudgetError(RuntimeError):
@@ -128,10 +130,11 @@ class McEstimate:
 class RieszEstimate(McEstimate):
     """An occupation estimate with its quadrature diagnostics.
 
-    `step_error` is the Richardson estimate of the trapezoid bias,
-    `window_share` the part of the mean from the sampled window before the
-    horizon, and `subordination_oracle` the exact potential ``D h(0)`` by
-    the Bochner integral alone.
+    `step_error` is the Richardson estimate of the trapezoid bias (its
+    measured value on the fixed clock of beta = 1), `window_share` the part
+    of the mean from the sampled window before the horizon, and
+    `subordination_oracle` the exact potential ``D h(0)`` by the Bochner
+    integral alone.
     """
 
     step_error: float
@@ -400,31 +403,35 @@ def _tail_table(d: int, alpha: float, m: float, r: float):
     return float(h[0]), interp
 
 
-def estimate_riesz_potential(d: int, beta: float, indicator, x, time_step: float,
+def estimate_riesz_potential(d: int, beta: float, ball: Ball, x, time_step: float,
                              horizon: float, trials: int, rng: RngStream) -> RieszEstimate:
     """Occupation-time estimate of the power kernel potential of a ball at `x`.
 
     Samples only the alpha/2-stable clock S on the grid ``k * time_step``
     up to the horizon, by `sample_stable_increment` (a fixed clock when
-    beta = 1).  Given S, the chance that ``x + B(S_k)`` lies in the ball
-    `indicator` (anything with `center` and `radius`) is ``P(S_k)`` of
-    `_ball_chance`, and the mean time there after the horizon is ``h(S_N)``
-    of `_tail_table`, so a trial's value is ``D [time_step (P(0)/2 + P(S_1)
-    + ... + P(S_N)/2) + h(S_N)]``.  The same rule at twice the step (its
-    last panel the fine one when N is odd) gives the Richardson estimate
-    `step_error` of the trapezoid bias.  Each 8192-trial block runs in
-    chunks of at most `CHUNK_DRAWS` increments, each from its own generator
-    ``generator(seed, stream, block, chunk)``, so memory does not grow with
-    N and the estimate does not depend on the thread count.
+    beta = 1).  Given S, the chance that ``x + B(S_k)`` lies in `ball` is
+    ``P(S_k)`` of `_ball_chance`, and the mean time there after the horizon
+    is ``h(S_N)`` of `_tail_table`, so a trial's value is ``D [time_step
+    (P(0)/2 + P(S_1) + ... + P(S_N)/2) + h(S_N)]``.  The same rule at twice
+    the step (its last panel the fine one when N is odd) gives the
+    Richardson estimate `step_error` of the trapezoid bias.  On the fixed
+    clock the window is exactly ``h(0) - h(T)``, so `step_error` is the
+    trapezoid's error against it, plus `TAIL_RTOL` of ``D h(0)`` for the
+    table itself.  Each 8192-trial block runs in chunks of at most
+    `CHUNK_DRAWS` increments, each from its own generator ``generator(seed,
+    stream, block, chunk)``, so memory does not grow with N and the
+    estimate does not depend on the thread count.
     """
+    if not isinstance(ball, Ball) or ball.d != d:
+        raise ValueError(f"need a Ball in R^{d}")
     params = riesz_params(d, beta)
     nsteps = int(round(horizon / time_step)) if time_step > 0 else 0
     if nsteps < 2:
         raise ValueError("need 0 < 2 time_step <= horizon")
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    offset = np.asarray(x, dtype=float) - np.asarray(indicator.center, dtype=float)
-    m, r = math.sqrt(offset @ offset), float(indicator.radius)
+    offset = np.asarray(x, dtype=float) - np.asarray(ball.center)
+    m, r = math.sqrt(offset @ offset), ball.radius
     h0, tail = _tail_table(d, params.alpha, m, r)
     start = 1.0 if m < r else 0.5 if m == r else 0.0  # P(0)
     even = nsteps - nsteps % 2
@@ -441,8 +448,11 @@ def estimate_riesz_potential(d: int, beta: float, indicator, x, time_step: float
         return vals, np.array([vals.sum(), vals @ vals, scale * fine.sum(), scale * coarse.sum()])
 
     if params.alpha == 2.0:  # every trial is the same quadrature
-        vals, sums = values(time_step * np.arange(1.0, nsteps + 1)[None, :])
-        est, count = McEstimate(float(vals[0]), 0.0, trials, rng.seed), 1
+        clock = time_step * np.arange(1.0, nsteps + 1)[None, :]
+        vals, sums = values(clock)
+        est = McEstimate(float(vals[0]), 0.0, trials, rng.seed)
+        window = params.coefficient * (h0 - tail(clock[:, -1])[0])
+        step_error = abs(sums[2] - window) + TAIL_RTOL * params.coefficient * h0
     else:
         sizes = _block_sizes(trials)
         rows = max(1, CHUNK_DRAWS // nsteps)
@@ -457,7 +467,7 @@ def estimate_riesz_potential(d: int, beta: float, indicator, x, time_step: float
             return sums
 
         sums = sum(_map_blocks(worker, len(sizes)))
-        est, count = _estimate(sums[0], sums[1], trials, rng.seed), trials
-    return RieszEstimate(**asdict(est), step_error=abs(sums[3] - sums[2]) / (3.0 * count),
-                         window_share=sums[2] / sums[0],
+        est = _estimate(sums[0], sums[1], trials, rng.seed)
+        step_error = abs(sums[3] - sums[2]) / (3.0 * trials)
+    return RieszEstimate(**asdict(est), step_error=step_error, window_share=sums[2] / sums[0],
                          subordination_oracle=params.coefficient * h0)

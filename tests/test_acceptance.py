@@ -197,7 +197,7 @@ def test_riesz_walk_estimate_matches_quadrature_oracle(checklist):
     # squared free kernel integrated over a unit ball at distance 2,
     # reduced to a 1d radial integral with a closed-form answer
     oracle = (1.0 - 0.75 * math.log(3.0)) / (2.0 * math.pi)
-    est = estimate_riesz_potential(3, 2.0, BallIndicator((2.0, 0.0, 0.0), 1.0),
+    est = estimate_riesz_potential(3, 2.0, Ball((2.0, 0.0, 0.0), 1.0),
                                    (0.0, 0.0, 0.0), time_step=0.05, horizon=12.0,
                                    trials=100_000, rng=RngStream(2024))
     gap = abs(est.mean - oracle)

@@ -162,6 +162,15 @@ def test_failed_monte_carlo_check_exits_one(capsys, monkeypatch):
     assert rc == 1 and json.loads(out)["passed"] is False
 
 
+def test_riesz_mc_at_beta_one_passes_at_default_flags(capsys):
+    # the fixed clock: stderr 0, the gate is the measured trapezoid error
+    rc, out, _ = run_cli(capsys, ["riesz-mc", "--beta", "1", "--seed", "0"])
+    report = json.loads(out)
+    assert rc == 0 and report["passed"] is True
+    assert report["estimate"]["stderr"] == 0.0
+    assert report["gap"] <= report["tolerance"] == report["estimate"]["step_error"]
+
+
 def test_negative_tuple_arguments_parse(capsys):
     rc, out, _ = run_cli(
         capsys,

@@ -279,7 +279,7 @@ def test_riesz_tail_bound_monotone():
 @pytest.mark.parametrize("beta,horizon",
                          [(1.0, 1.0), (1.5, 1.0), (2.0, 1.0), (2.0, 4.0), (2.7, 1.0)])
 def test_exact_riesz_tail_lies_below_the_density_cap_bound(beta, horizon):
-    ind = BallIndicator((2.0, 0.0, 0.0), 1.0)
+    ind = Ball((2.0, 0.0, 0.0), 1.0)
     est = estimate_riesz_potential(3, beta, ind, (0.0, 0.0, 0.0), time_step=0.05,
                                    horizon=horizon, trials=2_000, rng=RngStream(6))
     tail = est.mean * (1.0 - est.window_share)  # D E[h(S_T)]
@@ -356,7 +356,7 @@ def test_tail_table_interpolation_matches_quad(d, alpha, m):
 
 def test_riesz_estimate_matches_closed_form_target():
     # target (1 - (3/4) log 3) / (2 pi), the exact squared-kernel mass
-    ind = BallIndicator((2.0, 0.0, 0.0), 1.0)
+    ind = Ball((2.0, 0.0, 0.0), 1.0)
     est = estimate_riesz_potential(
         3, 2.0, ind, (0.0, 0.0, 0.0), time_step=0.1, horizon=8.0,
         trials=20_000, rng=RngStream(77),
@@ -368,30 +368,42 @@ def test_riesz_estimate_matches_closed_form_target():
 
 
 def test_riesz_estimate_deterministic_times_at_beta_one():
-    # beta = 1 runs on a fixed clock: no noise, and the trapezoid bias is
-    # the whole error, which the Richardson estimate tracks once the step
-    # resolves the rise of P(t); the Newton value is 1/3
-    ind = BallIndicator((2.0, 0.0, 0.0), 1.0)
-    for time_step in (0.02, 0.01):
-        est = estimate_riesz_potential(
-            3, 1.0, ind, (0.0, 0.0, 0.0), time_step=time_step, horizon=4.0,
-            trials=10_000, rng=RngStream(80),
-        )
+    # beta = 1 runs on a fixed clock: no noise, the window is exactly
+    # h(0) - h(T), so step_error is the trapezoid's measured error plus
+    # the table's TAIL_RTOL, and the gate holds with that margin even
+    # where trap(dt) and trap(2 dt) agree by accident (dt 0.05, T 1, the
+    # defaults); the Newton value is 1/3
+    ball = Ball((2.0, 0.0, 0.0), 1.0)
+    for time_step, horizon in ((0.1, 1.0), (0.05, 1.0), (0.05, 4.0), (0.02, 4.0), (0.01, 12.0)):
+        est = estimate_riesz_potential(3, 1.0, ball, (0.0, 0.0, 0.0), time_step, horizon,
+                                       trials=10_000, rng=RngStream(80))
+        gap = abs(est.mean - 1.0 / 3.0)
         assert est.stderr == 0.0
-        assert abs(est.mean - 1.0 / 3.0) == pytest.approx(est.step_error, rel=0.1)
+        assert gap <= 3 * est.stderr + est.step_error
+        assert est.step_error - gap <= 2 * mc.TAIL_RTOL / 3.0
         assert est.subordination_oracle == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_riesz_estimate_horizon_guard():
-    ind = BallIndicator((2.0, 0.0, 0.0), 1.0)
+    ball = Ball((2.0, 0.0, 0.0), 1.0)
     for time_step, horizon, trials in ((0.0, 2.0, 100), (0.2, 0.2, 100), (0.1, 2.0, 1)):
         with pytest.raises(ValueError):
-            estimate_riesz_potential(3, 2.0, ind, (0.0, 0.0, 0.0), time_step=time_step,
+            estimate_riesz_potential(3, 2.0, ball, (0.0, 0.0, 0.0), time_step=time_step,
                                      horizon=horizon, trials=trials, rng=RngStream(0))
 
 
+def test_riesz_estimate_takes_only_a_ball_of_its_dimension():
+    class Lookalike:
+        center, radius = (2.0, 0.0, 0.0), 1.0
+
+    for target in (Lookalike(), Ball((2.0, 0.0), 1.0)):
+        with pytest.raises(ValueError, match="Ball"):
+            estimate_riesz_potential(3, 2.0, target, (0.0, 0.0, 0.0), time_step=0.1,
+                                     horizon=1.0, trials=100, rng=RngStream(0))
+
+
 def test_riesz_estimate_bit_reproducible(monkeypatch):
-    ind = BallIndicator((2.0, 0.0, 0.0), 1.0)
+    ind = Ball((2.0, 0.0, 0.0), 1.0)
     kwargs = dict(time_step=0.2, horizon=4.0, trials=2 * mc.TRIAL_CHUNK + 5, rng=RngStream(5))
     monkeypatch.setenv("GREENPOT_THREADS", "1")
     a = estimate_riesz_potential(3, 2.0, ind, (0.0, 0.0, 0.0), **kwargs)
@@ -430,7 +442,7 @@ def test_chunked_riesz_worker_matches_whole_block_oracle(monkeypatch, beta, chun
     # a short last block and, at one row per chunk or one chunk per
     # block, a short last chunk; two threads share the blocks; each
     # block's clock is evaluated whole, P by chndtr alone
-    ind = BallIndicator((1.0, 0.0, 0.0), 0.5)
+    ind = Ball((1.0, 0.0, 0.0), 0.5)
     trials, time_step, horizon = mc.TRIAL_CHUNK + 37, 0.25, 3.0
     monkeypatch.setattr(mc, "CHUNK_DRAWS", chunk_draws)
     monkeypatch.setenv("GREENPOT_THREADS", "2")
@@ -476,7 +488,7 @@ def test_conditional_route_matches_path_route_at_equal_draws():
 
 def test_riesz_worker_memory_stays_within_the_chunk():
     # one block of 200 trials x 12000 steps held whole is 18 MiB an array
-    ind = BallIndicator((2.0, 0.0, 0.0), 1.0)
+    ind = Ball((2.0, 0.0, 0.0), 1.0)
     args = (3, 2.0, ind, (0.0, 0.0, 0.0), 0.001, 12.0)
     estimate_riesz_potential(*args, trials=2, rng=RngStream(3))  # warm-up
     tracemalloc.start()
