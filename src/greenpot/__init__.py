@@ -16,7 +16,6 @@ from .domains import (
     Intersection,
     cubic_open_set,
     domain_from_json,
-    domain_to_json,
     exterior_grid,
     grid_points,
     interior_grid,
@@ -44,7 +43,6 @@ from .lattice import (
     killed_green_entry,
     killed_green_matrix,
     killed_green_via_kernel,
-    outer_boundary,
     potential_kernel_2d,
     potential_kernel_constant,
     whole_space_green,
@@ -56,8 +54,6 @@ from .mc import (
     StepBudgetError,
     estimate_boundary_term,
     estimate_riesz_potential,
-    exit_statistics,
-    sample_exit,
     sample_half_stable,
     sample_stable_increment,
 )
@@ -71,7 +67,6 @@ from .operators import (
     cmp_functional,
     converge,
     equicontinuity_cap,
-    oscillation,
 )
 from .potential import (
     PotentialReport,

@@ -36,6 +36,7 @@ import math
 import re
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,6 @@ from .kernels import (
     KernelSpec,
     QuadratureError,
     ball_kernel_integral,
-    canonical_json,
     disk_green_2d,
     green_constant,
 )
@@ -85,6 +85,12 @@ def derived_seed(seed: int, stream: int, index: int = 0) -> int:
 
 
 # ------------------------------------------------------------- plumbing
+
+def canonical_json(obj) -> str:
+    """The one serialization of reports: sorted keys, compact separators,
+    full float precision, one trailing newline."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
 
 def _cell(v) -> str:
     if isinstance(v, bool):
@@ -130,6 +136,30 @@ def _document(cfg, key: str) -> str:
 
 def load_domain(cfg):
     return domain_from_json(_document(cfg, "domain"))
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def load_matrix(cfg) -> np.ndarray:
+    """The --matrix document: a JSON array of rows, or a killed-green report
+    or its ``matrix`` object, whose flat ``entries`` are read as m x m with
+    m the number of its ``points``.  Anything else is a ValueError."""
+    rows = json.loads(_document(cfg, "matrix"))
+    if isinstance(rows, dict):
+        obj = rows.get("matrix", rows)
+        if not (isinstance(obj, dict) and isinstance(obj.get("points"), list)
+                and isinstance(obj.get("entries"), list)):
+            raise ValueError("a matrix object holds 'points' and flat 'entries' arrays")
+        m, entries = len(obj["points"]), obj["entries"]
+        if len(entries) != m * m:
+            raise ValueError(f"{len(entries)} entries do not fill a {m} x {m} matrix")
+        rows = [entries[i * m:(i + 1) * m] for i in range(m)]
+    if not (isinstance(rows, list) and all(isinstance(row, list) and len(row) == len(rows)
+                                           and all(map(_is_number, row)) for row in rows)):
+        raise ValueError("a matrix is a square array of rows of finite numbers")
+    return np.asarray(rows, dtype=float)
 
 
 def _jsonable(v):
@@ -186,11 +216,12 @@ def run_killed_green(cfg):
         "d": domain.d,
         "n": cfg["n"],
         "size": len(lattice),
-        "potential_check": json.loads(check.to_json()),
+        "potential_check": asdict(check),
     }
     rows = None
     if len(lattice) <= cfg["dump_limit"]:
-        report["matrix"] = json.loads(matrix.to_json())
+        report["matrix"] = {"d": domain.d, "points": lattice.points,
+                            "entries": matrix.entries.reshape(-1)}
         pts = lattice.points
         rows = [[tuple(pts[i]), tuple(pts[j]), matrix.entries[i, j]]
                 for i in range(len(pts)) for j in range(i, len(pts))]
@@ -198,14 +229,11 @@ def run_killed_green(cfg):
 
 
 def run_check_potential(cfg):
-    obj = json.loads(_document(cfg, "matrix"))
-    if isinstance(obj, dict):  # a killed Green matrix file
-        obj = obj.get("matrix", obj.get("entries"))
-    u = np.asarray(obj, dtype=float)
+    u = load_matrix(cfg)
     report_obj = classify(u, trials=cfg["trials"],
                           seed=derived_seed(cfg["seed"], STREAMS["probes"]), tol=cfg["tol"])
     report = {"experiment": "check-potential", "size": int(u.shape[0]),
-              "report": json.loads(report_obj.to_json())}
+              "report": asdict(report_obj)}
     passed = report_obj.is_potential is True
     return report, None, passed
 
@@ -286,8 +314,11 @@ def run_cmp_functional(cfg):
 
 
 def _report_from_convergence(rep, name, tol):
-    report = {"experiment": name, **json.loads(rep.to_json())}
-    header, rows = rep.csv_rows()
+    report = {"experiment": name, **asdict(rep), "abs_errors": rep.abs_errors,
+              "rel_errors": rep.rel_errors, "rates": rep.rates}
+    header = ["n", "value", "reference", "abs_err", "rel_err", "rate"]
+    rows = [[n, v, rep.reference, a, r, "" if q is None else q] for n, v, a, r, q
+            in zip(rep.levels, rep.values, rep.abs_errors, rep.rel_errors, rep.rates)]
     passed = None
     if tol is not None:
         passed = rep.rel_errors[-1] <= tol
@@ -319,7 +350,7 @@ def run_riesz_mc(cfg):
     gap = abs(est.mean - oracle)
     tolerance = 3 * est.stderr + est.step_error
     passed = bool(gap <= tolerance)
-    report = {"experiment": "riesz-mc", "estimate": json.loads(est.to_json()),
+    report = {"experiment": "riesz-mc", "estimate": asdict(est),
               "oracle": oracle, "gap": gap, "tolerance": tolerance, "passed": passed}
     rows = [[est.mean, est.stderr, est.step_error, est.window_share, oracle,
              est.subordination_oracle, gap, tolerance, passed]]
@@ -333,7 +364,7 @@ def run_exit_mc(cfg):
     est = estimate_boundary_term(domain, grid, cfg["x"], cfg["y"], cfg["trials"],
                                  RngStream(cfg["seed"], stream=STREAMS["walks"]))
     report = {"experiment": "exit-mc", "d": domain.d, "n": cfg["n"],
-              "estimate": json.loads(est.to_json())}
+              "estimate": asdict(est)}
     passed = None
     reference = None
     if is_origin_disk(domain):

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import canonical_json
 from .lattice import LatticeSet
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "Intersection",
     "GridSpec",
     "domain_from_json",
-    "domain_to_json",
     "grid_points",
     "interior_grid",
     "exterior_grid",
@@ -268,23 +266,6 @@ class Intersection:
 def cubic_open_set(height: int, basis) -> CubicSet:
     """Glued interior of the closed cubes indexed by `basis` at `height`."""
     return CubicSet(height=height, basis=tuple(tuple(k) for k in basis))
-
-
-def domain_to_json(domain) -> str:
-    return canonical_json({"d": domain.d, "shape": _shape_obj(domain)})
-
-
-def _shape_obj(domain):
-    if isinstance(domain, Ball):
-        return {"ball": {"center": list(domain.center), "radius": domain.radius}}
-    if isinstance(domain, Box):
-        return {"box": {"lo": list(domain.lo), "hi": list(domain.hi)}}
-    if isinstance(domain, CubicSet):
-        return {"cubic": {"height": domain.height, "basis": [list(k) for k in domain.basis]}}
-    if isinstance(domain, Intersection):
-        return {"intersect_ball": {"inner": _shape_obj(domain.inner), "radius": domain.ball.radius,
-                                   "center": list(domain.ball.center)}}
-    raise TypeError(f"not a domain: {domain!r}")
 
 
 def _vector(value) -> tuple:

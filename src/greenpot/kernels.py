@@ -9,7 +9,6 @@ scipy is imported inside the functions that call it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -28,14 +27,7 @@ __all__ = [
     "ball_kernel_integral",
     "volume_bound",
     "check_transform",
-    "canonical_json",
 ]
-
-
-def canonical_json(obj) -> str:
-    """The one serialization of reports and specs: sorted keys, compact
-    separators, full float precision, one trailing newline."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 class QuadratureError(RuntimeError):
@@ -180,20 +172,6 @@ class KernelSpec:
             if self.radius is None or self.radius <= 0:
                 raise ValueError("disk base requires a positive radius")
         check_transform(self.transform, self.param, self.d, self.base == "free")
-
-    def to_json(self) -> str:
-        base = "free" if self.base == "free" else {"disk": self.radius}
-        return canonical_json({"d": self.d, "base": base, "transform": {self.transform: self.param}})
-
-    @classmethod
-    def from_json(cls, text: str) -> "KernelSpec":
-        obj = json.loads(text)
-        base = obj["base"]
-        radius = None
-        if isinstance(base, dict):
-            (base, radius), = base.items()
-        (transform, param), = obj["transform"].items()
-        return cls(d=int(obj["d"]), base=base, transform=transform, param=float(param), radius=radius)
 
 
 def kernel_eval(spec: KernelSpec, x, y) -> float:

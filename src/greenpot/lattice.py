@@ -41,14 +41,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import canonical_json, green_constant
+from .kernels import green_constant
 
 __all__ = [
     "LatticeSet",
@@ -162,27 +161,15 @@ class LatticeSet:
             raise KeyError(f"{key} is not in the lattice set")
         return int(self.rows_of([key])[0])
 
-    def to_json(self) -> str:
-        return canonical_json({"d": self.d, "points": self.points.tolist()})
 
-    @classmethod
-    def from_json(cls, text: str) -> "LatticeSet":
-        obj = json.loads(text)
-        return cls.from_points(int(obj["d"]), obj["points"])
-
-
-_STEPS_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def unit_steps(d: int) -> np.ndarray:
     """The 2d signed unit vectors of Z^d."""
-    if d not in _STEPS_CACHE:
-        steps = np.zeros((2 * d, d), dtype=np.int64)
-        for j in range(d):
-            steps[2 * j, j] = 1
-            steps[2 * j + 1, j] = -1
-        _STEPS_CACHE[d] = steps
-    return _STEPS_CACHE[d]
+    steps = np.zeros((2 * d, d), dtype=np.int64)
+    for j in range(d):
+        steps[2 * j, j] = 1
+        steps[2 * j + 1, j] = -1
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +322,7 @@ def potential_kernel_2d(x, exact_range: int = POTENTIAL_EXACT_RANGE) -> float:
     return float(potential_kernel_2d_array([key], exact_range)[0])
 
 
-_DECAY_CACHE: dict[int, float] = {}
-
-
+@functools.cache
 def decay_constant(d: int) -> float:
     """Uniform constant with ``g(0, x) <= c |x|^(2-d)`` for ``x != 0``.
 
@@ -346,13 +331,12 @@ def decay_constant(d: int) -> float:
     sits at the unit vectors and the scanned ratios decrease toward
     ``d C(d)``, so the scan radius is not critical.
     """
-    if d not in _DECAY_CACHE:
-        keys = np.array(list(itertools.combinations_with_replacement(range(9), d))[1:])
-        r2 = np.einsum("ij,ij->i", keys, keys)
-        ratios = whole_space_green_array(d, keys) * r2 ** ((d - 2) / 2.0)
-        _DECAY_CACHE[d] = best = float(ratios.max())
-        logger.info("decay constant for d=%d frozen at %.12g", d, best)
-    return _DECAY_CACHE[d]
+    keys = np.array(list(itertools.combinations_with_replacement(range(9), d))[1:])
+    r2 = np.einsum("ij,ij->i", keys, keys)
+    ratios = whole_space_green_array(d, keys) * r2 ** ((d - 2) / 2.0)
+    best = float(ratios.max())
+    logger.info("decay constant for d=%d frozen at %.12g", d, best)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -370,27 +354,8 @@ class KilledGreenMatrix:
     lattice: LatticeSet
     entries: np.ndarray
 
-    @property
-    def d(self) -> int:
-        return self.lattice.d
-
     def entry(self, x, y) -> float:
         return float(self.entries[self.lattice.index_of(x), self.lattice.index_of(y)])
-
-    def to_json(self) -> str:
-        return canonical_json({
-            "d": self.d,
-            "points": self.lattice.points.tolist(),
-            "entries": [float(v) for v in self.entries.reshape(-1)],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "KilledGreenMatrix":
-        obj = json.loads(text)
-        lattice = LatticeSet.from_points(int(obj["d"]), obj["points"])
-        m = len(lattice)
-        entries = np.asarray(obj["entries"], dtype=float).reshape(m, m)
-        return cls(lattice=lattice, entries=entries)
 
 
 def _neighbours(lattice: LatticeSet):
@@ -508,12 +473,6 @@ def killed_green_entry(lattice: LatticeSet, x, y) -> float:
     """The entry ``G[x, y]`` of `killed_green_matrix` without forming ``G``;
     see `killed_green_entries`."""
     return float(killed_green_entries(lattice, x, [y])[0])
-
-
-def outer_boundary(lattice: LatticeSet) -> LatticeSet:
-    """Points outside the set adjacent to it (possible exit positions)."""
-    cand, nbr = _neighbours(lattice)
-    return LatticeSet(d=lattice.d, points=np.unique(cand[nbr < 0], axis=0))
 
 
 def exit_distribution(lattice: LatticeSet, start, green: KilledGreenMatrix | None = None) -> dict:

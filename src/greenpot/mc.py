@@ -1,10 +1,10 @@
 """Monte Carlo estimators: walk exits, subordinators, occupation integrals.
 
 Walk routines simulate the simple random walk on the integer lattice and
-estimate exit laws, visit counts, and the boundary term of the killed
-Green decomposition.  Subordinator routines sample the one-sided stable
-laws normalized to the Laplace exponent ``lambda^(alpha/2)``; the plain
-Brownian case ``alpha = 2`` uses deterministic time increments.  The
+estimate the boundary term of the killed Green decomposition.
+Subordinator routines sample the one-sided stable laws normalized to the
+Laplace exponent ``lambda^(alpha/2)``; the plain Brownian case
+``alpha = 2`` uses deterministic time increments.  The
 Riesz occupation estimator samples only the stable clock: given the
 clock, the Brownian position is integrated out in closed form (a
 Rao-Blackwell step), and the time in the ball after the horizon is the
@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .domains import Ball, GridSpec, nonempty_grid_points, round_to_grid
-from .kernels import canonical_json, riesz_params
+from .kernels import riesz_params
 from .lattice import (
     LatticeSet,
     _neighbours,
@@ -43,8 +43,6 @@ __all__ = [
     "RngStream",
     "McEstimate",
     "StepBudgetError",
-    "sample_exit",
-    "exit_statistics",
     "estimate_boundary_term",
     "sample_half_stable",
     "sample_stable_increment",
@@ -122,9 +120,6 @@ class McEstimate:
         if self.trials < 2:
             raise ValueError("an estimate needs at least 2 trials")
 
-    def to_json(self) -> str:
-        return canonical_json(asdict(self))
-
 
 @dataclass(frozen=True)
 class RieszEstimate(McEstimate):
@@ -155,15 +150,12 @@ def _as_generator(rng) -> np.random.Generator:
 # ---------------------------------------------------------------- walks
 
 def _walk_block(lattice: LatticeSet, start: np.ndarray, trials: int, gen: np.random.Generator,
-                step_budget: int, counts: np.ndarray | None = None,
-                nbr: np.ndarray | None = None) -> np.ndarray:
+                step_budget: int, nbr: np.ndarray | None = None) -> np.ndarray:
     """Walk `trials` paths from `start` until each exits; returns exits.
 
     Walks move between rows of `lattice`: step ``k`` of `unit_steps` takes
     row ``i`` to ``nbr[i, k]``, the neighbour table of `lattice._neighbours`
     (built here when not given), and leaves the set where that is ``-1``.
-    When `counts` (trials x set size) is given, tallies per-trial visit
-    counts, start included.
     """
     steps = unit_steps(lattice.d)
     if nbr is None:
@@ -171,8 +163,6 @@ def _walk_block(lattice: LatticeSet, start: np.ndarray, trials: int, gen: np.ran
     row = np.full(trials, lattice.index_of(start))
     exits = np.empty((trials, lattice.d), dtype=np.int64)
     active = np.arange(trials)
-    if counts is not None:
-        counts[:, row[0]] += 1
     spent = 0
     while len(active):
         if spent >= step_budget:
@@ -185,61 +175,8 @@ def _walk_block(lattice: LatticeSet, start: np.ndarray, trials: int, gen: np.ran
             exits[active[out]] = lattice.points[row[out]] + steps[choice[out]]
             active, nxt = active[inside], nxt[inside]
         row = nxt
-        if counts is not None:
-            counts[active, row] += 1  # one entry per active walk, so no repeats
         spent += 1
     return exits
-
-
-def sample_exit(lattice: LatticeSet, start, rng: RngStream,
-                step_budget: int = STEP_BUDGET):
-    """Run one simple walk from `start` until it leaves the set.
-
-    Returns ``(exit_point, visits)`` where `visits` counts time spent at
-    each lattice point (ordered as ``lattice.points``, start included).
-    """
-    if start not in lattice:
-        raise ValueError("start must belong to the lattice set")
-    counts = np.zeros((1, len(lattice)), dtype=np.int64)
-    exits = _walk_block(lattice, np.asarray(start, dtype=np.int64), 1, _as_generator(rng),
-                        step_budget, counts)
-    return tuple(int(c) for c in exits[0]), counts[0]
-
-
-def exit_statistics(lattice: LatticeSet, start, trials: int, rng: RngStream,
-                    step_budget: int = STEP_BUDGET):
-    """Mean visit counts with standard errors, plus the empirical exit law.
-
-    Returns ``(mean_visits, stderr_visits, exit_law)``; arrays align with
-    ``lattice.points``; the exit law maps integer exit points to
-    relative frequencies.
-    """
-    if start not in lattice:
-        raise ValueError("start must belong to the lattice set")
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
-    start_arr = np.asarray(start, dtype=np.int64)
-    sizes = _block_sizes(trials)
-    nbr = _neighbours(lattice)[1]
-
-    def worker(b):
-        counts = np.zeros((sizes[b], len(lattice)), dtype=np.int64)
-        exits = _walk_block(lattice, start_arr, sizes[b], rng.child(b), step_budget, counts, nbr)
-        return (counts.sum(axis=0).astype(float),
-                (counts.astype(float) ** 2).sum(axis=0), exits)
-
-    total = np.zeros(len(lattice))
-    total_sq = np.zeros(len(lattice))
-    exit_counts: dict = {}
-    for part_sum, part_sq, exits in _map_blocks(worker, len(sizes)):
-        total += part_sum
-        total_sq += part_sq
-        for row in exits:
-            key = tuple(int(c) for c in row)
-            exit_counts[key] = exit_counts.get(key, 0) + 1
-    mean = total / trials
-    var = np.maximum(0.0, (total_sq - trials * mean**2) / (trials - 1))
-    return mean, np.sqrt(var / trials), {k: v / trials for k, v in sorted(exit_counts.items())}
 
 
 def estimate_boundary_term(domain, grid: GridSpec, x, y, trials: int, rng: RngStream,

@@ -36,7 +36,7 @@ from .domains import (
     round_to_grid,
     split_ties,
 )
-from .kernels import KernelSpec, ball_kernel_integral, canonical_json, check_transform, sphere_surface
+from .kernels import KernelSpec, ball_kernel_integral, check_transform, sphere_surface
 from .lattice import (
     LatticeSet,
     decay_constant,
@@ -56,7 +56,6 @@ __all__ = [
     "cmp_functional",
     "converge",
     "equicontinuity_cap",
-    "oscillation",
 ]
 
 MAX_POINTS = 20000
@@ -272,26 +271,6 @@ def equicontinuity_cap(d: int, beta: float, support_radius: float) -> float:
     return diag + c3 * sup_mass
 
 
-def oscillation(f, center, radius: float, h: float, delta: float, d: int) -> float:
-    """Oscillation of ``F`` at scale `delta`, sampled on a 4x finer grid.
-
-    Max-minus-min over sliding sup-norm windows of width ``2 delta`` on a
-    grid of spacing ``h/4`` covering the ball around `center`.
-    """
-    from scipy import ndimage
-
-    fine = h / 4.0
-    half = int(math.ceil((radius + delta) / fine)) + 1
-    axes = [np.arange(-half, half + 1) * fine + c for c in np.asarray(center, dtype=float)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    vals = _eval_on_points(f, pts).reshape(mesh[0].shape)
-    k = max(1, int(round(delta / fine)))
-    hi = ndimage.maximum_filter(vals, size=2 * k + 1, mode="nearest")
-    lo = ndimage.minimum_filter(vals, size=2 * k + 1, mode="nearest")
-    return float(np.max(hi - lo))
-
-
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Discrete values along a refinement sequence against a reference."""
@@ -328,25 +307,6 @@ class ConvergenceReport:
             else:
                 out.append(None)
         return tuple(out)
-
-    def to_json(self) -> str:
-        return canonical_json({
-            "d": self.d,
-            "levels": list(self.levels),
-            "values": list(self.values),
-            "reference": self.reference,
-            "provenance": self.provenance,
-            "abs_errors": list(self.abs_errors),
-            "rel_errors": list(self.rel_errors),
-            "rates": list(self.rates),
-        })
-
-    def csv_rows(self):
-        header = ["n", "value", "reference", "abs_err", "rel_err", "rate"]
-        rows = []
-        for n, v, a, r, q in zip(self.levels, self.values, self.abs_errors, self.rel_errors, self.rates):
-            rows.append([n, v, self.reference, a, r, "" if q is None else q])
-        return header, rows
 
 
 def _split_cells(t: np.ndarray):

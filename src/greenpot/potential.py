@@ -13,11 +13,10 @@ route to the same class.  Entrywise powers ``U^(beta)`` with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import canonical_json
 from .lattice import LatticeSet, KilledGreenMatrix, killed_green_matrix, unit_steps
 from .mc import generator
 
@@ -54,13 +53,6 @@ class PotentialReport:
     cmp_inequality_min: float | None = None
     trials: int = 0
     seed: int | None = None
-
-    def to_json(self) -> str:
-        obj = asdict(self)
-        for k, v in obj.items():
-            if isinstance(v, float) and math.isnan(v):
-                obj[k] = None
-        return canonical_json(obj)
 
 
 def _check_square_nonneg(u) -> np.ndarray:

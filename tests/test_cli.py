@@ -69,6 +69,43 @@ def test_failing_assertion_returns_one(capsys):
     assert report["report"]["is_potential"] is False
 
 
+def test_check_potential_reads_killed_green_report(tmp_path, capsys):
+    rc, _, err = run_cli(capsys, ["killed-green", "--domain", DISK, "--n", "8",
+                                  "--out", str(tmp_path / "kg")])
+    assert rc == 0, err
+    killed = json.loads((tmp_path / "kg.json").read_text())
+    (tmp_path / "matrix.json").write_text(json.dumps(killed["matrix"]))
+    reports = []
+    for doc in ("kg.json", "matrix.json"):
+        rc, out, err = run_cli(capsys, ["check-potential", "--matrix", f"@{tmp_path / doc}"])
+        assert rc == 0, err
+        reports.append(json.loads(out))
+    assert reports[0] == reports[1]
+    assert reports[0]["size"] == killed["size"] == 9
+    assert reports[0]["report"]["is_potential"] is True
+
+
+@pytest.mark.parametrize("matrix,named", [
+    ('{"d":2,"points":[[0,0],[1,0]],"entries":[1.0,0.5,0.5]}', "3 entries"),
+    ('{"matrix":{"d":2,"points":[[0,0]],"entries":[1.0,0.5]}}', "2 entries"),
+    ('{"matrix":{"d":2,"points":[[0,0]]}}', "entries"),
+    ('{"experiment":"killed-green","size":400}', "entries"),
+    ('{"d":2,"points":[[0,0]],"entries":["1"]}', "finite numbers"),
+    ('[[1,"2"],[2,1]]', "finite numbers"),
+    ('[[1,null],[0,1]]', "finite numbers"),
+    ('[[true,0],[0,1]]', "finite numbers"),
+    ('[[{"x":1}]]', "finite numbers"),
+    ('[[NaN]]', "finite numbers"),
+    ('[[1,2],[3]]', "square"),
+    ('[1,2]', "square"),
+    ('"x"', "square"),
+])
+def test_malformed_matrix_is_usage_error(capsys, matrix, named):
+    rc, out, err = run_cli(capsys, ["check-potential", "--matrix", matrix])
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and named in err and "Traceback" not in err
+
+
 def test_usage_errors_return_two(capsys):
     assert run_cli(capsys, ["no-such-experiment"])[0] == 2
     assert run_cli(capsys, ["exit-mc", "--trials", "100"])[0] == 2  # domain required

@@ -24,7 +24,6 @@ from greenpot import (
     Intersection,
     cubic_open_set,
     domain_from_json,
-    domain_to_json,
     exterior_grid,
     grid_points,
     interior_grid,
@@ -217,10 +216,24 @@ def test_refinement_nests_scaled_points():
         assert tuple(3 * p) in fine
 
 
-def test_domain_json_round_trips():
-    for dom in DOMAINS:
-        back = domain_from_json(domain_to_json(dom))
-        assert back == dom
+def test_domain_from_json_documents():
+    documents = [
+        ('{"d":2,"shape":{"ball":{"center":[0,0],"radius":1}}}', Ball((0.0, 0.0), 1.0)),
+        ('{"d":2,"shape":{"box":{"lo":[-1,-0.5],"hi":[1,0.8]}}}',
+         Box((-1.0, -0.5), (1.0, 0.8))),
+        ('{"d":2,"shape":{"cubic":{"height":2,"basis":[[1,1],[0,0],[1,0]]}}}',
+         cubic_open_set(2, [(0, 0), (1, 0), (1, 1)])),
+        ('{"d":2,"shape":{"intersect_ball":{"inner":{"box":{"lo":[-5,-0.7],"hi":[5,0.7]}},'
+         '"center":[0,0],"radius":1.5}}}',
+         Intersection(Box((-5.0, -0.7), (5.0, 0.7)), Ball((0.0, 0.0), 1.5))),
+        ('{"d":3,"shape":{"intersect_ball":{"inner":{"intersect_ball":{"inner":'
+         '{"cubic":{"height":3,"basis":[[0,0,0]]}},"center":[0.5,0,0],"radius":2}},'
+         '"center":[0,0,0.25],"radius":0.75}}}',
+         Intersection(Intersection(cubic_open_set(3, [(0, 0, 0)]), Ball((0.5, 0.0, 0.0), 2.0)),
+                      Ball((0.0, 0.0, 0.25), 0.75))),
+    ]
+    for text, domain in documents:
+        assert domain_from_json(text) == domain
     with pytest.raises(ValueError):
         domain_from_json('{"d":2,"shape":{"pyramid":{}}}')
 

@@ -23,7 +23,6 @@ from greenpot import (
     AsymmetricSolveError,
     Ball,
     GridSpec,
-    KilledGreenMatrix,
     LatticeSet,
     decay_constant,
     exit_distribution,
@@ -34,7 +33,6 @@ from greenpot import (
     killed_green_entry,
     killed_green_matrix,
     killed_green_via_kernel,
-    outer_boundary,
     potential_kernel_2d,
     potential_kernel_constant,
     whole_space_green,
@@ -343,13 +341,6 @@ def test_lattice_set_basics():
         LatticeSet.from_points(2, [(1, 0), (1, 0)])  # duplicates rejected
 
 
-def test_lattice_set_json_round_trip():
-    s = LatticeSet.from_points(3, [(0, 0, 0), (1, -2, 3)])
-    t = LatticeSet.from_json(s.to_json())
-    assert t.d == 3 and len(t) == 2
-    assert np.array_equal(t.points, s.points)
-
-
 def _absorbing_chain_green(points, d):
     """Oracle: dense (I - P)^-1 built directly from the step kernel."""
     pts = [tuple(p) for p in points]
@@ -417,24 +408,6 @@ def test_killed_green_bounded_by_whole_space_d3():
             assert mat.entry(p, q) <= whole_space_green(3, np.subtract(p, q)) + 1e-12
 
 
-def test_killed_green_matrix_json_round_trip():
-    lat = LatticeSet.from_points(2, [(0, 0), (1, 0), (0, 1)])
-    mat = killed_green_matrix(lat)
-    back = KilledGreenMatrix.from_json(mat.to_json())
-    assert np.allclose(back.entries, mat.entries, rtol=0, atol=1e-15)
-    assert np.array_equal(back.lattice.points, lat.points)
-
-
-def test_outer_boundary_of_cross():
-    lat = LatticeSet.from_points(2, [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
-    bnd = outer_boundary(lat)
-    expected = {
-        (2, 0), (-2, 0), (0, 2), (0, -2),
-        (1, 1), (1, -1), (-1, 1), (-1, -1),
-    }
-    assert {tuple(p) for p in bnd.points} == expected
-
-
 def test_exit_distribution_two_point():
     # from (0,0) in {(0,0),(1,0)}: each of the three non-(1,0) neighbors
     # gets mass U(x,0)/4, and the neighbors of (1,0) get U(x,(1,0))/4
@@ -445,8 +418,7 @@ def test_exit_distribution_two_point():
     assert law[(-1, 0)] == pytest.approx(u00 / 4, rel=1e-12)
     assert law[(2, 0)] == pytest.approx(u01 / 4, rel=1e-12)
     assert sum(law.values()) == pytest.approx(1.0, rel=1e-12)
-    bnd = {tuple(p) for p in outer_boundary(lat).points}
-    assert set(law) <= bnd
+    assert set(law) == {(-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (2, 0)}
 
 
 def test_exit_law_reconstructs_killed_green_2d():
@@ -504,15 +476,6 @@ def test_neighbour_pairs_match_brute_force(d, seed):
     assert np.all(system.data[~off] == 1.0) and np.sum(~off) == len(lat)
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_outer_boundary_matches_brute_force(d):
-    lat = _random_set(d, 40, 5)
-    members = {tuple(p) for p in lat.points}
-    expected = {tuple(int(c) for c in p + s) for p in lat.points
-                for s in np.vstack([np.eye(d, dtype=int), -np.eye(d, dtype=int)])} - members
-    assert {tuple(p) for p in outer_boundary(lat).points} == expected
-
-
 def test_exit_distribution_matches_loop():
     lat = _random_set(3, 30, 9)
     mat = killed_green_matrix(lat)
@@ -536,7 +499,7 @@ def test_membership_far_outside_and_wrong_dimension():
     assert not any(p in s for p in far)
     assert np.array_equal(s.rows_of(far + [(-3, 2), (1, 0)]), [-1] * 5 + [0, 2])
     assert (0, 0, 0) not in s
-    assert len(outer_boundary(LatticeSet.from_points(2, []))) == 0
+    assert np.array_equal(LatticeSet.from_points(2, []).rows_of([(0, 0)]), [-1])
     with pytest.raises(ValueError):
         LatticeSet.from_points(2, [(0, 0), (2**40, 0)])  # packed keys would overflow
 

@@ -5,7 +5,6 @@ are built from (exact algebra), and operator values against the continuum
 ball integrals from the kernel module (independent quadrature).
 """
 
-import json
 import math
 import tracemalloc
 
@@ -35,11 +34,11 @@ from greenpot import (
     grid_points,
     killed_green_entry,
     killed_green_matrix,
-    oscillation,
     round_to_grid,
     whole_space_green,
 )
 from greenpot import operators as operators_module
+from greenpot.cli import _report_from_convergence
 from greenpot.operators import _free_cube
 
 ORIGIN3 = (0.0, 0.0, 0.0)
@@ -321,17 +320,6 @@ def test_equicontinuity_cap_dominates_observed_values():
         assert apply_operator(op, ind, x) <= cap
 
 
-def test_oscillation_linear_function_scales_with_window():
-    osc = oscillation(lambda p: p[..., 0], (0.0, 0.0), 1.0, h=0.2, delta=0.1, d=2)
-    assert osc == pytest.approx(0.2, rel=1e-9)
-
-
-def test_oscillation_indicator_jump():
-    ind = BallIndicator((0.0, 0.0), 0.5)
-    osc = oscillation(ind, (0.0, 0.0), 1.0, h=0.2, delta=0.1, d=2)
-    assert osc == 1.0
-
-
 def test_convergence_report_properties_and_serialization():
     rep = ConvergenceReport(
         d=2, levels=(2, 18), values=(0.3, 0.25), reference=0.24, provenance="test"
@@ -340,10 +328,9 @@ def test_convergence_report_properties_and_serialization():
     assert rep.rel_errors == pytest.approx((0.25, 1 / 24))
     assert rep.rates[0] is None
     assert rep.rates[1] == pytest.approx(math.log(6.0) / math.log(9.0), rel=1e-12)
-    obj = json.loads(rep.to_json())
-    assert obj["levels"] == [2, 18]
-    header, rows = rep.csv_rows()
-    assert header[0] == "n" and len(rows) == 2
+    report, (header, rows), passed = _report_from_convergence(rep, "converge-disk", None)
+    assert report["levels"] == (2, 18) and report["rates"] == rep.rates and passed is None
+    assert header[0] == "n" and len(rows) == 2 and rows[0][-1] == ""
     with pytest.raises(ValueError):
         ConvergenceReport(d=2, levels=(2,), values=(0.3, 0.2), reference=0.1, provenance="")
 

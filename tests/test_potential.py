@@ -7,6 +7,7 @@ the preservation properties.
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from greenpot import (
     random_potential,
     sample_cmp,
 )
+from greenpot.cli import _jsonable, canonical_json
 
 NOT_POTENTIAL = [[1.0, 2.0], [2.0, 1.0]]  # inverse has positive off-diagonal
 
@@ -84,8 +86,9 @@ def test_input_validation():
 
 
 def test_report_json_maps_nan_to_null():
+    # as the CLI writes a report: its fields, made JSON-ready, serialized once
     report = is_inverse_m_matrix(np.ones((3, 3)))
-    obj = json.loads(report.to_json())
+    obj = json.loads(canonical_json(_jsonable(asdict(report))))
     assert obj["max_offdiag_of_inverse"] is None
     assert obj["is_potential"] is False
 
