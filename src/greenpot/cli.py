@@ -69,6 +69,7 @@ from .operators import (
     BallIndicator,
     ResourceLimitError,
     assemble,
+    check_points,
     cmp_functional,
     converge,
     is_origin_disk,
@@ -209,6 +210,7 @@ def run_killed_green(cfg):
     domain = load_domain(cfg)
     grid = GridSpec(d=domain.d, n=cfg["n"])
     lattice = nonempty_grid_points(domain, grid)
+    check_points(len(lattice))
     matrix = killed_green_matrix(lattice)
     check = is_inverse_m_matrix(matrix.entries, tol=cfg["tol"])
     report = {

@@ -31,10 +31,10 @@ stays within 2e-9 of the three-term expansion
 ``(2/pi) log|x| + kappa - cos(4 phi) / (6 pi |x|^2)`` for ``|x| >= 100``.
 
 Killed Green matrices on finite index sets are obtained by direct linear
-solves against the one-step transition matrix.
+solves against the one-step transition matrix (see `killed_green_matrix`).
 
-scipy (Bessel functions, sparse LU) is imported inside the functions
-that call it, so dense killed Green work needs only numpy.
+scipy (Bessel functions, banded Cholesky, sparse LU) is imported inside the
+functions that call it, so killed Green work up to `DENSE_LIMIT` points needs only numpy.
 """
 
 from __future__ import annotations
@@ -383,8 +383,11 @@ def _killed_laplacian(lattice: LatticeSet):
     return sparse.csc_matrix((data, (r, c)), shape=(m, m))
 
 
-DENSE_LIMIT = 5000
+# numpy inverses up to here; beyond, the scipy routes are faster and lighter
+# even with the scipy.linalg import (measured crossovers 1330-1480 points)
+DENSE_LIMIT = 1450
 SYMMETRY_TOL = 1e-10
+COLUMN_BLOCK = 256  # columns per block when a full matrix is scanned
 
 
 class AsymmetricSolveError(RuntimeError):
@@ -411,8 +414,9 @@ def killed_green_matrix(lattice: LatticeSet) -> KilledGreenMatrix:
     """Solve ``(I - P) G = I`` for the walk restricted to `lattice`.
 
     ``P`` keeps probability ``1/(2d)`` on nearest-neighbor pairs inside the
-    set; mass stepping outside is killed.  A dense numpy inverse is used up
-    to `DENSE_LIMIT` points and a sparse LU factorization beyond.
+    set; mass stepping outside is killed.  Up to `DENSE_LIMIT` points numpy
+    inverts ``I - P``; beyond it, one banded Cholesky solve costs ``m^2``
+    times the bandwidth (one grid row) and peaks at two ``m x m`` arrays.
 
     Returns
     -------
@@ -436,17 +440,23 @@ def killed_green_matrix(lattice: LatticeSet) -> KilledGreenMatrix:
         a = np.eye(m)
         a[rows, cols] = -1.0 / (2 * lattice.d)
         g = np.linalg.inv(a)
-    else:
-        lu = _factor(lattice)
-        g = np.empty((m, m))
-        block = 512
-        for lo in range(0, m, block):
-            hi = min(lo + block, m)
-            rhs = np.zeros((m, hi - lo))
-            rhs[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
-            g[:, lo:hi] = lu.solve(rhs)
-    _check_symmetric(np.max(np.abs(g - g.T)), np.max(np.abs(g)))
-    g = (g + g.T) / 2.0
+        del a
+    else:  # one Cholesky solve on the lower band of the symmetric I - P
+        from scipy.linalg import solveh_banded
+        lap = _killed_laplacian(lattice).tocoo()
+        lower = lap.row >= lap.col
+        band = np.zeros((np.max(lap.row - lap.col) + 1, m))
+        band[lap.row[lower] - lap.col[lower], lap.col[lower]] = lap.data[lower]
+        try:
+            g = solveh_banded(band, np.eye(m, order="F"), overwrite_b=True, lower=True,
+                              check_finite=False)
+        except np.linalg.LinAlgError as exc:  # "k-th leading minor not positive definite"
+            raise np.linalg.LinAlgError(f"I - P is singular: {exc}") from exc
+    skew = max(float(np.max(np.abs(g[:, lo:lo + COLUMN_BLOCK] - g[lo:lo + COLUMN_BLOCK].T)))
+               for lo in range(0, m, COLUMN_BLOCK))
+    _check_symmetric(skew, max(float(g.max()), -float(g.min())))
+    g = np.add(g, g.T)
+    g /= 2.0
     return KilledGreenMatrix(lattice=lattice, entries=g)
 
 

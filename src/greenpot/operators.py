@@ -112,7 +112,7 @@ class DiscreteOperator:
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
             m = len(self.lattice)
-            _check_points(m)
+            check_points(m)
             matrix = np.empty((m, m))
             for lo in range(0, m, _ROW_BLOCK):
                 matrix[lo:lo + _ROW_BLOCK] = self._gather(slice(lo, lo + _ROW_BLOCK))
@@ -129,7 +129,7 @@ class DiscreteOperator:
                                 for k in range(self.d))]
 
 
-def _check_points(m: int) -> None:
+def check_points(m: int) -> None:
     if m > MAX_POINTS:
         raise ResourceLimitError(f"{m} grid points exceed the cap of {MAX_POINTS}")
 
@@ -203,7 +203,7 @@ def assemble(
         op = DiscreteOperator(grid=grid, lattice=lattice, matrix=None, transform=(kind, param))
         op._cube = _weighted(_free_cube(lattice), grid, kind, param)
         return op
-    _check_points(len(lattice))
+    check_points(len(lattice))
     entries = _weighted(killed_green_matrix(lattice).entries, grid, kind, param)
     return DiscreteOperator(grid=grid, lattice=lattice, matrix=entries,
                             transform=(kind, param), domain=domain)

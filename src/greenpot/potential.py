@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import lattice
 from .lattice import LatticeSet, KilledGreenMatrix, killed_green_matrix, unit_steps
 from .mc import generator
 
@@ -64,6 +65,28 @@ def _check_square_nonneg(u) -> np.ndarray:
     return a
 
 
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """``a^-1`` in a new array: numpy's up to `lattice.DENSE_LIMIT` rows,
+    beyond it LAPACK ``getrf`` on one copy of ``a`` and ``getri`` in place."""
+    if len(a) <= lattice.DENSE_LIMIT:
+        return np.linalg.inv(a)
+    from scipy.linalg import lapack
+
+    lu, piv, info = lapack.dgetrf(a)
+    if info == 0:
+        lwork = int(lapack.dgetri_lwork(len(a))[0])
+        lu, info = lapack.dgetri(lu, piv, lwork=lwork, overwrite_lu=True)
+    if info != 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return lu
+
+
+def _norm_1(a: np.ndarray) -> float:
+    """``numpy.linalg.norm(a, 1)`` of a square `a`, one column block at a time."""
+    step = lattice.COLUMN_BLOCK
+    return max(float(np.abs(a[:, lo:lo + step]).sum(axis=0).max()) for lo in range(0, len(a), step))
+
+
 def is_inverse_m_matrix(u, tol: float = DEFAULT_TOL) -> PotentialReport:
     """Test whether a nonnegative matrix is a nonsingular potential.
 
@@ -74,10 +97,13 @@ def is_inverse_m_matrix(u, tol: float = DEFAULT_TOL) -> PotentialReport:
     reach the report.  The reported ``condition`` is the 1-norm condition
     number ``|u|_1 |u^-1|_1``, taken from the inverse already in hand;
     values beyond 1e12 mark the report unreliable instead of deciding.
+
+    Beyond `lattice.DENSE_LIMIT` rows the inverse is LAPACK's, made on one
+    copy of ``u``, and the checks make no ``m x m`` temporary.
     """
     a = _check_square_nonneg(u)
     try:
-        inv = np.linalg.inv(a)
+        inv = _inverse(a)
     except np.linalg.LinAlgError:
         return PotentialReport(
             nonsingular=False,
@@ -85,7 +111,7 @@ def is_inverse_m_matrix(u, tol: float = DEFAULT_TOL) -> PotentialReport:
             min_row_sum_of_inverse=math.nan,
             is_potential=False,
         )
-    cond = float(np.linalg.norm(a, 1)) * float(np.linalg.norm(inv, 1))
+    cond = _norm_1(a) * _norm_1(inv)
     if not math.isfinite(cond) or cond > CONDITION_LIMIT:
         return PotentialReport(
             nonsingular=cond < math.inf,
@@ -95,10 +121,10 @@ def is_inverse_m_matrix(u, tol: float = DEFAULT_TOL) -> PotentialReport:
             unreliable=True,
             condition=cond,
         )
-    scale = float(np.max(np.abs(inv)))
-    mask = ~np.eye(a.shape[0], dtype=bool)
-    max_off = float(np.max(inv[mask])) if a.shape[0] > 1 else 0.0
+    scale = max(float(inv.max()), -float(inv.min()))
     min_row = float(np.min(inv.sum(axis=1)))
+    np.fill_diagonal(inv, -math.inf)  # the inverse is private
+    max_off = float(np.max(inv)) if a.shape[0] > 1 else 0.0
     cut = tol * scale
     ok = max_off <= cut and min_row >= -cut
     return PotentialReport(
@@ -120,17 +146,12 @@ def cmp_inequality(u, v) -> float:
 
 def _adversarial(u: np.ndarray) -> np.ndarray:
     """Sign vectors and scaled inverse rows, the natural CMP violators."""
-    m = u.shape[0]
-    cands = [np.eye(m), -np.eye(m)]
+    signs = [np.eye(len(u)), -np.eye(len(u))]
     try:
         inv = np.linalg.inv(u)
     except np.linalg.LinAlgError:
-        inv = None
-    if inv is not None:
-        for c in (0.5, 1.0, 1.5, 2.0):
-            cands.append(c * inv)
-            cands.append(-c * inv)
-    return np.vstack(cands)
+        return np.vstack(signs)
+    return np.vstack(signs + [k * inv for c in (0.5, 1.0, 1.5, 2.0) for k in (c, -c)])
 
 
 def sample_cmp(u, trials: int, seed: int, include_adversarial: bool = True):
@@ -143,12 +164,13 @@ def sample_cmp(u, trials: int, seed: int, include_adversarial: bool = True):
     a = _check_square_nonneg(u)
     if trials < 1:
         raise ValueError("trials must be positive")
-    m = a.shape[0]
-    rng = generator(seed)
-    vs = rng.standard_normal((trials, m))
-    if include_adversarial:
-        vs = np.vstack([vs, _adversarial(a)])
-    excess = np.clip(vs @ a.T - 1.0, 0.0, None)
+    extra = _adversarial(a) if include_adversarial else a[:0]
+    vs = np.empty((trials + len(extra), a.shape[0]))
+    generator(seed).standard_normal(out=vs[:trials])
+    vs[trials:] = extra
+    excess = vs @ a.T
+    excess -= 1.0
+    np.clip(excess, 0.0, None, out=excess)
     values = np.einsum("ij,ij->i", excess, vs)
     k = int(np.argmin(values))
     return float(values[k]), vs[k].copy()

@@ -20,6 +20,7 @@ import greenpot
 from greenpot import Ball, GridSpec, RieszEstimate, grid_points, killed_green_entry, killed_green_matrix
 from greenpot import cli
 from greenpot import lattice as lattice_module
+from greenpot import operators as operators_module
 from greenpot.cli import canonical_json, csv_text, derived_seed, main
 from greenpot.potential import hadamard_exp, hadamard_power, is_inverse_m_matrix, random_potential
 
@@ -156,6 +157,17 @@ def test_singular_solve_is_numerical_failure_not_usage(capsys, monkeypatch):
     rc, _, err = run_cli(capsys, ["killed-green", "--domain", DISK, "--n", "18"])
     assert rc == 1
     assert err.startswith("numerical failure:")
+
+
+def test_oversized_killed_green_is_resource_stop(capsys, monkeypatch):
+    def never(lattice):
+        raise AssertionError("solve reached past the size cap")
+
+    monkeypatch.setattr(operators_module, "MAX_POINTS", 24)  # the n = 18 disk has 25 points
+    monkeypatch.setattr(cli, "killed_green_matrix", never)
+    rc, out, err = run_cli(capsys, ["killed-green", "--domain", DISK, "--n", "18"])
+    assert rc == 1 and out == ""
+    assert err.startswith("resource stop:") and "25" in err and "Traceback" not in err
 
 
 def test_exactly_singular_sparse_factor_is_numerical_failure(capsys, monkeypatch):

@@ -11,6 +11,7 @@ hand-checked sets.
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from greenpot import (
     green_constant,
     converge,
     grid_points,
+    is_inverse_m_matrix,
     killed_green_entries,
     killed_green_entry,
     killed_green_matrix,
@@ -557,3 +559,36 @@ def test_dense_route_matches_sparse_posv_and_entries(n, monkeypatch):
     for ref in (killed_green_matrix(lat).entries, _posv_green(lat)):
         np.testing.assert_allclose(dense, ref, rtol=1e-12, atol=1e-300)
     np.testing.assert_allclose(dense[lat.index_of(x)], row, rtol=1e-12, atol=1e-300)
+
+
+def test_banded_route_on_narrow_bands(monkeypatch):
+    """Half-bandwidths 0 (LAPACK ``pbsv`` on a diagonal) and 1 (``ptsv``)."""
+    sets = [LatticeSet.from_points(d, [(0,) * d]) for d in (1, 2, 3)]
+    sets.append(LatticeSet.from_points(1, [(i,) for i in range(-6, 7)]))
+    sets.append(LatticeSet.from_points(2, [(0, j) for j in range(5)]))
+    monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
+    for lat in sets:
+        got = killed_green_matrix(lat).entries
+        np.testing.assert_allclose(got, _absorbing_chain_green(lat.points, lat.d), rtol=1e-12)
+
+
+def test_large_solve_and_inverse_stay_within_traced_memory():
+    lat = _disk(1458)
+    m = len(lat)
+    assert m > lattice_module.DENSE_LIMIT
+    import scipy.linalg  # noqa: F401  (its one-time import is not the solve's memory)
+    import scipy.sparse.linalg  # noqa: F401
+    unit = 8 * m * m
+    tracemalloc.start()
+    try:
+        green = killed_green_matrix(lat).entries
+        solve_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        report = is_inverse_m_matrix(green)
+        inverse_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert report.is_potential is True
+    assert solve_peak <= 2.2 * unit
+    assert inverse_peak <= 1.2 * unit

@@ -15,10 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenpot import (
+    Ball,
+    GridSpec,
     KilledGreenMatrix,
     LatticeSet,
     classify,
     cmp_inequality,
+    grid_points,
     hadamard_exp,
     hadamard_power,
     is_inverse_m_matrix,
@@ -26,7 +29,9 @@ from greenpot import (
     random_potential,
     sample_cmp,
 )
+from greenpot import lattice as lattice_module
 from greenpot.cli import _jsonable, canonical_json
+from greenpot.mc import generator
 
 NOT_POTENTIAL = [[1.0, 2.0], [2.0, 1.0]]  # inverse has positive off-diagonal
 
@@ -76,6 +81,43 @@ def test_condition_is_one_norm_condition(seed):
         assert report.condition == pytest.approx(np.linalg.cond(a, 1), rel=1e-10)
 
 
+def _disk18():
+    return killed_green_matrix(grid_points(Ball((0.0, 0.0), 1.0), GridSpec(d=2, n=18))).entries
+
+
+LAPACK_CASES = {
+    "disk": _disk18,
+    "power3.7": lambda: hadamard_power(_disk18(), 3.7),
+    "exp0.5": lambda: hadamard_exp(_disk18(), 0.5),
+    "not_potential": lambda: np.array(NOT_POTENTIAL),
+    "singular": lambda: np.ones((3, 3)),
+    "unreliable": lambda: np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]),
+    "scalar": lambda: np.array([[2.5]]),
+}
+
+
+@pytest.mark.parametrize("case", LAPACK_CASES)
+def test_lapack_inverse_route_matches_numpy_inverse(case, monkeypatch):
+    u = LAPACK_CASES[case]()
+    dense = asdict(is_inverse_m_matrix(u))
+
+    def numpy_inverse(a):
+        raise AssertionError("numpy inverse used above DENSE_LIMIT")
+
+    monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
+    monkeypatch.setattr(np.linalg, "inv", numpy_inverse)
+    lapack = asdict(is_inverse_m_matrix(u))
+    monkeypatch.undo()
+    if case == "singular":
+        assert lapack["nonsingular"] is False
+    if case == "unreliable":
+        assert lapack["unreliable"] is True
+    # verdicts exactly; values of the two inverses to 1e-12 (roundoff-level extremes read 0.0)
+    assert {k: v for k, v in lapack.items() if not isinstance(v, float)} == \
+        {k: v for k, v in dense.items() if not isinstance(v, float)}
+    assert lapack == pytest.approx(dense, rel=1e-12, abs=0.0, nan_ok=True)
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         is_inverse_m_matrix([[1.0, -0.1], [0.2, 1.0]])  # negative entry
@@ -116,6 +158,34 @@ def test_sample_cmp_nonnegative_on_potentials():
     value, _ = sample_cmp(u, trials=5_000, seed=11)
     scale = float(np.max(np.abs(u)))
     assert value >= -1e-10 * scale
+
+
+def _stacked_probe_min(u, trials, seed, include_adversarial):
+    """Oracle: the probes stacked afresh, sign vectors and scaled inverse rows after the normals."""
+    a = np.asarray(u, dtype=float)
+    m = len(a)
+    vs = [generator(seed).standard_normal((trials, m))]
+    if include_adversarial:
+        vs += [np.eye(m), -np.eye(m)]
+        try:
+            inv = np.linalg.inv(a)
+            vs += [k * inv for c in (0.5, 1.0, 1.5, 2.0) for k in (c, -c)]
+        except np.linalg.LinAlgError:
+            pass
+    vs = np.vstack(vs)
+    values = np.einsum("ij,ij->i", np.clip(vs @ a.T - 1.0, 0.0, None), vs)
+    return float(values.min()), vs[np.argmin(values)]
+
+
+@pytest.mark.parametrize("adversarial", [True, False])
+@pytest.mark.parametrize("trials", [2, 300])
+def test_sample_cmp_matches_stacked_probe_oracle(adversarial, trials):
+    two = killed_green_matrix(LatticeSet.from_points(2, [(0, 0), (1, 0)])).entries
+    for u in (NOT_POTENTIAL, two, np.ones((3, 3)), [[0.1, 0.0], [0.0, 0.1]]):
+        value, witness = sample_cmp(u, trials=trials, seed=5, include_adversarial=adversarial)
+        expected, probe = _stacked_probe_min(u, trials, 5, adversarial)
+        assert value == expected
+        assert np.array_equal(witness, probe)
 
 
 def test_sample_cmp_reproducible():
