@@ -34,17 +34,15 @@ from .kernels import (
     volume_bound,
 )
 from .lattice import (
+    POTENTIAL_KERNEL_CONSTANT,
     AsymmetricSolveError,
     KilledGreenMatrix,
     LatticeSet,
-    decay_constant,
     exit_distribution,
     killed_green_entries,
-    killed_green_entry,
     killed_green_matrix,
     killed_green_via_kernel,
     potential_kernel_2d,
-    potential_kernel_constant,
     whole_space_green,
 )
 from .mc import (
@@ -66,7 +64,6 @@ from .operators import (
     assemble,
     cmp_functional,
     converge,
-    equicontinuity_cap,
 )
 from .potential import (
     PotentialReport,

@@ -58,10 +58,10 @@ from .kernels import (
     green_constant,
 )
 from .lattice import (
+    POTENTIAL_KERNEL_CONSTANT,
     AsymmetricSolveError,
     killed_green_matrix,
     potential_kernel_2d,
-    potential_kernel_constant,
     whole_space_green,
 )
 from .mc import RngStream, StepBudgetError, estimate_boundary_term, estimate_riesz_potential
@@ -184,8 +184,8 @@ def run_lattice_green(cfg):
     d = cfg["d"]
     top = cfg["max"]
     if d == 2:
-        kappa = potential_kernel_constant()
-        kernel, asymptote = potential_kernel_2d, lambda r: (2.0 / math.pi) * math.log(r) + kappa
+        kernel, asymptote = (potential_kernel_2d,
+                             lambda r: (2.0 / math.pi) * math.log(r) + POTENTIAL_KERNEL_CONSTANT)
     else:
         kernel, asymptote = (lambda p: whole_space_green(d, p),
                              lambda r: d * green_constant(d) * r ** (2 - d))

@@ -40,8 +40,6 @@ functions that call it, so killed Green work up to `DENSE_LIMIT` points needs on
 from __future__ import annotations
 
 import functools
-import itertools
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -56,10 +54,8 @@ __all__ = [
     "whole_space_green_array",
     "potential_kernel_2d",
     "potential_kernel_2d_array",
-    "potential_kernel_constant",
-    "decay_constant",
+    "POTENTIAL_KERNEL_CONSTANT",
     "killed_green_matrix",
-    "killed_green_entry",
     "killed_green_entries",
     "killed_green_via_kernel",
     "AsymmetricSolveError",
@@ -67,18 +63,11 @@ __all__ = [
     "EXACT_RANGE",
 ]
 
-logger = logging.getLogger(__name__)
-
 # lattice vectors with sup-norm beyond this use the continuum asymptote
 EXACT_RANGE = 16
 
 # additive constant of the planar potential-kernel asymptote
 POTENTIAL_KERNEL_CONSTANT = (2.0 * np.euler_gamma + math.log(8.0)) / math.pi
-
-
-def potential_kernel_constant() -> float:
-    """Limit of ``a(x) - (2/pi) log|x|`` for the planar walk."""
-    return POTENTIAL_KERNEL_CONSTANT
 
 
 class _PackedIndex:
@@ -264,11 +253,6 @@ def whole_space_green_array(d: int, points, exact_range: int = EXACT_RANGE) -> n
     return _lattice_kernel(d, points, exact_range, lambda r: d * green_constant(d) * r ** (2 - d))
 
 
-def _canonical(x) -> tuple:
-    arr = np.abs(np.asarray(x, dtype=np.int64))
-    return tuple(sorted(int(c) for c in arr))
-
-
 def whole_space_green(d: int, x, exact_range: int = EXACT_RANGE) -> float:
     """Expected visits to ``x`` by the walk started at 0, for ``d >= 3``.
 
@@ -291,10 +275,10 @@ def whole_space_green(d: int, x, exact_range: int = EXACT_RANGE) -> float:
     -------
     float
     """
-    key = _canonical(x)
-    if len(key) != d:
+    point = np.asarray(x, dtype=np.int64)
+    if point.shape != (d,):
         raise ValueError(f"expected a lattice point of dimension {d}")
-    return float(whole_space_green_array(d, [key], exact_range)[0])
+    return float(whole_space_green_array(d, point, exact_range)[0])
 
 
 # beyond this sup-norm radius the planar kernel uses its log asymptote
@@ -316,27 +300,10 @@ def potential_kernel_2d(x, exact_range: int = POTENTIAL_EXACT_RANGE) -> float:
     ``|x|_inf > exact_range`` use the asymptote
     ``(2/pi) log|x| + (2 gamma + log 8)/pi``.
     """
-    key = _canonical(x)
-    if len(key) != 2:
+    point = np.asarray(x, dtype=np.int64)
+    if point.shape != (2,):
         raise ValueError("potential kernel is defined on Z^2")
-    return float(potential_kernel_2d_array([key], exact_range)[0])
-
-
-@functools.cache
-def decay_constant(d: int) -> float:
-    """Uniform constant with ``g(0, x) <= c |x|^(2-d)`` for ``x != 0``.
-
-    Estimated once as the maximum of ``g(0, x) |x|^(d-2)`` over the sorted
-    keys of sup norm at most 8 and frozen for the session; the maximum
-    sits at the unit vectors and the scanned ratios decrease toward
-    ``d C(d)``, so the scan radius is not critical.
-    """
-    keys = np.array(list(itertools.combinations_with_replacement(range(9), d))[1:])
-    r2 = np.einsum("ij,ij->i", keys, keys)
-    ratios = whole_space_green_array(d, keys) * r2 ** ((d - 2) / 2.0)
-    best = float(ratios.max())
-    logger.info("decay constant for d=%d frozen at %.12g", d, best)
-    return best
+    return float(potential_kernel_2d_array(point, exact_range)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +444,6 @@ def killed_green_entries(lattice: LatticeSet, x, ys) -> np.ndarray:
     forward, backward = g[i, 1:], g[rows, 0]
     _check_symmetric(np.max(np.abs(forward - backward), initial=0.0), np.max(np.abs(g)))
     return (forward + backward) / 2.0
-
-
-def killed_green_entry(lattice: LatticeSet, x, y) -> float:
-    """The entry ``G[x, y]`` of `killed_green_matrix` without forming ``G``;
-    see `killed_green_entries`."""
-    return float(killed_green_entries(lattice, x, [y])[0])
 
 
 def exit_distribution(lattice: LatticeSet, start, green: KilledGreenMatrix | None = None) -> dict:

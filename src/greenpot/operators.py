@@ -36,13 +36,12 @@ from .domains import (
     round_to_grid,
     split_ties,
 )
-from .kernels import KernelSpec, ball_kernel_integral, check_transform, sphere_surface
+from .kernels import KernelSpec, ball_kernel_integral, check_transform
 from .lattice import (
     LatticeSet,
-    decay_constant,
     killed_green_entries,
     killed_green_matrix,
-    whole_space_green,
+    whole_space_green,  # noqa: F401  unused; perfbench/selftest.py and tests pin this binding
     whole_space_green_array,
 )
 
@@ -55,13 +54,10 @@ __all__ = [
     "apply_operator",
     "cmp_functional",
     "converge",
-    "equicontinuity_cap",
 ]
 
+# points of a killed operator, whose m x m matrix is formed
 MAX_POINTS = 20000
-# rows per gather when a free-space matrix is formed; bounds the per-axis
-# difference arrays to d * 256 * m int64 instead of d * m * m
-_ROW_BLOCK = 256
 
 
 class ResourceLimitError(RuntimeError):
@@ -85,48 +81,26 @@ def is_origin_disk(domain) -> bool:
     return isinstance(domain, Ball) and domain.d == 2 and not any(domain.center)
 
 
+@dataclass(frozen=True)
 class DiscreteOperator:
-    """Grid Green operator: index set, entry matrix, and provenance.
+    """Grid Green operator: index set, entry transform and, if killed, its matrix.
 
-    A killed operator holds its entry matrix.  The entries of a
-    free-space operator depend only on the absolute index difference per
-    axis, so it holds them as one cube over those differences: a row is
-    an O(m) gather from the cube, and `matrix` gathers every row, under
-    the point cap, when first read.
+    A killed operator holds its entry matrix.  A free-space operator
+    (`matrix` None) holds no entries: row ``i`` is formed in O(m) from the
+    whole-space Green values at the differences to point ``i``.
     """
 
-    def __init__(self, grid: GridSpec, lattice: LatticeSet, matrix, transform: tuple,
-                 domain=None):
-        self.grid = grid
-        self.lattice = lattice
-        self.transform = transform
-        self.domain = domain  # None marks the free-space operator
-        self._matrix = matrix
-        self._cube = None
+    grid: GridSpec
+    lattice: LatticeSet
+    transform: tuple
+    matrix: np.ndarray | None = None
 
-    @property
-    def d(self) -> int:
-        return self.grid.d
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            m = len(self.lattice)
-            check_points(m)
-            matrix = np.empty((m, m))
-            for lo in range(0, m, _ROW_BLOCK):
-                matrix[lo:lo + _ROW_BLOCK] = self._gather(slice(lo, lo + _ROW_BLOCK))
-            self._matrix = matrix
-        return self._matrix
-
-    def _row(self, i: int) -> np.ndarray:
-        return self._matrix[i] if self._matrix is not None else self._gather([i])[0]
-
-    def _gather(self, rows) -> np.ndarray:
-        """Entries of the given rows, gathered from the difference cube."""
+    def row(self, i: int) -> np.ndarray:
+        if self.matrix is not None:
+            return self.matrix[i]
         pts = self.lattice.points
-        return self._cube[tuple(np.abs(pts[rows, None, k] - pts[None, :, k])
-                                for k in range(self.d))]
+        return _weighted(whole_space_green_array(self.grid.d, pts - pts[i]), self.grid,
+                         *self.transform)
 
 
 def check_points(m: int) -> None:
@@ -143,16 +117,6 @@ def _weighted(green: np.ndarray, grid: GridSpec, kind: str, param: float) -> np.
     return weight * np.exp(param * scaled)
 
 
-def _free_cube(lattice: LatticeSet) -> np.ndarray:
-    """Whole-space Green values at every per-axis absolute index difference
-    of the set: the Bessel key sum up to `EXACT_RANGE`, the asymptote
-    beyond."""
-    pts = lattice.points
-    shape = tuple(int(s) + 1 for s in pts.max(axis=0) - pts.min(axis=0))
-    diffs = np.indices(shape).reshape(lattice.d, -1).T
-    return whole_space_green_array(lattice.d, diffs).reshape(shape)
-
-
 def assemble(
     grid: GridSpec,
     transform,
@@ -160,7 +124,7 @@ def assemble(
     free_region=None,
     include_points=(),
 ) -> DiscreteOperator:
-    """Build the operator matrix over a domain grid or a free-space window.
+    """Build the operator over a domain grid or a free-space window.
 
     Parameters
     ----------
@@ -181,9 +145,9 @@ def assemble(
         set of a free-space operator, so rows at query points away from
         the support exist.
 
-    A killed operator over more than `MAX_POINTS` points, or reading the
-    `matrix` of such a free-space operator, raises ResourceLimitError.
-    Free-space rows are read without forming the matrix and take no cap.
+    A killed operator over more than `MAX_POINTS` points raises
+    ResourceLimitError.  A free-space operator forms one row at a time and
+    takes no cap.
     """
     if (domain is None) == (free_region is None):
         raise ValueError("exactly one of domain and free_region is required")
@@ -200,25 +164,20 @@ def assemble(
             raise ValueError("include_points applies to free-space operators only")
         lattice = nonempty_grid_points(domain, grid)
     if free:
-        op = DiscreteOperator(grid=grid, lattice=lattice, matrix=None, transform=(kind, param))
-        op._cube = _weighted(_free_cube(lattice), grid, kind, param)
-        return op
+        return DiscreteOperator(grid=grid, lattice=lattice, transform=(kind, param))
     check_points(len(lattice))
     entries = _weighted(killed_green_matrix(lattice).entries, grid, kind, param)
-    return DiscreteOperator(grid=grid, lattice=lattice, matrix=entries,
-                            transform=(kind, param), domain=domain)
+    return DiscreteOperator(grid=grid, lattice=lattice, transform=(kind, param), matrix=entries)
 
 
 def _eval_on_points(f, pts: np.ndarray) -> np.ndarray:
     if isinstance(f, np.ndarray):
         raise TypeError("expected a callable; got an array")
-    try:
-        vals = np.asarray(f(pts), dtype=float)
-        if vals.shape == (len(pts),):
-            return vals
-    except (TypeError, ValueError, IndexError):  # a scalar-only callable given an array
-        pass
-    return np.asarray([float(f(p)) for p in pts], dtype=float)
+    vals = np.asarray(f(pts), dtype=float)
+    if vals.shape != (len(pts),):
+        raise ValueError(f"f maps a ({len(pts)}, d) array of points to shape {vals.shape}, "
+                         f"not to {len(pts)} values")
+    return vals
 
 
 def apply_operator(op: DiscreteOperator, f, x) -> float:
@@ -230,7 +189,7 @@ def apply_operator(op: DiscreteOperator, f, x) -> float:
     h = op.grid.h
     shift = np.asarray(x, dtype=float) - h * z
     samples = _eval_on_points(f, op.lattice.points * h + shift)
-    return float(op._row(op.lattice.index_of(z)) @ samples)
+    return float(op.row(op.lattice.index_of(z)) @ samples)
 
 
 def _grid_values(op: DiscreteOperator, f) -> np.ndarray:
@@ -246,29 +205,14 @@ def cmp_functional(op: DiscreteOperator, f) -> float:
 
     `f` may be a callable on continuum points or a vector over the grid.
     Nonnegative whenever the entry matrix is a potential, which holds for
-    every operator assembled from true walk Green data.
+    every operator assembled from true walk Green data.  A free-space
+    operator forms no matrix and is a ValueError.
     """
+    if op.matrix is None:
+        raise ValueError("the CMP functional needs a killed operator's matrix")
     values = _grid_values(op, f)
     excess = np.clip(op.matrix @ values - 1.0, 0.0, None)
     return float((excess @ values) * op.grid.h**op.grid.d)
-
-
-def equicontinuity_cap(d: int, beta: float, support_radius: float) -> float:
-    """Uniform modulus constant of the free-space operator family.
-
-    Numerically computed version of the diagonal-plus-tail bound: the
-    diagonal contributes ``g(0,0)^beta d^((d/2)(1-beta))``; the rest is
-    ``c3`` times the largest Riesz mass of the support inflated by two
-    sup-norm lattice cells, bounded here through an enclosing ball.
-    """
-    check_transform("power", beta, d, free=True)
-    g00 = whole_space_green(d, (0,) * d)
-    diag = g00**beta * d ** ((d / 2.0) * (1.0 - beta))
-    c3 = (decay_constant(d) / d) ** beta * (1.0 + math.sqrt(d) / 2.0) ** (beta * (d - 2))
-    rho = support_radius + 2.0 * d  # ball around the sup-norm dilation
-    s = beta * (d - 2)
-    sup_mass = sphere_surface(d) * rho ** (d - s) / (d - s)
-    return diag + c3 * sup_mass
 
 
 @dataclass(frozen=True)
@@ -348,8 +292,8 @@ def converge(domain, transform, x, target, levels: int, base: int) -> Convergenc
     Parameters
     ----------
     domain
-        Continuum domain for killed quantities, or ``None`` for the
-        free-space operator.
+        A planar disk about 0 for pointwise killed kernel values, or
+        ``None`` for the free-space operator.
     transform : tuple
         ``("power", beta)`` or ``("exp", alpha)``.
     x : array_like
@@ -357,10 +301,11 @@ def converge(domain, transform, x, target, levels: int, base: int) -> Convergenc
         start, a point of a lattice shifted by the fractional part of
         ``x/h``; for operator values it is rounded to the grid.
     target
-        A point ``y`` for pointwise kernel convergence on a planar disk,
-        read by bilinear interpolation over the shifted lattice, or a
-        `BallIndicator` for operator values; the continuum reference is
-        the transformed disk kernel or the ball kernel integral.
+        A point ``y`` for pointwise kernel values on the disk, read by
+        bilinear interpolation over the shifted lattice, or a
+        `BallIndicator` for free-space operator values; the continuum
+        reference is the transformed disk kernel or the ball kernel
+        integral.
     levels : int
         Number of grids ``n = base * 9^k``, ``k = 0 .. levels-1``.
     base : int
@@ -369,29 +314,27 @@ def converge(domain, transform, x, target, levels: int, base: int) -> Convergenc
     if levels < 1 or base < 1:
         raise ValueError("levels and base must be positive")
     kind, param = transform
-    pointwise = not isinstance(target, BallIndicator)
-    if domain is None and not pointwise:
+    if domain is None and isinstance(target, BallIndicator):
         d = len(np.asarray(x, dtype=float))
         spec = KernelSpec(d=d, base="free", transform=kind, param=param)
-    elif is_origin_disk(domain):
-        d = 2
-        spec = KernelSpec(d=2, base="disk", transform=kind, param=param, radius=domain.radius)
-    else:
-        raise ValueError("references exist for free-space operators and a planar disk about 0")
-    if pointwise:
-        reference = kernels.kernel_eval(spec, x, target)
-        provenance = "disk kernel, reflected-point formula"
-    else:
         reference = ball_kernel_integral(spec, x, target.center, target.radius)
         provenance = "ball kernel integral, adaptive quadrature"
+
+        def value(grid):
+            op = assemble(grid, transform, free_region=target, include_points=[x])
+            return apply_operator(op, target, x)
+    elif is_origin_disk(domain) and not isinstance(target, BallIndicator):
+        d = 2
+        spec = KernelSpec(d=2, base="disk", transform=kind, param=param, radius=domain.radius)
+        reference = kernels.kernel_eval(spec, x, target)
+        provenance = "disk kernel, reflected-point formula"
+
+        def value(grid):
+            return _disk_point_value(domain, transform, x, target, grid)
+    else:
+        raise ValueError("references exist for free-space operator values on a BallIndicator "
+                         "and pointwise kernel values on a planar disk about 0")
     grids = GridSpec.level_sequence(d, base, levels)
-    values = []
-    for grid in grids:
-        if pointwise:
-            values.append(_disk_point_value(domain, transform, x, target, grid))
-            continue
-        op = (assemble(grid, transform, domain=domain) if domain is not None
-              else assemble(grid, transform, free_region=target, include_points=[x]))
-        values.append(apply_operator(op, target, x))
-    return ConvergenceReport(d=d, levels=tuple(g.n for g in grids), values=tuple(values),
+    return ConvergenceReport(d=d, levels=tuple(g.n for g in grids),
+                             values=tuple(value(g) for g in grids),
                              reference=reference, provenance=provenance)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import greenpot
-from greenpot import Ball, GridSpec, RieszEstimate, grid_points, killed_green_entry, killed_green_matrix
+from greenpot import Ball, GridSpec, RieszEstimate, grid_points, killed_green_entries, killed_green_matrix
 from greenpot import cli
 from greenpot import lattice as lattice_module
 from greenpot import operators as operators_module
@@ -187,7 +187,7 @@ def test_exactly_singular_sparse_factor_is_numerical_failure(capsys, monkeypatch
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
         killed_green_matrix(lat)
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        killed_green_entry(lat, tuple(lat.points[0]), tuple(lat.points[-1]))
+        killed_green_entries(lat, tuple(lat.points[0]), [tuple(lat.points[-1])])
     rc, out, err = run_cli(capsys, ["converge-disk", "--levels", "1"])
     assert rc == 1 and out == ""
     assert err.startswith("numerical failure:") and "Traceback" not in err

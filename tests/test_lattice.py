@@ -21,22 +21,20 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from greenpot import (
+    POTENTIAL_KERNEL_CONSTANT,
     AsymmetricSolveError,
     Ball,
     GridSpec,
     LatticeSet,
-    decay_constant,
     exit_distribution,
     green_constant,
     converge,
     grid_points,
     is_inverse_m_matrix,
     killed_green_entries,
-    killed_green_entry,
     killed_green_matrix,
     killed_green_via_kernel,
     potential_kernel_2d,
-    potential_kernel_constant,
     whole_space_green,
 )
 from greenpot import lattice as lattice_module
@@ -214,16 +212,6 @@ def test_whole_space_green_exact_under_permutations_and_sign_flips():
         assert [whole_space_green(d, p) for p in pts[:30]] == base[:30].tolist()
 
 
-def test_decay_constant_dominates_scanned_values():
-    c = decay_constant(3)
-    assert c >= whole_space_green(3, (1, 0, 0)) - 1e-15
-    for pt in [(1, 0, 0), (2, 1, 0), (5, 4, 3), (9, 0, 0)]:
-        r = math.sqrt(sum(v * v for v in pt))
-        assert whole_space_green(3, pt) <= c / r + 1e-12
-    # the bound tightens toward d C(d) at long range, so c stays above it
-    assert c > 3 * green_constant(3)
-
-
 def test_potential_kernel_exact_small_values():
     assert potential_kernel_2d((0, 0)) == 0.0
     assert potential_kernel_2d((1, 0)) == pytest.approx(1.0, abs=1e-12)
@@ -249,7 +237,7 @@ def test_potential_kernel_is_discretely_harmonic_off_origin():
 
 
 def test_potential_kernel_log_asymptote():
-    kappa = potential_kernel_constant()
+    kappa = POTENTIAL_KERNEL_CONSTANT
     assert kappa == pytest.approx(1.0293737056545709, rel=1e-13)
     for pt in [(30, 0), (30, 40)]:
         r = math.hypot(*pt)
@@ -261,7 +249,7 @@ def _kernel_expansion(key):
     """Three terms of a(x): (2/pi) log|x| + kappa - cos(4 phi) / (6 pi |x|^2)."""
     r = math.hypot(*key)
     phi = math.atan2(key[1], key[0])
-    return ((2 / math.pi) * math.log(r) + potential_kernel_constant()
+    return ((2 / math.pi) * math.log(r) + POTENTIAL_KERNEL_CONSTANT
             - math.cos(4 * phi) / (6 * math.pi * r * r))
 
 
@@ -518,7 +506,7 @@ def test_single_entry_matches_dense_matrix(n):
     pairs = [(pts[0], pts[0]), (pts[len(pts) // 2], pts[len(pts) // 2]),
              (pts[0], pts[-1]), (pts[len(pts) // 3], pts[len(pts) // 2])]
     for x, y in pairs:
-        assert killed_green_entry(lat, x, y) == pytest.approx(dense.entry(x, y), rel=1e-12)
+        assert killed_green_entries(lat, x, [y])[0] == pytest.approx(dense.entry(x, y), rel=1e-12)
     x, ys = pts[len(pts) // 2], [pts[0], pts[-1], pts[len(pts) // 2], pts[len(pts) // 3]]
     expected = [dense.entry(x, y) for y in ys]
     assert killed_green_entries(lat, x, ys) == pytest.approx(expected, rel=1e-12)
@@ -531,7 +519,7 @@ def test_symmetry_check_raises_named_error(monkeypatch):
     with pytest.raises(AsymmetricSolveError):
         killed_green_matrix(lat)
     with pytest.raises(AsymmetricSolveError):
-        killed_green_entry(lat, x, x)
+        killed_green_entries(lat, x, [x])
     with pytest.raises(AsymmetricSolveError):  # off-grid disk value, several targets
         converge(Ball((0.0, 0.0), 1.0), ("power", 1.0), (0.2, 0.0), (-0.3, 0.1), 1, 18)
 

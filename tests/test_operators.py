@@ -30,16 +30,15 @@ from greenpot import (
     converge,
     cubic_open_set,
     disk_green_2d,
-    equicontinuity_cap,
     grid_points,
-    killed_green_entry,
+    killed_green_entries,
     killed_green_matrix,
     round_to_grid,
     whole_space_green,
 )
 from greenpot import operators as operators_module
 from greenpot.cli import _report_from_convergence
-from greenpot.operators import _free_cube
+from greenpot.lattice import EXACT_RANGE
 
 ORIGIN3 = (0.0, 0.0, 0.0)
 
@@ -71,17 +70,28 @@ def test_planar_entries_match_killed_green_algebra():
     assert np.allclose(op.matrix, (2.0 / 8) * np.exp(1.5 * 0.5 * g), rtol=1e-14)
 
 
+def _scalar_row(op, i):
+    """Row `i` of a free power operator from scalar `whole_space_green` values."""
+    kind, beta = op.transform
+    assert kind == "power"
+    pts = op.lattice.points
+    green = np.array([whole_space_green(op.grid.d, p - pts[i]) for p in pts])
+    return op.grid.h ** op.grid.d * (green * op.grid.green_scale) ** beta
+
+
 def test_free_entries_match_whole_space_green():
     grid = GridSpec(d=3, n=12)
     op = assemble(grid, ("power", 1.2), free_region=Ball(ORIGIN3, 0.8))
+    assert op.matrix is None
     scale = 12 ** 0.5 / 3 ** 1.5
     w = grid.h ** 3
     pts = op.lattice.points
     for i in (0, 3):
         for j in (1, len(pts) - 1):
             g = whole_space_green(3, pts[i] - pts[j])
-            assert op.matrix[i, j] == pytest.approx(w * (scale * g) ** 1.2, rel=1e-12)
-    assert np.allclose(op.matrix, op.matrix.T, rtol=1e-13)
+            assert op.row(i)[j] == pytest.approx(w * (scale * g) ** 1.2, rel=1e-12)
+            assert op.row(i)[j] == op.row(j)[i]
+    np.testing.assert_array_equal(op.row(3), _scalar_row(op, 3))
 
 
 def test_killed_entries_below_free_entries():
@@ -89,9 +99,10 @@ def test_killed_entries_below_free_entries():
     grid = GridSpec(d=3, n=20)
     free_op = assemble(grid, ("power", 1.0), free_region=region)
     killed_op = assemble(grid, ("power", 1.0), domain=region)
-    idx = [free_op.lattice.index_of(p) for p in killed_op.lattice.points]
-    sub = free_op.matrix[np.ix_(idx, idx)]
-    assert np.all(killed_op.matrix <= sub + 1e-15)
+    idx = free_op.lattice.rows_of(killed_op.lattice.points)
+    assert np.all(idx >= 0)
+    for i, row in zip(idx, killed_op.matrix):
+        assert np.all(row <= free_op.row(i)[idx] + 1e-15)
 
 
 def test_assemble_validation():
@@ -151,20 +162,22 @@ def test_assemble_respects_point_cap(monkeypatch):
 
 
 def test_free_rows_take_no_point_cap_but_the_matrix_does(monkeypatch):
+    # the cap guards the m x m matrix of a killed operator; free rows are O(m)
     monkeypatch.setattr(operators_module, "MAX_POINTS", 3)
     grid = GridSpec(d=3, n=12)
-    op = assemble(grid, ("power", 1.0), free_region=Ball(ORIGIN3, 0.8))
+    region = Ball(ORIGIN3, 0.8)
+    op = assemble(grid, ("power", 1.0), free_region=region)
     assert len(op.lattice) > 3
-    assert apply_operator(op, lambda p: 1.0, ORIGIN3) > 0
+    assert apply_operator(op, lambda p: np.ones(len(p)), ORIGIN3) > 0
     with pytest.raises(ResourceLimitError):
-        op.matrix
+        assemble(grid, ("power", 1.0), domain=region)
 
 
 @pytest.mark.parametrize("beta", [1.0, 1.5])
 @pytest.mark.parametrize("n", [3, 27, 243])
 def test_free_row_route_matches_dense_matrix_row(n, beta):
-    # apply_operator gathers one row from the difference cube; the dense
-    # matrix gathers all of them, and the row dot must agree bit for bit
+    # apply_operator forms one row from the Green values at the differences;
+    # the oracle row is built from scalar values, and the dots agree bit for bit
     grid = GridSpec(d=3, n=n)
     x = (0.1, 0.0, -0.05)
     op = assemble(grid, ("power", beta), free_region=Ball(ORIGIN3, 1.0), include_points=[x])
@@ -174,17 +187,16 @@ def test_free_row_route_matches_dense_matrix_row(n, beta):
 
     z = round_to_grid(x, grid)
     samples = f(op.lattice.points * grid.h + (np.asarray(x) - grid.h * z))
-    assert apply_operator(op, f, x) == float(op.matrix[op.lattice.index_of(z)] @ samples)
+    oracle = _scalar_row(op, op.lattice.index_of(z))
+    assert apply_operator(op, f, x) == float(oracle @ samples)
 
 
-def test_free_cube_asymptote_equals_scalar_green_bit_for_bit():
-    lattice = LatticeSet.from_points(3, [(0, 0, 0), (24, 18, 20)])
-    cube = _free_cube(lattice)
-    assert cube.shape == (25, 19, 21)
-    idx = np.indices(cube.shape).reshape(3, -1).T
-    scalar = np.array([whole_space_green(3, k) for k in idx])
-    assert np.any(idx.max(axis=1) > 16)
-    np.testing.assert_array_equal(cube.reshape(-1), scalar)
+def test_free_row_asymptote_equals_scalar_green_bit_for_bit():
+    lattice = LatticeSet.from_points(3, np.indices((25, 19, 21)).reshape(3, -1).T)
+    op = DiscreteOperator(grid=GridSpec(d=3, n=3), lattice=lattice, transform=("power", 1.0))
+    assert np.any(lattice.points.max(axis=1) > EXACT_RANGE)
+    for i in (0, len(lattice) - 1):
+        np.testing.assert_array_equal(op.row(i), _scalar_row(op, i))
 
 
 def test_free_convergence_holds_no_dense_matrix():
@@ -233,13 +245,12 @@ def test_point_evaluation_errors_propagate():
         apply_operator(op, batch_bug, (0.0, 0.0))
     with pytest.raises(ZeroDivisionError):
         cmp_functional(op, batch_bug)
-    # a callable that takes one point at a time still falls back to a loop
-    disk = BallIndicator((0.0, 0.0), 0.5)
-    scalar_only = lambda p: 1.0 if math.hypot(*p) < 0.5 else 0.0  # noqa: E731
-    assert apply_operator(op, scalar_only, (0.1, 0.0)) == apply_operator(op, disk, (0.1, 0.0))
-    single = assemble(GridSpec(d=2, n=8), ("power", 1.0), domain=Ball((0.0, 0.0), 0.1))
-    assert len(single.lattice) == 1  # indexing p[1] of a one-row array raises IndexError
-    assert apply_operator(single, lambda p: p[0] + p[1] + 1.0, (0.0, 0.0)) == single.matrix[0, 0]
+    # f is called once on the (k, d) array and must give k values
+    for scalar_only in (lambda p: 1.0, lambda p: p[0] + p[1]):
+        with pytest.raises(ValueError):
+            apply_operator(op, scalar_only, (0.1, 0.0))
+        with pytest.raises(ValueError):
+            cmp_functional(op, scalar_only)
 
 
 def test_free_operator_value_matches_ball_integral():
@@ -298,26 +309,10 @@ def test_cmp_functional_detects_synthetic_violation():
     assert cmp_functional(op, np.array([-0.2, 0.7])) == pytest.approx(-0.04, rel=1e-12)
 
 
-def test_equicontinuity_cap_bounds_and_monotonicity():
-    cap_small = equicontinuity_cap(3, 1.0, 1.0)
-    cap_big = equicontinuity_cap(3, 1.0, 3.0)
-    assert cap_small > whole_space_green(3, ORIGIN3)  # diagonal term alone
-    assert cap_big > cap_small
+def test_cmp_functional_rejects_a_free_operator():
+    op = assemble(GridSpec(d=3, n=12), ("power", 1.0), free_region=Ball(ORIGIN3, 0.8))
     with pytest.raises(ValueError):
-        equicontinuity_cap(2, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        equicontinuity_cap(3, 3.0, 1.0)
-
-
-def test_equicontinuity_cap_dominates_observed_values():
-    cap = equicontinuity_cap(3, 1.5, 1.0)
-    region = Ball(ORIGIN3, 1.0)
-    ind = BallIndicator(ORIGIN3, 1.0)
-    grid = GridSpec(d=3, n=48)
-    probes = [ORIGIN3, (0.4, 0.0, 0.0), (0.0, 0.9, 0.0), (1.2, 0.0, 0.3)]
-    op = assemble(grid, ("power", 1.5), free_region=region, include_points=probes)
-    for x in probes:
-        assert apply_operator(op, ind, x) <= cap
+        cmp_functional(op, np.ones(len(op.lattice)))
 
 
 def test_convergence_report_properties_and_serialization():
@@ -369,6 +364,15 @@ def test_converge_validation():
         converge(Ball((0.0, 0.0), 1.0), ("power", 1.0), (0.1, 0.0), (0.0, 0.0), 0, 2)
 
 
+def test_converge_has_no_killed_operator_route():
+    # a disk with a BallIndicator target, and a free operator at a point
+    with pytest.raises(ValueError):
+        converge(Ball((0.0, 0.0), 1.0), ("power", 1.0), (0.0, 0.0),
+                 BallIndicator((0.0, 0.0), 0.5), 1, 2)
+    with pytest.raises(ValueError):
+        converge(None, ("power", 1.0), ORIGIN3, (0.5, 0.0, 0.0), 1, 3)
+
+
 UNIT_DISK = Ball((0.0, 0.0), 1.0)
 
 
@@ -392,7 +396,7 @@ def test_on_grid_disk_value_matches_single_entry(n):
     for kx, ky in pairs:
         x = tuple(grid.h * c for c in kx)
         y = tuple(grid.h * c for c in ky)
-        expected = killed_green_entry(lat, kx, ky) * 0.5
+        expected = killed_green_entries(lat, kx, [ky])[0] * 0.5
         assert _disk_value(("power", 1.0), x, y, n) == pytest.approx(expected, rel=1e-12)
 
 
