@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import logging
 import math
 from dataclasses import dataclass
 
@@ -37,8 +36,6 @@ __all__ = [
     "round_to_grid",
     "cubic_open_set",
 ]
-
-logger = logging.getLogger(__name__)
 
 # snapping tolerance for exact-tie detection in cube-index space
 TIE_TOL = 1e-9
@@ -373,13 +370,10 @@ def _grid_where(domain, grid: GridSpec, keep, pad: float = 0.0) -> LatticeSet:
 def grid_points(domain, grid: GridSpec) -> LatticeSet:
     """Integer points whose scaled positions lie strictly inside the domain.
 
-    Boundary points are excluded (open-set membership).  An empty result
-    is reported but not fatal.
+    Boundary points are excluded (open-set membership).  The result may
+    be empty; `nonempty_grid_points` is the variant that refuses that.
     """
-    pts = _grid_where(domain, grid, domain.contains)
-    if len(pts) == 0:
-        logger.warning("grid has no points inside the domain at n=%d", grid.n)
-    return pts
+    return _grid_where(domain, grid, domain.contains)
 
 
 def nonempty_grid_points(domain, grid: GridSpec) -> LatticeSet:

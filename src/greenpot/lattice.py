@@ -216,7 +216,8 @@ def _lattice_kernel(d: int, points, exact_range: int, far) -> np.ndarray:
     Each distinct sorted key is summed once, so a value depends only on
     its key: permutations and sign flips leave it bit for bit unchanged.
     """
-    keys = np.sort(np.abs(np.asarray(points, dtype=np.int64).reshape(-1, d)), axis=1)
+    keys = np.abs(np.asarray(points, dtype=np.int64).reshape(-1, d))
+    keys.sort(axis=1)
     out = np.empty(len(keys))
     near = keys[:, -1] <= exact_range
     if near.any():
@@ -241,8 +242,7 @@ def _lattice_kernel(d: int, points, exact_range: int, far) -> np.ndarray:
                     integrand *= rows[chunk[:, j]]
             values[lo:lo + len(chunk)] = integrand.sum(axis=1)
         out[near] = values[inverse.reshape(-1)]
-    far_keys = keys[~near].astype(float)
-    out[~near] = far(np.sqrt(np.einsum("ij,ij->i", far_keys, far_keys)))
+    out[~near] = far(np.sqrt(np.einsum("ij,ij->i", keys, keys)[~near]))
     return out
 
 

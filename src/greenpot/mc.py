@@ -13,16 +13,14 @@ left is a trapezoid rule over the sampled window, whose bias a
 Richardson estimate at twice the step measures; on the fixed clock of
 ``alpha = 2`` the window is known exactly and the bias is measured.
 
-Trials are processed in fixed-size blocks with per-block derived
-generators and reduced in block order, so estimates are bit-identical
-for a given (seed, stream) at any GREENPOT_THREADS setting.
+Trials are processed in fixed-size blocks, each drawing from its own
+generator keyed by the block index, and reduced in block order, so an
+estimate is fixed by (seed, stream) and the trial count.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -48,11 +46,10 @@ __all__ = [
     "sample_stable_increment",
     "estimate_riesz_potential",
     "RieszEstimate",
-    "thread_count",
 ]
 
 STEP_BUDGET = 10**8
-TRIAL_CHUNK = 8192  # fixed so reductions are identical at any thread count
+TRIAL_CHUNK = 8192  # trials per block; a block's index keys its generator
 CHUNK_DRAWS = 1 << 12  # clock increments (or tail terms) one Riesz chunk holds at once
 CLOSED_FORM_LIMIT = 100.0  # the d = 3 ball chance is closed-form up to s = 100 r^2
 TAIL_NODES = 800  # log-uniform points of the Bochner tail table
@@ -62,22 +59,6 @@ TAIL_RTOL = 1e-9  # relative accuracy of h(0), tested against the ball integral
 
 class StepBudgetError(RuntimeError):
     """A walk exceeded its step budget before exiting."""
-
-
-def thread_count() -> int:
-    """Worker cap from GREENPOT_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("GREENPOT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_blocks(worker, nblocks: int) -> list:
-    workers = thread_count()
-    if workers == 1 or nblocks == 1:
-        return [worker(b) for b in range(nblocks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(nblocks)))
 
 
 def _block_sizes(trials: int):
@@ -103,10 +84,6 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         return generator(self.seed, self.stream)
-
-    def child(self, index: int) -> np.random.Generator:
-        """Independent generator for a numbered block of trials."""
-        return generator(self.seed, self.stream, index)
 
 
 @dataclass(frozen=True)
@@ -143,23 +120,17 @@ def _estimate(total: float, total_sq: float, trials: int, seed: int) -> McEstima
     return McEstimate(mean=mean, stderr=math.sqrt(var / trials), trials=trials, seed=seed)
 
 
-def _as_generator(rng) -> np.random.Generator:
-    return rng.generator() if isinstance(rng, RngStream) else rng
-
-
 # ---------------------------------------------------------------- walks
 
 def _walk_block(lattice: LatticeSet, start: np.ndarray, trials: int, gen: np.random.Generator,
-                step_budget: int, nbr: np.ndarray | None = None) -> np.ndarray:
+                step_budget: int, nbr: np.ndarray) -> np.ndarray:
     """Walk `trials` paths from `start` until each exits; returns exits.
 
     Walks move between rows of `lattice`: step ``k`` of `unit_steps` takes
-    row ``i`` to ``nbr[i, k]``, the neighbour table of `lattice._neighbours`
-    (built here when not given), and leaves the set where that is ``-1``.
+    row ``i`` to ``nbr[i, k]``, the neighbour table of `lattice._neighbours`,
+    and leaves the set where that is ``-1``.
     """
     steps = unit_steps(lattice.d)
-    if nbr is None:
-        nbr = _neighbours(lattice)[1]
     row = np.full(trials, lattice.index_of(start))
     exits = np.empty((trials, lattice.d), dtype=np.int64)
     active = np.arange(trials)
@@ -201,26 +172,22 @@ def estimate_boundary_term(domain, grid: GridSpec, x, y, trials: int, rng: RngSt
     d = grid.d
     scale = grid.green_scale
     a_uv = potential_kernel_2d(u - v) if d == 2 else None
-    sizes = _block_sizes(trials)
     nbr = _neighbours(lattice)[1]
-
-    def worker(b):
-        exits = _walk_block(lattice, u, sizes[b], rng.child(b), step_budget, nbr=nbr)
+    total = total_sq = 0.0
+    for b, size in enumerate(_block_sizes(trials)):
+        exits = _walk_block(lattice, u, size, generator(rng.seed, rng.stream, b), step_budget, nbr)
         if d == 2:
             vals = 0.5 * (potential_kernel_2d_array(exits - v) - a_uv)
         else:
             vals = scale * whole_space_green_array(d, exits - v)
-        return float(vals.sum()), float((vals**2).sum())
-
-    parts = _map_blocks(worker, len(sizes))
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
+        total += float(vals.sum())
+        total_sq += float((vals**2).sum())
     return _estimate(total, total_sq, trials, rng.seed)
 
 
 # --------------------------------------------------------- subordinators
 
-def sample_half_stable(t: float, rng, size=None):
+def sample_half_stable(t: float, gen: np.random.Generator, size=None):
     """Passage-time draw of the normalized 1/2-stable subordinator.
 
     ``eta_t = t^2 / (2 Z^2)`` with Z standard normal; the Laplace
@@ -228,7 +195,6 @@ def sample_half_stable(t: float, rng, size=None):
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    gen = _as_generator(rng)
     z = gen.standard_normal(size)
     while np.any(z == 0.0):  # probability-zero guard
         z = np.where(z == 0.0, gen.standard_normal(size), z)
@@ -243,7 +209,7 @@ def _uniform_angles(gen: np.random.Generator, size):
     return theta
 
 
-def sample_stable_increment(alpha: float, dt: float, rng, size=None):
+def sample_stable_increment(alpha: float, dt: float, gen: np.random.Generator, size=None):
     """Increment of the alpha/2-stable subordinator over time `dt`.
 
     Exponential-uniform (Kanter) draw of the positive stable law with
@@ -255,7 +221,6 @@ def sample_stable_increment(alpha: float, dt: float, rng, size=None):
         raise ValueError("alpha must lie in (0, 2)")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    gen = _as_generator(rng)
     rho, theta = alpha / 2.0, _uniform_angles(gen, size)
     lower = np.sin(rho * theta)
     upper = lower if rho == 1.0 - rho else np.sin((1.0 - rho) * theta)
@@ -356,8 +321,8 @@ def estimate_riesz_potential(d: int, beta: float, ball: Ball, x, time_step: floa
     trapezoid's error against it, plus `TAIL_RTOL` of ``D h(0)`` for the
     table itself.  Each 8192-trial block runs in chunks of at most
     `CHUNK_DRAWS` increments, each from its own generator ``generator(seed,
-    stream, block, chunk)``, so memory does not grow with N and the
-    estimate does not depend on the thread count.
+    stream, block, chunk)``, so memory does not grow with N and the blocks
+    and chunks, not the order of evaluation, fix the draws.
     """
     if not isinstance(ball, Ball) or ball.d != d:
         raise ValueError(f"need a Ball in R^{d}")
@@ -391,19 +356,16 @@ def estimate_riesz_potential(d: int, beta: float, ball: Ball, x, time_step: floa
         window = params.coefficient * (h0 - tail(clock[:, -1])[0])
         step_error = abs(sums[2] - window) + TAIL_RTOL * params.coefficient * h0
     else:
-        sizes = _block_sizes(trials)
         rows = max(1, CHUNK_DRAWS // nsteps)
-
-        def worker(b):
-            sums = np.zeros(4)
-            for c, lo in enumerate(range(0, sizes[b], rows)):
+        sums = np.zeros(4)
+        for b, size in enumerate(_block_sizes(trials)):
+            block = np.zeros(4)
+            for c, lo in enumerate(range(0, size, rows)):
                 s = sample_stable_increment(params.alpha, time_step,
                                             generator(rng.seed, rng.stream, b, c),
-                                            size=(min(rows, sizes[b] - lo), nsteps))
-                sums += values(np.cumsum(s, axis=1, out=s))[1]
-            return sums
-
-        sums = sum(_map_blocks(worker, len(sizes)))
+                                            size=(min(rows, size - lo), nsteps))
+                block += values(np.cumsum(s, axis=1, out=s))[1]
+            sums += block
         est = _estimate(sums[0], sums[1], trials, rng.seed)
         step_error = abs(sums[3] - sums[2]) / (3.0 * trials)
     return RieszEstimate(**asdict(est), step_error=step_error, window_share=sums[2] / sums[0],

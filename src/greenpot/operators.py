@@ -44,6 +44,7 @@ from .lattice import (
     whole_space_green,  # noqa: F401  unused; perfbench/selftest.py and tests pin this binding
     whole_space_green_array,
 )
+from .potential import cmp_inequality
 
 __all__ = [
     "DiscreteOperator",
@@ -210,9 +211,7 @@ def cmp_functional(op: DiscreteOperator, f) -> float:
     """
     if op.matrix is None:
         raise ValueError("the CMP functional needs a killed operator's matrix")
-    values = _grid_values(op, f)
-    excess = np.clip(op.matrix @ values - 1.0, 0.0, None)
-    return float((excess @ values) * op.grid.h**op.grid.d)
+    return cmp_inequality(op.matrix, _grid_values(op, f)) * op.grid.h**op.grid.d
 
 
 @dataclass(frozen=True)

@@ -144,30 +144,33 @@ def cmp_inequality(u, v) -> float:
     return float(excess @ w)
 
 
-def _adversarial(u: np.ndarray) -> np.ndarray:
-    """Sign vectors and scaled inverse rows, the natural CMP violators."""
-    signs = [np.eye(len(u)), -np.eye(len(u))]
-    try:
-        inv = np.linalg.inv(u)
-    except np.linalg.LinAlgError:
-        return np.vstack(signs)
-    return np.vstack(signs + [k * inv for c in (0.5, 1.0, 1.5, 2.0) for k in (c, -c)])
-
-
 def sample_cmp(u, trials: int, seed: int, include_adversarial: bool = True):
     """Minimize the CMP functional over random and adversarial directions.
 
-    Draws `trials` standard-normal vectors (plus signed indicator vectors
-    and scaled rows of the inverse when available) and returns the pair
+    Draws `trials` standard-normal vectors, then the natural violators:
+    the signed indicator vectors ``e_i, -e_i`` and, when the inverse
+    exists, its rows scaled by ``0.5, -0.5, 1, -1, 1.5, -1.5, 2, -2``, each
+    written straight into one probe buffer.  Returns the pair
     ``(min_value, argmin_vector)``.
     """
     a = _check_square_nonneg(u)
     if trials < 1:
         raise ValueError("trials must be positive")
-    extra = _adversarial(a) if include_adversarial else a[:0]
-    vs = np.empty((trials + len(extra), a.shape[0]))
+    m, inv = a.shape[0], None
+    if include_adversarial:
+        try:
+            inv = np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            pass
+    signs = (1.0, -1.0) if include_adversarial else ()
+    scales = () if inv is None else (0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0, -2.0)
+    vs = np.zeros((trials + (len(signs) + len(scales)) * m, m))
     generator(seed).standard_normal(out=vs[:trials])
-    vs[trials:] = extra
+    probes = vs[trials:].reshape(-1, m, m)
+    for k, c in enumerate(signs):
+        np.fill_diagonal(probes[k], c)
+    for k, c in enumerate(scales, len(signs)):
+        np.multiply(inv, c, out=probes[k])
     excess = vs @ a.T
     excess -= 1.0
     np.clip(excess, 0.0, None, out=excess)

@@ -489,6 +489,22 @@ def test_riesz_mc_does_not_import_scipy_stats():
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
+EXIT_WITH_MAIN = """
+import json, sys
+from greenpot.cli import main
+sys.exit(main(json.loads(sys.argv[1])))
+"""
+
+
+def test_empty_domain_grid_reports_size_zero_silently():
+    # a fresh interpreter, so no test harness handler catches a log record
+    tiny = '{"d":2,"shape":{"ball":{"center":[0.5,0.5],"radius":0.01}}}'
+    proc = _run_fresh(EXIT_WITH_MAIN, ["domain-grid", "--domain", tiny, "--n", "2"])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["size"] == 0
+
+
 def test_planar_lattice_green_is_finite(capsys):
     # |x|^2 reaches 3600, past where scalar quadrature of a(x) gave NaN
     rc, out, err = run_cli(capsys, ["lattice-green", "--d", "2", "--max", "60"])

@@ -288,6 +288,22 @@ def _kernel_pair(d):
             lambda p, r: whole_space_green(d, p, r))
 
 
+def test_far_rows_stay_within_traced_memory():
+    # far keys are summed as integers in place, never copied to floats
+    gen = np.random.default_rng(3)
+    pts = gen.integers(-400, 400, size=(200_000, 3))
+    pts[:, 0] = gen.integers(EXACT_RANGE + 1, 400, size=len(pts))
+    whole_space_green_array(3, pts[:10])  # its one-time imports are not the row's memory
+    tracemalloc.start()
+    try:
+        values = whole_space_green_array(3, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(values > 0)
+    assert peak < 3 * pts.nbytes
+
+
 @pytest.mark.parametrize("d,top", [(2, 50), (3, 20), (4, 11)])
 def test_key_sum_independent_of_batch(d, top):
     # more distinct keys than one integrand chunk holds: a key's value must

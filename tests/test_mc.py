@@ -40,6 +40,7 @@ from greenpot import (
     whole_space_green,
 )
 from greenpot import mc
+from greenpot.lattice import _neighbours, potential_kernel_2d, potential_kernel_2d_array
 
 TWO_POINT = LatticeSet.from_points(2, [(0, 0), (1, 0)])
 
@@ -50,8 +51,8 @@ def test_rng_stream_reproducible_and_stream_separated():
     c = RngStream(2024, stream=1).generator().integers(0, 2**32, 8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    d = RngStream(2024).child(3).integers(0, 2**32, 8)
-    e = RngStream(2024).child(4).integers(0, 2**32, 8)
+    d = mc.generator(2024, 0, 3).integers(0, 2**32, 8)
+    e = mc.generator(2024, 0, 4).integers(0, 2**32, 8)
     assert not np.array_equal(d, e)
 
 
@@ -70,8 +71,8 @@ def test_mc_estimate_validation_and_json():
 
 def test_walk_exit_law_matches_exit_distribution():
     trials = 20_000
-    exits = mc._walk_block(TWO_POINT, np.array([0, 0]), trials, RngStream(1).child(0),
-                           mc.STEP_BUDGET)
+    exits = mc._walk_block(TWO_POINT, np.array([0, 0]), trials, mc.generator(1, 0, 0),
+                           mc.STEP_BUDGET, _neighbours(TWO_POINT)[1])
     points, counts = np.unique(exits, axis=0, return_counts=True)
     law = {tuple(int(c) for c in p): k / trials for p, k in zip(points, counts)}
     exact_law = exit_distribution(TWO_POINT, (0, 0))
@@ -111,21 +112,29 @@ def test_vectorized_walk_matches_loop():
         grid = GridSpec(d=domain.d, n=n)
         lat = grid_points(domain, grid)
         start = round_to_grid(x, grid)
-        exits = mc._walk_block(lat, start, 300, RngStream(11).child(0), 10**6)
-        ref_exits = _loop_walk(lat, tuple(start), 300, RngStream(11).child(0))
+        exits = mc._walk_block(lat, start, 300, mc.generator(11, 0, 0), 10**6,
+                               _neighbours(lat)[1])
+        ref_exits = _loop_walk(lat, tuple(start), 300, mc.generator(11, 0, 0))
         assert [tuple(int(c) for c in e) for e in exits] == ref_exits
 
 
-def test_boundary_term_thread_invariant(monkeypatch):
-    # three blocks; the fixed chunking makes the reduction independent of
-    # the thread count
-    args = (Ball((0.0, 0.0), 1.0), GridSpec(d=2, n=18), (1 / 3, 0.0), (-1 / 3, 0.0),
-            2 * mc.TRIAL_CHUNK + 5, RngStream(9))
-    monkeypatch.setenv("GREENPOT_THREADS", "1")
+def test_boundary_term_bit_reproducible():
+    # three blocks, the last one short: block b walks on generator(seed,
+    # stream, b), and the blocks' sums are added in block order
+    domain, grid = Ball((0.0, 0.0), 1.0), GridSpec(d=2, n=18)
+    trials = 2 * mc.TRIAL_CHUNK + 5
+    args = (domain, grid, (1 / 3, 0.0), (-1 / 3, 0.0), trials, RngStream(9, stream=2))
     first = estimate_boundary_term(*args)
     assert estimate_boundary_term(*args) == first
-    monkeypatch.setenv("GREENPOT_THREADS", "4")
-    assert estimate_boundary_term(*args) == first
+    lat = grid_points(domain, grid)
+    u, v = round_to_grid((1 / 3, 0.0), grid), round_to_grid((-1 / 3, 0.0), grid)
+    total = 0.0
+    for b, size in enumerate((mc.TRIAL_CHUNK, mc.TRIAL_CHUNK, 5)):
+        exits = mc._walk_block(lat, u, size, mc.generator(9, 2, b), mc.STEP_BUDGET,
+                               _neighbours(lat)[1])
+        total += float((0.5 * (potential_kernel_2d_array(exits - v)
+                               - potential_kernel_2d(u - v))).sum())
+    assert first.mean == total / trials
 
 
 def test_step_budget_enforced():
@@ -384,12 +393,10 @@ def test_riesz_estimate_takes_only_a_ball_of_its_dimension():
                                      horizon=1.0, trials=100, rng=RngStream(0))
 
 
-def test_riesz_estimate_bit_reproducible(monkeypatch):
+def test_riesz_estimate_bit_reproducible():
     ind = Ball((2.0, 0.0, 0.0), 1.0)
     kwargs = dict(time_step=0.2, horizon=4.0, trials=2 * mc.TRIAL_CHUNK + 5, rng=RngStream(5))
-    monkeypatch.setenv("GREENPOT_THREADS", "1")
     a = estimate_riesz_potential(3, 2.0, ind, (0.0, 0.0, 0.0), **kwargs)
-    monkeypatch.setenv("GREENPOT_THREADS", "3")
     b = estimate_riesz_potential(3, 2.0, ind, (0.0, 0.0, 0.0), **kwargs)
     assert a == b
 
@@ -422,12 +429,11 @@ def _conditional_values(d, params, m, r, time_step, clock):
 @pytest.mark.parametrize("beta", [1.0, 2.0, 2.7])
 def test_chunked_riesz_worker_matches_whole_block_oracle(monkeypatch, beta, chunk_draws):
     # a short last block and, at one row per chunk or one chunk per
-    # block, a short last chunk; two threads share the blocks; each
-    # block's clock is evaluated whole, P by chndtr alone
+    # block, a short last chunk; each block's clock is evaluated whole,
+    # P by chndtr alone
     ind = Ball((1.0, 0.0, 0.0), 0.5)
     trials, time_step, horizon = mc.TRIAL_CHUNK + 37, 0.25, 3.0
     monkeypatch.setattr(mc, "CHUNK_DRAWS", chunk_draws)
-    monkeypatch.setenv("GREENPOT_THREADS", "2")
     est = estimate_riesz_potential(3, beta, ind, (0.0, 0.0, 0.0), time_step, horizon,
                                    trials, RngStream(19))
     params = riesz_params(3, beta)

@@ -4,6 +4,9 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import greenpot
@@ -61,3 +64,16 @@ def test_benchmark_bindings_are_the_lattice_functions():
     for name in ("cli", "operators", "potential"):
         module = importlib.import_module(f"greenpot.{name}")
         assert module.killed_green_matrix is lattice.killed_green_matrix, name
+
+
+def test_cli_import_loads_no_pool_or_logging():
+    # greenpot computes from its arguments: no worker pool, no log records
+    src = str(PACKAGE.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    script = ("import sys, greenpot.cli; "
+              "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

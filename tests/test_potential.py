@@ -7,6 +7,7 @@ the preservation properties.
 
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -186,6 +187,20 @@ def test_sample_cmp_matches_stacked_probe_oracle(adversarial, trials):
         expected, probe = _stacked_probe_min(u, trials, 5, adversarial)
         assert value == expected
         assert np.array_equal(witness, probe)
+
+
+def test_sample_cmp_probes_stay_within_traced_memory():
+    # the sign and scaled inverse rows go straight into the one probe buffer
+    u = killed_green_matrix(grid_points(Ball((0.0, 0.0), 1.0), GridSpec(d=2, n=162))).entries
+    m = len(u)
+    assert m == 249
+    tracemalloc.start()
+    try:
+        sample_cmp(u, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 10 * m * m * 8
 
 
 def test_sample_cmp_reproducible():
