@@ -64,6 +64,7 @@ from .operators import (
     assemble,
     cmp_functional,
     converge,
+    free_operator_value,
 )
 from .potential import (
     PotentialReport,

@@ -516,14 +516,12 @@ def write_reports(out: str | None, report: dict, csv_data, meta: dict):
     if out is None:
         sys.stdout.write(text)
         return
-    base = Path(out)
-    if base.suffix == ".json":
-        base = base.with_suffix("")
-    base.parent.mkdir(parents=True, exist_ok=True)
-    base.with_suffix(".json").write_text(text)
+    base = out.removesuffix(".json")  # any other dot is part of the name
+    Path(base).parent.mkdir(parents=True, exist_ok=True)
+    Path(base + ".json").write_text(text)
     if csv_data is not None and csv_data[0] is not None:
-        base.with_suffix(".csv").write_text(csv_text(*csv_data))
-    base.with_suffix(".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+        Path(base + ".csv").write_text(csv_text(*csv_data))
+    Path(base + ".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
 
 
 def main(argv=None) -> int:

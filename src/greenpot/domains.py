@@ -351,20 +351,25 @@ class GridSpec:
         return [cls(d=d, n=base * 9**k) for k in range(count)]
 
 
+def _bbox_blocks(region, grid: GridSpec, pad: float = 0.0):
+    """Integer points of the region's bounding box widened by `pad`, in
+    lexicographic order, as int64 ``(k, d)`` blocks of `_ROW_BLOCK` rows."""
+    if region.d != grid.d:
+        raise ValueError("domain and grid dimensions differ")
+    lo, hi = region.bbox()
+    first = np.floor((lo - pad) / grid.h).astype(np.int64)
+    shape = np.ceil((hi + pad) / grid.h).astype(np.int64) - first + 1
+    size = math.prod(int(s) for s in shape)
+    for start in range(0, size, _ROW_BLOCK):
+        flat = np.arange(start, min(start + _ROW_BLOCK, size))
+        yield first + np.stack(np.unravel_index(flat, shape), axis=1)
+
+
 def _grid_where(domain, grid: GridSpec, keep, pad: float = 0.0) -> LatticeSet:
     """Indices of the bounding box widened by `pad` whose scaled points
-    satisfy `keep`, evaluated on `_ROW_BLOCK` points at a time."""
-    if domain.d != grid.d:
-        raise ValueError("domain and grid dimensions differ")
-    h = grid.h
-    lo, hi = domain.bbox()
-    first = np.floor((lo - pad) / h).astype(np.int64)
-    shape = np.ceil((hi + pad) / h).astype(np.int64) - first + 1
-    cand = first + np.indices(shape).reshape(grid.d, -1).T  # lexicographic rows
-    mask = np.empty(len(cand), dtype=bool)
-    for start in range(0, len(cand), _ROW_BLOCK):
-        mask[start:start + _ROW_BLOCK] = keep(cand[start:start + _ROW_BLOCK] * h)
-    return LatticeSet(d=grid.d, points=cand[mask])
+    satisfy `keep`, evaluated on one block at a time."""
+    kept = [cand[keep(cand * grid.h)] for cand in _bbox_blocks(domain, grid, pad)]
+    return LatticeSet(d=grid.d, points=np.concatenate(kept))
 
 
 def grid_points(domain, grid: GridSpec) -> LatticeSet:

@@ -5,12 +5,13 @@ The operator matrix over a grid set carries entries
     h^d * (scale * g_E(z_i, z_j))^beta    with scale = n^(d/2-1) / d^(d/2)
 
 (or ``h^d exp(alpha * scale * g_E)`` in the plane), where ``g_E`` is the
-killed Green matrix of the integer grid set and ``h = sqrt(d/n)``.  With
-the whole-space Green function in place of ``g_E`` the same weights give
-the free-space operator.  Applying the matrix row at the rounded grid
-point to shifted samples of ``F`` discretizes the continuum kernel
-integral; the grid functional ``sum_x (op F(x) - 1)^+ F(x) h^d`` is
-nonnegative because the entry matrix is a symmetric potential.
+killed Green matrix of the integer grid set and ``h = sqrt(d/n)``.  Applying
+the matrix row at the rounded grid point to shifted samples of ``F``
+discretizes the continuum kernel integral; the grid functional
+``sum_x (op F(x) - 1)^+ F(x) h^d`` is nonnegative because the entry matrix
+is a symmetric potential.  With the whole-space Green function in place of
+``g_E`` the same weights give the free-space operator, which is never
+formed: its value at ``x`` is one sum streamed over the support of ``F``.
 
 Pointwise disk kernel values are not rounded: the lattice is shifted so
 that ``x`` is a grid point, the walk's start, and the killed Green column
@@ -29,8 +30,8 @@ from . import kernels
 from .domains import (
     Ball,
     GridSpec,
+    _bbox_blocks,
     _pointwise,
-    exterior_grid,
     grid_points,
     nonempty_grid_points,
     round_to_grid,
@@ -53,6 +54,7 @@ __all__ = [
     "ResourceLimitError",
     "assemble",
     "apply_operator",
+    "free_operator_value",
     "cmp_functional",
     "converge",
 ]
@@ -84,24 +86,12 @@ def is_origin_disk(domain) -> bool:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Grid Green operator: index set, entry transform and, if killed, its matrix.
-
-    A killed operator holds its entry matrix.  A free-space operator
-    (`matrix` None) holds no entries: row ``i`` is formed in O(m) from the
-    whole-space Green values at the differences to point ``i``.
-    """
+    """Killed grid Green operator: index set, entry transform and entry matrix."""
 
     grid: GridSpec
     lattice: LatticeSet
     transform: tuple
-    matrix: np.ndarray | None = None
-
-    def row(self, i: int) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix[i]
-        pts = self.lattice.points
-        return _weighted(whole_space_green_array(self.grid.d, pts - pts[i]), self.grid,
-                         *self.transform)
+    matrix: np.ndarray
 
 
 def check_points(m: int) -> None:
@@ -118,54 +108,15 @@ def _weighted(green: np.ndarray, grid: GridSpec, kind: str, param: float) -> np.
     return weight * np.exp(param * scaled)
 
 
-def assemble(
-    grid: GridSpec,
-    transform,
-    domain=None,
-    free_region=None,
-    include_points=(),
-) -> DiscreteOperator:
-    """Build the operator over a domain grid or a free-space window.
+def assemble(grid: GridSpec, transform, domain) -> DiscreteOperator:
+    """Killed operator over ``grid_points(domain, grid)``, which must be nonempty.
 
-    Parameters
-    ----------
-    grid : GridSpec
-    transform : tuple
-        ``("power", beta)`` with ``beta >= 1`` or ``("exp", alpha)`` with
-        ``0 < alpha < 2*pi`` (plane only).  Free-space powers must stay
-        below ``d/(d-2)``.
-    domain : optional
-        Killed operator over ``grid_points(domain, grid)``; must produce a
-        nonempty set.
-    free_region : optional
-        Free-space operator (``d >= 3``) over the exterior grid of the
-        region, which covers every support point of functions living in
-        the region even after sub-spacing shifts.
-    include_points : iterable, optional
-        Extra continuum points whose rounded grid points join the index
-        set of a free-space operator, so rows at query points away from
-        the support exist.
-
-    A killed operator over more than `MAX_POINTS` points raises
-    ResourceLimitError.  A free-space operator forms one row at a time and
-    takes no cap.
+    `transform` is ``("power", beta)`` with ``beta >= 1`` or ``("exp",
+    alpha)`` with ``0 < alpha < 2*pi`` (plane only).  The operator holds its
+    m x m matrix, so more than `MAX_POINTS` points raise ResourceLimitError.
     """
-    if (domain is None) == (free_region is None):
-        raise ValueError("exactly one of domain and free_region is required")
-    free = domain is None
-    kind, param = check_transform(*transform, grid.d, free)
-    if free:
-        lattice = exterior_grid(free_region, grid)
-        extra = [round_to_grid(p, grid) for p in include_points]
-        extra = [z for z in extra if z not in lattice]
-        if extra:
-            lattice = LatticeSet.from_points(grid.d, np.vstack([lattice.points, extra]))
-    else:
-        if include_points:
-            raise ValueError("include_points applies to free-space operators only")
-        lattice = nonempty_grid_points(domain, grid)
-    if free:
-        return DiscreteOperator(grid=grid, lattice=lattice, transform=(kind, param))
+    kind, param = check_transform(*transform, grid.d, False)
+    lattice = nonempty_grid_points(domain, grid)
     check_points(len(lattice))
     entries = _weighted(killed_green_matrix(lattice).entries, grid, kind, param)
     return DiscreteOperator(grid=grid, lattice=lattice, transform=(kind, param), matrix=entries)
@@ -190,7 +141,31 @@ def apply_operator(op: DiscreteOperator, f, x) -> float:
     h = op.grid.h
     shift = np.asarray(x, dtype=float) - h * z
     samples = _eval_on_points(f, op.lattice.points * h + shift)
-    return float(op.row(op.lattice.index_of(z)) @ samples)
+    return float(op.matrix[op.lattice.index_of(z)] @ samples)
+
+
+def free_operator_value(grid: GridSpec, transform, f, x) -> float:
+    """Free-space operator value ``sum_k h^d T(scale g(k - z)) F(hk + shift)``
+    at ``x``, with ``z = round_to_grid(x)`` and ``shift = x - hz``.
+
+    `f` is a callable on ``(k, d)`` arrays of points with a ``bbox()``
+    outside of which it vanishes, such as a `BallIndicator`.  The lattice
+    points of that box, padded by two spacings as the exterior grid pads,
+    are walked in blocks; each block's products where ``F != 0`` are summed
+    by ``np.sum``, and the block sums are added in order.  Nothing of size
+    beyond one block is held, so no point cap applies.  The transform must
+    lie in the free-space range: ``d >= 3`` and ``1 <= beta < d/(d-2)``.
+    """
+    kind, param = check_transform(*transform, grid.d, True)
+    z = round_to_grid(x, grid)
+    shift = np.asarray(x, dtype=float) - grid.h * z
+    total = 0.0
+    for k in _bbox_blocks(f, grid, pad=2.0 * grid.h):
+        samples = _eval_on_points(f, k * grid.h + shift)
+        support = samples != 0
+        weights = _weighted(whole_space_green_array(grid.d, k[support] - z), grid, kind, param)
+        total += float(np.sum(weights * samples[support]))
+    return total
 
 
 def _grid_values(op: DiscreteOperator, f) -> np.ndarray:
@@ -202,15 +177,12 @@ def _grid_values(op: DiscreteOperator, f) -> np.ndarray:
 
 
 def cmp_functional(op: DiscreteOperator, f) -> float:
-    """Discrete CMP functional ``h^d sum_x (opF(x) - 1)^+ F(x)``.
+    """Discrete CMP functional ``h^d sum_x (opF(x) - 1)^+ F(x)`` of a killed operator.
 
     `f` may be a callable on continuum points or a vector over the grid.
     Nonnegative whenever the entry matrix is a potential, which holds for
-    every operator assembled from true walk Green data.  A free-space
-    operator forms no matrix and is a ValueError.
+    every operator assembled from true walk Green data.
     """
-    if op.matrix is None:
-        raise ValueError("the CMP functional needs a killed operator's matrix")
     return cmp_inequality(op.matrix, _grid_values(op, f)) * op.grid.h**op.grid.d
 
 
@@ -320,8 +292,7 @@ def converge(domain, transform, x, target, levels: int, base: int) -> Convergenc
         provenance = "ball kernel integral, adaptive quadrature"
 
         def value(grid):
-            op = assemble(grid, transform, free_region=target, include_points=[x])
-            return apply_operator(op, target, x)
+            return free_operator_value(grid, transform, target, x)
     elif is_origin_disk(domain) and not isinstance(target, BallIndicator):
         d = 2
         spec = KernelSpec(d=2, base="disk", transform=kind, param=param, radius=domain.radius)

@@ -246,6 +246,16 @@ def test_out_writes_json_csv_meta(tmp_path, capsys):
     assert "created_at" in meta and "--levels" in meta["argv"]
 
 
+def test_out_names_keep_their_dots(tmp_path, capsys):
+    # only a literal .json is stripped, so riesz.s0 and riesz.s1 are two bases
+    argv = ["converge-disk", "--levels", "2", "--base", "2"]
+    for name in ("riesz.s0", "riesz.s1", "x.json"):
+        assert run_cli(capsys, argv + ["--out", str(tmp_path / name)])[0] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"{base}{ext}" for base in ("riesz.s0", "riesz.s1", "x")
+        for ext in (".csv", ".json", ".meta.json")]
+
+
 def test_reports_byte_identical_across_runs(tmp_path, capsys):
     argv = ["riesz-mc", "--trials", "500", "--time-step", "0.2", "--horizon", "4.0"]
     a, b = tmp_path / "a", tmp_path / "b"
@@ -446,10 +456,11 @@ assert "scipy" in sys.modules
 """
 
 
-def _run_fresh(script: str, arg) -> subprocess.CompletedProcess:
-    """Run `script` in a new interpreter with `arg` as JSON in ``sys.argv[1]``."""
+def _run_fresh(script: str, arg, **environ) -> subprocess.CompletedProcess:
+    """Run `script` in a new interpreter with `arg` as JSON in ``sys.argv[1]``
+    and `environ` added to the environment."""
     src = str(Path(greenpot.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run([sys.executable, "-c", script, json.dumps(arg)],
                           capture_output=True, text=True, timeout=300, env=env)
@@ -503,6 +514,16 @@ def test_empty_domain_grid_reports_size_zero_silently():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["size"] == 0
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for two BLAS threads")
+def test_converge_free_report_does_not_depend_on_blas_threads():
+    # the free sum adds with np.sum in a fixed order: the last bits of a
+    # BLAS dot over the row depend on its thread count
+    runs = [_run_fresh(EXIT_WITH_MAIN, ["converge-free", "--levels", "4"],
+                       OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
+    assert [p.returncode for p in runs] == [0, 0], runs[0].stderr[-2000:] + runs[1].stderr[-2000:]
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_planar_lattice_green_is_finite(capsys):

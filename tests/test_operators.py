@@ -5,6 +5,7 @@ are built from (exact algebra), and operator values against the continuum
 ball integrals from the kernel module (independent quadrature).
 """
 
+import functools
 import math
 import tracemalloc
 
@@ -21,7 +22,6 @@ from greenpot import (
     DiscreteOperator,
     GridSpec,
     KernelSpec,
-    LatticeSet,
     ResourceLimitError,
     apply_operator,
     assemble,
@@ -30,6 +30,8 @@ from greenpot import (
     converge,
     cubic_open_set,
     disk_green_2d,
+    exterior_grid,
+    free_operator_value,
     grid_points,
     killed_green_entries,
     killed_green_matrix,
@@ -41,6 +43,7 @@ from greenpot.cli import _report_from_convergence
 from greenpot.lattice import EXACT_RANGE
 
 ORIGIN3 = (0.0, 0.0, 0.0)
+UNIT_BALL = BallIndicator(ORIGIN3, 1.0)
 
 
 def test_ball_indicator_strict_interior():
@@ -70,58 +73,69 @@ def test_planar_entries_match_killed_green_algebra():
     assert np.allclose(op.matrix, (2.0 / 8) * np.exp(1.5 * 0.5 * g), rtol=1e-14)
 
 
-def _scalar_row(op, i):
-    """Row `i` of a free power operator from scalar `whole_space_green` values."""
-    kind, beta = op.transform
-    assert kind == "power"
-    pts = op.lattice.points
-    green = np.array([whole_space_green(op.grid.d, p - pts[i]) for p in pts])
-    return op.grid.h ** op.grid.d * (green * op.grid.green_scale) ** beta
+@functools.cache
+def _old_route_terms(n: int, x: tuple):
+    """Green values and samples of the earlier free-space route on the unit
+    ball: the index set is ``exterior_grid`` plus ``z = round_to_grid(x)``,
+    and the row at ``z`` is built from scalar `whole_space_green` values."""
+    grid = GridSpec(d=3, n=n)
+    z = round_to_grid(x, grid)
+    lattice = exterior_grid(UNIT_BALL, grid)
+    pts = lattice.points if z in lattice else np.vstack([lattice.points, z])
+    keys, inverse = np.unique(np.sort(np.abs(pts - z), axis=1), axis=0, return_inverse=True)
+    green = np.array([whole_space_green(3, k) for k in keys])[inverse.ravel()]
+    return green, UNIT_BALL(pts * grid.h + (np.asarray(x) - grid.h * z))
+
+
+def _old_route_value(n: int, x: tuple, beta: float) -> float:
+    grid = GridSpec(d=3, n=n)
+    green, samples = _old_route_terms(n, x)
+    return float(grid.h**3 * (green * grid.green_scale) ** beta @ samples)
+
+
+def _point_mass(grid, k, x):
+    """A `BallIndicator` that is 1 at lattice point `k` of the grid shifted
+    by ``x - h round_to_grid(x)`` and 0 at every other point of it."""
+    shift = np.asarray(x, dtype=float) - grid.h * round_to_grid(x, grid)
+    return BallIndicator(tuple(np.asarray(k) * grid.h + shift), grid.h / 4)
 
 
 def test_free_entries_match_whole_space_green():
+    # a point mass at k reads the one entry h^d (scale g(k - z))^beta
     grid = GridSpec(d=3, n=12)
-    op = assemble(grid, ("power", 1.2), free_region=Ball(ORIGIN3, 0.8))
-    assert op.matrix is None
     scale = 12 ** 0.5 / 3 ** 1.5
     w = grid.h ** 3
-    pts = op.lattice.points
-    for i in (0, 3):
-        for j in (1, len(pts) - 1):
-            g = whole_space_green(3, pts[i] - pts[j])
-            assert op.row(i)[j] == pytest.approx(w * (scale * g) ** 1.2, rel=1e-12)
-            assert op.row(i)[j] == op.row(j)[i]
-    np.testing.assert_array_equal(op.row(3), _scalar_row(op, 3))
+    for a, b in [((0, 0, 0), (1, -1, 2)), ((2, 0, 1), (-1, 3, 0)), ((1, 1, 1), (1, 1, 1))]:
+        xa, xb = (tuple(grid.h * c for c in p) for p in (a, b))
+        entry = free_operator_value(grid, ("power", 1.2), _point_mass(grid, b, xa), xa)
+        g = whole_space_green(3, np.subtract(b, a))
+        assert entry == pytest.approx(w * (scale * g) ** 1.2, rel=1e-12)
+        assert entry == free_operator_value(grid, ("power", 1.2), _point_mass(grid, a, xb), xb)
 
 
 def test_killed_entries_below_free_entries():
     region = Ball(ORIGIN3, 0.9)
     grid = GridSpec(d=3, n=20)
-    free_op = assemble(grid, ("power", 1.0), free_region=region)
     killed_op = assemble(grid, ("power", 1.0), domain=region)
-    idx = free_op.lattice.rows_of(killed_op.lattice.points)
-    assert np.all(idx >= 0)
-    for i, row in zip(idx, killed_op.matrix):
-        assert np.all(row <= free_op.row(i)[idx] + 1e-15)
+    pts = killed_op.lattice.points
+    for i in (0, len(pts) // 2):
+        x = tuple(grid.h * pts[i])
+        for j, k in enumerate(pts):
+            free = free_operator_value(grid, ("power", 1.0), _point_mass(grid, k, x), x)
+            assert killed_op.matrix[i, j] <= free + 1e-15
 
 
 def test_assemble_validation():
     grid2, grid3 = GridSpec(d=2, n=8), GridSpec(d=3, n=8)
-    ball2, ball3 = Ball((0.0, 0.0), 1.0), Ball(ORIGIN3, 1.0)
-    with pytest.raises(ValueError):
-        assemble(grid2, ("power", 1.0))  # neither domain nor region
-    with pytest.raises(ValueError):
-        assemble(grid2, ("power", 1.0), domain=ball2, free_region=ball2)
-    with pytest.raises(ValueError):
-        assemble(grid2, ("power", 1.0), free_region=ball2)  # free needs d >= 3
-    with pytest.raises(ValueError):
-        assemble(grid3, ("exp", 1.0), free_region=ball3)  # exp is planar only
-    with pytest.raises(ValueError):
-        assemble(grid3, ("power", 3.5), free_region=ball3)  # beta >= d/(d-2)
+    ball2 = Ball((0.0, 0.0), 1.0)
+    with pytest.raises(ValueError):  # free needs d >= 3
+        free_operator_value(grid2, ("power", 1.0), BallIndicator((0.0, 0.0), 1.0), (0.0, 0.0))
+    with pytest.raises(ValueError):  # exp is planar only
+        free_operator_value(grid3, ("exp", 1.0), UNIT_BALL, ORIGIN3)
+    with pytest.raises(ValueError):  # beta >= d/(d-2)
+        free_operator_value(grid3, ("power", 3.5), UNIT_BALL, ORIGIN3)
     with pytest.raises(ValueError):
         assemble(grid2, ("power", 0.8), domain=ball2)
-    with pytest.raises(ValueError):
-        assemble(grid2, ("power", 1.0), domain=ball2, include_points=[(0.0, 0.0)])
     with pytest.raises(ValueError):
         assemble(grid2, ("power", 1.0), domain=Ball((0.25, 0.25), 0.1))  # empty grid
 
@@ -147,9 +161,11 @@ def test_kernel_spec_and_assemble_accept_the_same_transforms():
     for kind, param, d, free in cases:
         spec_ok = _accepts(lambda: KernelSpec(d=d, base="free" if free else "disk", transform=kind,
                                               param=param, radius=None if free else 1.0))
-        where = ({"free_region": Ball((0.0,) * d, 0.3)} if free
-                 else {"domain": Ball((0.0, 0.0), 1.0)})
-        op_ok = _accepts(lambda: assemble(GridSpec(d=d, n=d if free else 8), (kind, param), **where))
+        if free:
+            op_ok = _accepts(lambda: free_operator_value(GridSpec(d=d, n=d), (kind, param),
+                                                         BallIndicator((0.0,) * d, 0.3), (0.0,) * d))
+        else:
+            op_ok = _accepts(lambda: assemble(GridSpec(d=d, n=8), (kind, param), Ball((0.0, 0.0), 1.0)))
         assert spec_ok == op_ok, (kind, param, d, free)
         verdicts.add(spec_ok)
     assert verdicts == {True, False}
@@ -162,41 +178,35 @@ def test_assemble_respects_point_cap(monkeypatch):
 
 
 def test_free_rows_take_no_point_cap_but_the_matrix_does(monkeypatch):
-    # the cap guards the m x m matrix of a killed operator; free rows are O(m)
+    # the cap guards the m x m matrix of a killed operator; the free sum
+    # holds one block of its row at a time
     monkeypatch.setattr(operators_module, "MAX_POINTS", 3)
     grid = GridSpec(d=3, n=12)
-    region = Ball(ORIGIN3, 0.8)
-    op = assemble(grid, ("power", 1.0), free_region=region)
-    assert len(op.lattice) > 3
-    assert apply_operator(op, lambda p: np.ones(len(p)), ORIGIN3) > 0
+    region = BallIndicator(ORIGIN3, 0.8)
+    assert len(grid_points(region, grid)) > 3
+    assert free_operator_value(grid, ("power", 1.0), region, ORIGIN3) > 0
     with pytest.raises(ResourceLimitError):
         assemble(grid, ("power", 1.0), domain=region)
 
 
-@pytest.mark.parametrize("beta", [1.0, 1.5])
-@pytest.mark.parametrize("n", [3, 27, 243])
+@pytest.mark.parametrize("beta", [1.0, 1.5, 2.5])
+@pytest.mark.parametrize("n", [3, 27, 243, 2187])
 def test_free_row_route_matches_dense_matrix_row(n, beta):
-    # apply_operator forms one row from the Green values at the differences;
-    # the oracle row is built from scalar values, and the dots agree bit for bit
-    grid = GridSpec(d=3, n=n)
-    x = (0.1, 0.0, -0.05)
-    op = assemble(grid, ("power", beta), free_region=Ball(ORIGIN3, 1.0), include_points=[x])
-
-    def f(p):
-        return np.exp(-np.sum(np.asarray(p) ** 2, axis=-1))
-
-    z = round_to_grid(x, grid)
-    samples = f(op.lattice.points * grid.h + (np.asarray(x) - grid.h * z))
-    oracle = _scalar_row(op, op.lattice.index_of(z))
-    assert apply_operator(op, f, x) == float(oracle @ samples)
+    # the streamed sum holds the same terms as the earlier route's
+    # materialised row over exterior_grid + {z}; only the order of the
+    # additions differs
+    for x in (ORIGIN3, (0.1, 0.0, -0.05)):
+        value = free_operator_value(GridSpec(d=3, n=n), ("power", beta), UNIT_BALL, x)
+        assert value == pytest.approx(_old_route_value(n, x, beta), rel=1e-13, abs=0)
 
 
 def test_free_row_asymptote_equals_scalar_green_bit_for_bit():
-    lattice = LatticeSet.from_points(3, np.indices((25, 19, 21)).reshape(3, -1).T)
-    op = DiscreteOperator(grid=GridSpec(d=3, n=3), lattice=lattice, transform=("power", 1.0))
-    assert np.any(lattice.points.max(axis=1) > EXACT_RANGE)
-    for i in (0, len(lattice) - 1):
-        np.testing.assert_array_equal(op.row(i), _scalar_row(op, i))
+    # past EXACT_RANGE the streamed terms take the asymptote; a point mass
+    # reads one term, bit for bit the scalar value
+    grid = GridSpec(d=3, n=3)
+    for k in [(24, 18, 20), (EXACT_RANGE + 1, 0, 0), (-20, 5, 3), (3, -2, 1)]:
+        value = free_operator_value(grid, ("power", 1.0), _point_mass(grid, k, ORIGIN3), ORIGIN3)
+        assert value == grid.h ** 3 * (whole_space_green(3, k) * grid.green_scale) ** 1.0
 
 
 def test_free_convergence_holds_no_dense_matrix():
@@ -233,8 +243,20 @@ def test_apply_operator_accepts_vector_via_grid_values():
         cmp_functional(op, np.ones(len(op.lattice) + 1))
 
 
+class _OnBallBox:
+    """A rule on points that vanishes off the bounding box of a ball, as
+    the free-space sum requires."""
+
+    def __init__(self, ball, rule):
+        self.d, self.bbox, self.rule = ball.d, ball.bbox, rule
+
+    def __call__(self, pts):
+        return self.rule(pts)
+
+
 def test_point_evaluation_errors_propagate():
     op = assemble(GridSpec(d=2, n=8), ("power", 1.0), domain=Ball((0.0, 0.0), 1.0))
+    grid3 = GridSpec(d=3, n=12)
 
     def batch_bug(p):  # fails only on the vectorized call
         if np.ndim(p) == 2:
@@ -245,34 +267,30 @@ def test_point_evaluation_errors_propagate():
         apply_operator(op, batch_bug, (0.0, 0.0))
     with pytest.raises(ZeroDivisionError):
         cmp_functional(op, batch_bug)
+    with pytest.raises(ZeroDivisionError):
+        free_operator_value(grid3, ("power", 1.0), _OnBallBox(UNIT_BALL, batch_bug), ORIGIN3)
     # f is called once on the (k, d) array and must give k values
     for scalar_only in (lambda p: 1.0, lambda p: p[0] + p[1]):
         with pytest.raises(ValueError):
             apply_operator(op, scalar_only, (0.1, 0.0))
         with pytest.raises(ValueError):
             cmp_functional(op, scalar_only)
+        with pytest.raises(ValueError):
+            free_operator_value(grid3, ("power", 1.0), _OnBallBox(UNIT_BALL, scalar_only), ORIGIN3)
 
 
 def test_free_operator_value_matches_ball_integral():
-    region = Ball(ORIGIN3, 1.0)
-    ind = BallIndicator(ORIGIN3, 1.0)
     grid = GridSpec(d=3, n=81)
-    op = assemble(grid, ("power", 1.0), free_region=region, include_points=[ORIGIN3])
-    assert apply_operator(op, ind, ORIGIN3) == pytest.approx(1.0, rel=4e-2)
-    op15 = assemble(grid, ("power", 1.5), free_region=region, include_points=[ORIGIN3])
+    assert free_operator_value(grid, ("power", 1.0), UNIT_BALL, ORIGIN3) == pytest.approx(1.0, rel=4e-2)
     spec = KernelSpec(d=3, base="free", transform="power", param=1.5)
     ref = ball_kernel_integral(spec, ORIGIN3, ORIGIN3, 1.0)
-    assert apply_operator(op15, ind, ORIGIN3) == pytest.approx(ref, rel=4e-2)
+    assert free_operator_value(grid, ("power", 1.5), UNIT_BALL, ORIGIN3) == pytest.approx(ref, rel=4e-2)
 
 
-def test_include_points_extends_index_set():
-    region = Ball((2.0, 0.0, 0.0), 1.0)
-    grid = GridSpec(d=3, n=27)
-    with pytest.raises(ValueError):
-        op = assemble(grid, ("power", 1.0), free_region=region)
-        apply_operator(op, BallIndicator((2.0, 0.0, 0.0), 1.0), ORIGIN3)
-    op = assemble(grid, ("power", 1.0), free_region=region, include_points=[ORIGIN3])
-    val = apply_operator(op, BallIndicator((2.0, 0.0, 0.0), 1.0), ORIGIN3)
+def test_free_value_away_from_the_support():
+    # x lies a unit away from the ball; the sum needs no point of the grid at x
+    target = BallIndicator((2.0, 0.0, 0.0), 1.0)
+    val = free_operator_value(GridSpec(d=3, n=27), ("power", 1.0), target, ORIGIN3)
     spec = KernelSpec(d=3, base="free", transform="power", param=1.0)
     ref = ball_kernel_integral(spec, ORIGIN3, (2.0, 0.0, 0.0), 1.0)  # exactly 1/3
     assert val == pytest.approx(ref, rel=0.1)
@@ -307,12 +325,6 @@ def test_cmp_functional_detects_synthetic_violation():
         transform=("power", 1.0),
     )
     assert cmp_functional(op, np.array([-0.2, 0.7])) == pytest.approx(-0.04, rel=1e-12)
-
-
-def test_cmp_functional_rejects_a_free_operator():
-    op = assemble(GridSpec(d=3, n=12), ("power", 1.0), free_region=Ball(ORIGIN3, 0.8))
-    with pytest.raises(ValueError):
-        cmp_functional(op, np.ones(len(op.lattice)))
 
 
 def test_convergence_report_properties_and_serialization():
