@@ -14,7 +14,6 @@ from .domains import (
     CubicSet,
     GridSpec,
     Intersection,
-    cubic_open_set,
     domain_from_json,
     exterior_grid,
     grid_points,
@@ -22,14 +21,11 @@ from .domains import (
     round_to_grid,
 )
 from .kernels import (
-    KernelSpec,
     QuadratureError,
-    RieszParams,
     ball_kernel_integral,
     disk_green_2d,
     free_green,
     green_constant,
-    kernel_eval,
     riesz_params,
     volume_bound,
 )

@@ -34,7 +34,6 @@ __all__ = [
     "interior_grid",
     "exterior_grid",
     "round_to_grid",
-    "cubic_open_set",
 ]
 
 # snapping tolerance for exact-tie detection in cube-index space
@@ -258,11 +257,6 @@ class Intersection:
         # lower bound (exact when one constraint is slack); errs on the
         # inclusive side, which keeps exterior grids supersets
         return np.maximum(self.inner.dist_inf_to_set(x), self.ball.dist_inf_to_set(x))
-
-
-def cubic_open_set(height: int, basis) -> CubicSet:
-    """Glued interior of the closed cubes indexed by `basis` at `height`."""
-    return CubicSet(height=height, basis=tuple(tuple(k) for k in basis))
 
 
 def _vector(value) -> tuple:

@@ -1,28 +1,24 @@
 """Continuum Green kernels and their entrywise transforms.
 
 Free-space kernel of Brownian motion in dimension ``d >= 3``, the killed
-kernel of a planar disk, pointwise power/exponential transforms, the
-normalization constants of the equivalent Riesz representation, and
-adaptive quadrature of kernel integrals over Euclidean balls.
-scipy is imported inside the functions that call it.
+kernel of a planar disk, the one validator of the paper's transform range
+(`check_transform`), the normalization constants of the equivalent Riesz
+representation, and adaptive quadrature of free-space kernel powers over
+Euclidean balls.  scipy is imported inside the functions that call it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "KernelSpec",
-    "RieszParams",
     "QuadratureError",
     "green_constant",
     "sphere_surface",
     "free_green",
     "disk_green_2d",
-    "kernel_eval",
     "riesz_params",
     "ball_kernel_integral",
     "volume_bound",
@@ -132,76 +128,14 @@ def check_transform(kind: str, param: float, d: int, free: bool) -> tuple:
     return kind, float(param)
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """A base Green kernel together with an entrywise transform.
-
-    Parameters
-    ----------
-    d : int
-        Space dimension.  The free-space base requires ``d >= 3``, the
-        disk base requires ``d == 2``.
-    base : str
-        ``"free"`` or ``"disk"``.
-    transform : str
-        ``"power"`` (exponent ``param >= 1``) or ``"exp"`` (rate
-        ``param > 0``).  Exponential transforms are only admissible for
-        the disk base with ``0 < param < 2*pi``; powers of the free-space
-        base require ``param < d / (d - 2)``.
-    param : float
-        Transform parameter (the power, or the exponential rate).
-    radius : float, optional
-        Disk radius, required and positive for the disk base.
-    """
-
-    d: int
-    base: str
-    transform: str
-    param: float
-    radius: float | None = None
-
-    def __post_init__(self):
-        if self.base not in ("free", "disk"):
-            raise ValueError(f"unknown base kernel {self.base!r}")
-        if self.base == "free":
-            if self.radius is not None:
-                raise ValueError("free-space base takes no radius")
-        else:
-            if self.d != 2:
-                raise ValueError("disk base requires d == 2")
-            if self.radius is None or self.radius <= 0:
-                raise ValueError("disk base requires a positive radius")
-        check_transform(self.transform, self.param, self.d, self.base == "free")
-
-
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Evaluate the transformed kernel of `spec` at a pair of points."""
-    if spec.base == "free":
-        value = free_green(spec.d, x, y)
-    else:
-        value = disk_green_2d(spec.radius, x, y)
-    if spec.transform == "power":
-        return value**spec.param
-    return math.exp(spec.param * value)
-
-
-@dataclass(frozen=True)
-class RieszParams:
-    """Parameters of the Riesz representation of a free-space kernel power."""
-
-    d: int
-    beta: float
-    alpha: float
-    coefficient: float
-
-
-def riesz_params(d: int, beta: float) -> RieszParams:
-    """Riesz index and subordination coefficient for the beta-power kernel.
+def riesz_params(d: int, beta: float) -> tuple:
+    """Riesz index and subordination coefficient ``(alpha, coefficient)``
+    of the beta-power kernel.
 
     The beta-th power of the free-space kernel in R^d is a constant
     multiple of the Riesz kernel of index ``alpha = d - beta (d - 2)``;
-    the returned coefficient is the multiple in front of the expected
-    occupation of the subordinated Brownian motion.
+    the coefficient is the multiple in front of the expected occupation
+    of the subordinated Brownian motion.
     """
     check_transform("power", beta, d, free=True)
     from scipy.special import gamma
@@ -214,7 +148,7 @@ def riesz_params(d: int, beta: float) -> RieszParams:
         * math.pi ** (d / 2.0)
         / gamma((d - alpha) / 2.0)
     )
-    return RieszParams(d=d, beta=beta, alpha=alpha, coefficient=coefficient)
+    return alpha, coefficient
 
 
 def _chord(a: float, r: float, mu: float):
@@ -263,73 +197,19 @@ def _ball_power_integral(d: int, s: float, a: float, r: float, tol: float) -> fl
     return val
 
 
-def _disk_ball_integral(spec: KernelSpec, x: np.ndarray, center: np.ndarray, r: float, tol: float) -> float:
-    """Planar quadrature of a transformed disk kernel over a disk B(center, r)."""
-    from scipy import integrate
+def ball_kernel_integral(d: int, beta: float, x, center, r: float, tol: float = 1e-8) -> float:
+    """Integral of ``y -> free_green(d, x, y)**beta`` over ``B(center, r)``.
 
-    a = float(np.linalg.norm(x - center))
-    u = (x - center) / a if a > 0 else np.array([1.0, 0.0])
-    # strongest radial blow-up at the source: log^beta is tamed by the
-    # jacobian alone, exp(alpha g) ~ t^(-alpha/pi) needs a power substitution
-    sing = spec.param / math.pi if spec.transform == "exp" else 0.0
-    q = max(1, math.ceil(2.0 / (2.0 - sing)))
-
-    def radial(theta: float) -> float:
-        w = math.cos(theta) * u + math.sin(theta) * np.array([-u[1], u[0]])
-        mu = float(np.dot(w, u))
-        t0, t1 = _chord(a, r, mu)
-        if t1 <= 0.0:
-            return 0.0
-        t0 = max(t0, 0.0)
-
-        def f(v: float) -> float:
-            t = t1 * v**q
-            if t <= t0:
-                return 0.0
-            val = kernel_eval(spec, x + t * w, x) if t > 0 else 0.0
-            return val * t * q * t1 * v ** (q - 1)
-
-        lo = (t0 / t1) ** (1.0 / q) if t0 > 0 else 0.0
-        val, _ = integrate.quad(f, lo, 1.0, epsabs=1e-14, epsrel=tol * 0.1, limit=200)
-        return val
-
-    val, err = integrate.quad(radial, 0.0, 2 * math.pi, epsabs=1e-300, epsrel=tol, limit=200)
-    if err > 10 * tol * max(abs(val), 1e-300):
-        raise QuadratureError("angular quadrature did not converge")
-    return val
-
-
-def ball_kernel_integral(spec: KernelSpec, x, center, r: float, tol: float = 1e-8) -> float:
-    """Integral of the transformed kernel ``y -> k(x, y)`` over ``B(center, r)``.
-
-    Parameters
-    ----------
-    spec : KernelSpec
-        Kernel to integrate.  For the disk base the ball must lie inside
-        the disk.
-    x : array_like
-        Source point; may lie inside, on, or outside the ball.
-    center, r
-        Ball center and radius, ``r > 0``.
-    tol : float
-        Relative tolerance of the quadrature.
-
-    Returns
-    -------
-    float
+    `beta` must lie in the free-space range ``1 <= beta < d/(d-2)``,
+    ``d >= 3``.  The source point `x` may lie inside, on, or outside the
+    ball; `r` must be positive and `tol` is the relative tolerance of the
+    quadrature.
     """
+    _, beta = check_transform("power", beta, d, True)
     if r <= 0:
         raise ValueError("ball radius must be positive")
-    px, pc = _as_point(x, spec.d), _as_point(center, spec.d)
-    if spec.base == "free":
-        s = spec.param * (spec.d - 2)
-        a = float(np.linalg.norm(px - pc))
-        return green_constant(spec.d) ** spec.param * _ball_power_integral(spec.d, s, a, r, tol)
-    if float(np.linalg.norm(pc)) + r >= spec.radius:
-        raise ValueError("ball must lie inside the disk")
-    if float(np.linalg.norm(px)) >= spec.radius:
-        raise ValueError("source point must lie inside the disk")
-    return _disk_ball_integral(spec, px, pc, r, tol)
+    a = float(np.linalg.norm(_as_point(x, d) - _as_point(center, d)))
+    return green_constant(d) ** beta * _ball_power_integral(d, beta * (d - 2), a, r, tol)
 
 
 def volume_bound(d: int, beta: float, diameter: float) -> float:

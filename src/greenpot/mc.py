@@ -326,7 +326,7 @@ def estimate_riesz_potential(d: int, beta: float, ball: Ball, x, time_step: floa
     """
     if not isinstance(ball, Ball) or ball.d != d:
         raise ValueError(f"need a Ball in R^{d}")
-    params = riesz_params(d, beta)
+    alpha, coefficient = riesz_params(d, beta)
     nsteps = int(round(horizon / time_step)) if time_step > 0 else 0
     if nsteps < 2:
         raise ValueError("need 0 < 2 time_step <= horizon")
@@ -334,10 +334,10 @@ def estimate_riesz_potential(d: int, beta: float, ball: Ball, x, time_step: floa
         raise ValueError("need at least 2 trials")
     offset = np.asarray(x, dtype=float) - np.asarray(ball.center)
     m, r = math.sqrt(offset @ offset), ball.radius
-    h0, tail = _tail_table(d, params.alpha, m, r)
+    h0, tail = _tail_table(d, alpha, m, r)
     start = 1.0 if m < r else 0.5 if m == r else 0.0  # P(0)
     even = nsteps - nsteps % 2
-    scale = params.coefficient * time_step
+    scale = coefficient * time_step
 
     def values(s):
         """Per-trial values of a (trials, N) clock, and the window sums of both steps."""
@@ -346,22 +346,22 @@ def estimate_riesz_potential(d: int, beta: float, ball: Ball, x, time_step: floa
         coarse = start + 2.0 * p[:, 1:even - 2:2].sum(axis=1) + p[:, even - 1]
         if even < nsteps:
             coarse += 0.5 * (p[:, -2] + p[:, -1])
-        vals = scale * fine + params.coefficient * tail(s[:, -1])
+        vals = scale * fine + coefficient * tail(s[:, -1])
         return vals, np.array([vals.sum(), vals @ vals, scale * fine.sum(), scale * coarse.sum()])
 
-    if params.alpha == 2.0:  # every trial is the same quadrature
+    if alpha == 2.0:  # every trial is the same quadrature
         clock = time_step * np.arange(1.0, nsteps + 1)[None, :]
         vals, sums = values(clock)
         est = McEstimate(float(vals[0]), 0.0, trials, rng.seed)
-        window = params.coefficient * (h0 - tail(clock[:, -1])[0])
-        step_error = abs(sums[2] - window) + TAIL_RTOL * params.coefficient * h0
+        window = coefficient * (h0 - tail(clock[:, -1])[0])
+        step_error = abs(sums[2] - window) + TAIL_RTOL * coefficient * h0
     else:
         rows = max(1, CHUNK_DRAWS // nsteps)
         sums = np.zeros(4)
         for b, size in enumerate(_block_sizes(trials)):
             block = np.zeros(4)
             for c, lo in enumerate(range(0, size, rows)):
-                s = sample_stable_increment(params.alpha, time_step,
+                s = sample_stable_increment(alpha, time_step,
                                             generator(rng.seed, rng.stream, b, c),
                                             size=(min(rows, size - lo), nsteps))
                 block += values(np.cumsum(s, axis=1, out=s))[1]
@@ -369,4 +369,4 @@ def estimate_riesz_potential(d: int, beta: float, ball: Ball, x, time_step: floa
         est = _estimate(sums[0], sums[1], trials, rng.seed)
         step_error = abs(sums[3] - sums[2]) / (3.0 * trials)
     return RieszEstimate(**asdict(est), step_error=step_error, window_share=sums[2] / sums[0],
-                         subordination_oracle=params.coefficient * h0)
+                         subordination_oracle=coefficient * h0)

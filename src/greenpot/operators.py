@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .domains import (
     Ball,
     GridSpec,
@@ -37,7 +36,7 @@ from .domains import (
     round_to_grid,
     split_ties,
 )
-from .kernels import KernelSpec, ball_kernel_integral, check_transform
+from .kernels import ball_kernel_integral, check_transform, disk_green_2d
 from .lattice import (
     LatticeSet,
     killed_green_entries,
@@ -231,6 +230,11 @@ def _split_cells(t: np.ndarray):
     return cell, np.where(tie, 0.0, t - cell)
 
 
+def _transformed(value: float, kind: str, param: float) -> float:
+    """One kernel value under the transform ``(kind, param)``."""
+    return value**param if kind == "power" else math.exp(param * value)
+
+
 def _disk_point_value(domain, transform, x, y, grid: GridSpec) -> float:
     """Transformed, scaled killed Green value at continuum points (x, y).
 
@@ -252,9 +256,7 @@ def _disk_point_value(domain, transform, x, y, grid: GridSpec) -> float:
             corners.append(ky + bits)
             weights.append(w)
     green = float(np.dot(weights, killed_green_entries(lattice, kx, corners)))
-    value = green * grid.green_scale
-    kind, param = transform
-    return value**param if kind == "power" else math.exp(param * value)
+    return _transformed(green * grid.green_scale, *transform)
 
 
 def converge(domain, transform, x, target, levels: int, base: int) -> ConvergenceReport:
@@ -284,19 +286,20 @@ def converge(domain, transform, x, target, levels: int, base: int) -> Convergenc
     """
     if levels < 1 or base < 1:
         raise ValueError("levels and base must be positive")
-    kind, param = transform
     if domain is None and isinstance(target, BallIndicator):
         d = len(np.asarray(x, dtype=float))
-        spec = KernelSpec(d=d, base="free", transform=kind, param=param)
-        reference = ball_kernel_integral(spec, x, target.center, target.radius)
+        _, param = check_transform(*transform, d, True)
+        reference = ball_kernel_integral(d, param, x, target.center, target.radius)
         provenance = "ball kernel integral, adaptive quadrature"
 
         def value(grid):
             return free_operator_value(grid, transform, target, x)
     elif is_origin_disk(domain) and not isinstance(target, BallIndicator):
         d = 2
-        spec = KernelSpec(d=2, base="disk", transform=kind, param=param, radius=domain.radius)
-        reference = kernels.kernel_eval(spec, x, target)
+        kind, param = check_transform(*transform, d, False)
+        if np.array_equal(np.asarray(x, dtype=float), np.asarray(target, dtype=float)):
+            raise ValueError("x and y coincide, at the pole of the disk kernel")
+        reference = _transformed(disk_green_2d(domain.radius, x, target), kind, param)
         provenance = "disk kernel, reflected-point formula"
 
         def value(grid):

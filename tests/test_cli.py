@@ -133,6 +133,25 @@ def test_malformed_domain_is_usage_error(capsys, domain, named):
     assert err.startswith("error:") and named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("argv,flag", [
+    (["hadamard-sweep", "--sizes", "2,6"], "--count"),
+    (["exp-sweep", "--sizes", "2,6"], "--count"),
+    (["cmp-random", "--sizes", "2,6"], "--count"),
+    (["cmp-functional", "--domain", DISK, "--n", "18"], "--functions"),
+])
+def test_counts_below_one_are_usage_errors(capsys, argv, flag, value):
+    rc, out, err = run_cli(capsys, argv + [flag, value])
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and flag in err
+
+
+def test_converge_disk_at_the_pole_is_usage_error(capsys):
+    rc, out, err = run_cli(capsys, ["converge-disk", "--x", "0.2,0", "--y", "0.2,0"])
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "coincide" in err
+
+
 def test_converge_free_reaches_level_four(capsys):
     # n = 2187, about 1e5 points: read one row at a time, never dense
     rc, out, err = run_cli(capsys, ["converge-free", "--levels", "4"])

@@ -22,7 +22,6 @@ from greenpot import (
     CubicSet,
     GridSpec,
     Intersection,
-    cubic_open_set,
     domain_from_json,
     exterior_grid,
     grid_points,
@@ -109,7 +108,7 @@ def test_box_distance_helpers():
 
 
 def test_cubic_set_shared_face_is_interior():
-    dom = cubic_open_set(2, [(0, 0), (1, 0)])  # side 1, two cubes in a row
+    dom = CubicSet(2, [(0, 0), (1, 0)])  # side 1, two cubes in a row
     assert dom.side == pytest.approx(1.0, rel=1e-15)
     assert dom.contains((0.5, 0.0))  # center of the shared face
     assert dom.contains((0.5, 0.49))
@@ -121,14 +120,14 @@ def test_cubic_set_shared_face_is_interior():
 
 
 def test_cubic_set_diagonal_corner_is_not_interior():
-    dom = cubic_open_set(2, [(0, 0), (1, 1)])
+    dom = CubicSet(2, [(0, 0), (1, 1)])
     assert not dom.contains((0.5, 0.5))  # touching only at the corner
     assert dom.contains((0.0, 0.0))
     assert dom.contains((1.0, 1.0))
 
 
 def test_cubic_set_distance_helpers():
-    dom = cubic_open_set(2, [(0, 0), (1, 0)])
+    dom = CubicSet(2, [(0, 0), (1, 0)])
     assert dom.dist_inf_to_complement((0.5, 0.0)) == pytest.approx(0.5, rel=1e-12)
     assert dom.dist_inf_to_complement((0.0, 0.0)) == pytest.approx(0.5, rel=1e-12)
     assert dom.dist_inf_to_complement((0.5, 0.5)) == 0.0
@@ -138,15 +137,15 @@ def test_cubic_set_distance_helpers():
 
 def test_cubic_set_validation():
     with pytest.raises(ValueError):
-        cubic_open_set(0, [(0, 0)])
+        CubicSet(0, [(0, 0)])
     with pytest.raises(ValueError):
-        cubic_open_set(2, [])
+        CubicSet(2, [])
     with pytest.raises(ValueError):
-        cubic_open_set(2, [(0, 0), (0, 0)])
+        CubicSet(2, [(0, 0), (0, 0)])
     with pytest.raises(ValueError):
-        cubic_open_set(2, [(0, 0), (0, 0, 1)])
+        CubicSet(2, [(0, 0), (0, 0, 1)])
     with pytest.raises(ValueError, match="basis"):
-        cubic_open_set(2, [(0, 0), (2**63, 0)])
+        CubicSet(2, [(0, 0), (2**63, 0)])
 
 
 def test_intersection_truncates():
@@ -185,7 +184,7 @@ def test_round_to_grid_is_nearest(x, n):
 DOMAINS = [
     Ball((0.0, 0.0), 1.0),
     Box((-1.0, -0.5), (1.0, 0.8)),
-    cubic_open_set(2, [(0, 0), (1, 0), (1, 1)]),
+    CubicSet(2, [(0, 0), (1, 0), (1, 1)]),
     Intersection(Box((-5.0, -0.7), (5.0, 0.7)), Ball((0.0, 0.0), 1.5)),
 ]
 
@@ -222,14 +221,14 @@ def test_domain_from_json_documents():
         ('{"d":2,"shape":{"box":{"lo":[-1,-0.5],"hi":[1,0.8]}}}',
          Box((-1.0, -0.5), (1.0, 0.8))),
         ('{"d":2,"shape":{"cubic":{"height":2,"basis":[[1,1],[0,0],[1,0]]}}}',
-         cubic_open_set(2, [(0, 0), (1, 0), (1, 1)])),
+         CubicSet(2, [(0, 0), (1, 0), (1, 1)])),
         ('{"d":2,"shape":{"intersect_ball":{"inner":{"box":{"lo":[-5,-0.7],"hi":[5,0.7]}},'
          '"center":[0,0],"radius":1.5}}}',
          Intersection(Box((-5.0, -0.7), (5.0, 0.7)), Ball((0.0, 0.0), 1.5))),
         ('{"d":3,"shape":{"intersect_ball":{"inner":{"intersect_ball":{"inner":'
          '{"cubic":{"height":3,"basis":[[0,0,0]]}},"center":[0.5,0,0],"radius":2}},'
          '"center":[0,0,0.25],"radius":0.75}}}',
-         Intersection(Intersection(cubic_open_set(3, [(0, 0, 0)]), Ball((0.5, 0.0, 0.0), 2.0)),
+         Intersection(Intersection(CubicSet(3, [(0, 0, 0)]), Ball((0.5, 0.0, 0.0), 2.0)),
                       Ball((0.0, 0.0, 0.25), 0.75))),
     ]
     for text, domain in documents:
@@ -346,10 +345,10 @@ ORACLE_DOMAINS = [
     Ball((2.0, 0.0, 0.0), 1.0),
     Box((-1.0, -0.5), (1.0, 0.8)),
     Box((-1.0, -0.5, 0.0), (1.0, 0.8, 0.9)),
-    cubic_open_set(2, [(0, 0), (1, 0), (1, 1), (3, 3), (2, 2)]),
-    cubic_open_set(3, [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1), (3, 0, 0)]),
+    CubicSet(2, [(0, 0), (1, 0), (1, 1), (3, 3), (2, 2)]),
+    CubicSet(3, [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1), (3, 0, 0)]),
     Intersection(Box((-5.0, -0.7), (5.0, 0.7)), Ball((0.0, 0.0), 1.5)),
-    Intersection(cubic_open_set(3, [(0, 0, 0), (1, 0, 0), (1, 1, 0)]), Ball((0.5, 0.0, 0.0), 1.2)),
+    Intersection(CubicSet(3, [(0, 0, 0), (1, 0, 0), (1, 1, 0)]), Ball((0.5, 0.0, 0.0), 1.2)),
 ]
 METHODS = ("contains", "dist_inf_to_complement", "dist_inf_to_set")
 
@@ -415,7 +414,7 @@ def test_ball_contains_does_not_depend_on_memory_order():
 
 def test_cubic_basis_too_wide_to_index_is_rejected():
     with pytest.raises(ValueError, match="too wide"):
-        cubic_open_set(2, [(0, 0), (2**32, 0)])
+        CubicSet(2, [(0, 0), (2**32, 0)])
 
 
 @pytest.mark.parametrize("domain,n,interior,exterior", [
@@ -423,7 +422,7 @@ def test_cubic_basis_too_wide_to_index_is_rejected():
     (Ball((0.0, 0.0, 0.0), 1.0), 27, 7, 311),
     (Ball((2.0, 0.0, 0.0), 1.0), 27, 7, 311),  # a lattice shift of the same grids
     (Ball((0.0, 0.0, 0.0), 1.0), 243, 1695, 4675),
-    (cubic_open_set(2, [(0, 0), (1, 0), (1, 1), (3, 3), (2, 2)]), 72, 63, 229),
+    (CubicSet(2, [(0, 0), (1, 0), (1, 1), (3, 3), (2, 2)]), 72, 63, 229),
 ])
 def test_one_spacing_ties_are_on_neither_grid(domain, n, interior, exterior):
     grid = GridSpec(d=domain.d, n=n)

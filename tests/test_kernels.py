@@ -7,7 +7,6 @@ test.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -15,16 +14,14 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from greenpot import (
-    KernelSpec,
-    QuadratureError,
     ball_kernel_integral,
     disk_green_2d,
     free_green,
     green_constant,
-    kernel_eval,
     riesz_params,
     volume_bound,
 )
+from greenpot.kernels import check_transform
 
 # closed forms: Gamma(d/2-1) / (2 pi^(d/2)) collapses for small d
 EXACT_CONSTANTS = {
@@ -144,54 +141,40 @@ def test_disk_green_monotone_in_radius(pair):
     assert disk_green_2d(1.0, x, y) < disk_green_2d(2.0, x, y)
 
 
-def test_kernel_spec_validation():
-    KernelSpec(d=3, base="free", transform="power", param=2.0)
-    KernelSpec(d=2, base="disk", transform="exp", param=1.0, radius=1.0)
-    with pytest.raises(ValueError):
-        KernelSpec(d=2, base="free", transform="power", param=1.0)
-    with pytest.raises(ValueError):
-        KernelSpec(d=3, base="free", transform="power", param=0.5)
-    with pytest.raises(ValueError):
-        KernelSpec(d=3, base="free", transform="power", param=3.0)  # >= d/(d-2)
-    with pytest.raises(ValueError):
-        KernelSpec(d=3, base="free", transform="exp", param=1.0)
-    with pytest.raises(ValueError):
-        KernelSpec(d=2, base="disk", transform="exp", param=7.0, radius=1.0)  # >= 2 pi
-    with pytest.raises(ValueError):
-        KernelSpec(d=2, base="disk", transform="power", param=1.0)  # missing radius
-    with pytest.raises(ValueError):
-        KernelSpec(d=3, base="free", transform="power", param=1.0, radius=1.0)
-
-
-def test_kernel_eval_applies_transform():
-    spec = KernelSpec(d=3, base="free", transform="power", param=2.0)
-    x, y = (0.0, 0.0, 0.0), (1.0, 1.0, 0.0)
-    assert kernel_eval(spec, x, y) == pytest.approx(free_green(3, x, y) ** 2, rel=1e-14)
-    spec2 = KernelSpec(d=2, base="disk", transform="exp", param=3.0, radius=1.0)
-    x2, y2 = (0.2, 0.0), (-0.3, 0.1)
-    assert kernel_eval(spec2, x2, y2) == pytest.approx(
-        math.exp(3.0 * disk_green_2d(1.0, x2, y2)), rel=1e-14
-    )
+def test_check_transform_validation():
+    assert check_transform("power", 2, 3, True) == ("power", 2.0)
+    assert check_transform("exp", 1, 2, False) == ("exp", 1.0)
+    assert check_transform("power", 1.0, 2, False) == ("power", 1.0)
+    for kind, param, d, free in [
+        ("power", 1.0, 2, True),  # free space needs d >= 3
+        ("power", 0.5, 3, True),
+        ("power", 3.0, 3, True),  # >= d/(d-2)
+        ("exp", 1.0, 3, True),
+        ("exp", 7.0, 2, False),  # >= 2 pi
+        ("cos", 1.0, 2, False),
+    ]:
+        with pytest.raises(ValueError):
+            check_transform(kind, param, d, free)
 
 
 def test_riesz_params_closed_forms():
-    p = riesz_params(3, 2.0)
-    assert p.alpha == pytest.approx(1.0, rel=1e-14)
-    assert p.coefficient == pytest.approx(math.sqrt(2) / 4, rel=1e-13)
-    p = riesz_params(3, 1.0)
-    assert p.alpha == pytest.approx(2.0, rel=1e-14)
-    assert p.coefficient == pytest.approx(1.0, rel=1e-13)
+    alpha, coefficient = riesz_params(3, 2.0)
+    assert alpha == pytest.approx(1.0, rel=1e-14)
+    assert coefficient == pytest.approx(math.sqrt(2) / 4, rel=1e-13)
+    alpha, coefficient = riesz_params(3, 1.0)
+    assert alpha == pytest.approx(2.0, rel=1e-14)
+    assert coefficient == pytest.approx(1.0, rel=1e-13)
     # Gamma factors cancel at beta = 1.5, d = 3: coefficient is 2^(-3/4)
-    p = riesz_params(3, 1.5)
-    assert p.alpha == pytest.approx(1.5, rel=1e-14)
-    assert p.coefficient == pytest.approx(2.0 ** -0.75, rel=1e-13)
+    alpha, coefficient = riesz_params(3, 1.5)
+    assert alpha == pytest.approx(1.5, rel=1e-14)
+    assert coefficient == pytest.approx(2.0 ** -0.75, rel=1e-13)
 
 
 @given(d=st.integers(min_value=3, max_value=6), beta=st.floats(1.0, 1.4))
 def test_riesz_params_in_valid_range(d, beta):
-    p = riesz_params(d, beta)
-    assert 0 < p.alpha <= 2
-    assert p.coefficient > 0
+    alpha, coefficient = riesz_params(d, beta)
+    assert 0 < alpha <= 2
+    assert coefficient > 0
 
 
 def test_riesz_params_rejects_out_of_range():
@@ -206,12 +189,11 @@ def test_riesz_params_rejects_out_of_range():
 def test_ball_integral_newton_exact_values():
     # Newton's theorem: the potential of a ball at an exterior point equals
     # volume / distance, so several integrals have elementary closed forms.
-    spec = KernelSpec(d=3, base="free", transform="power", param=1.0)
     # centered: C(3) * 4 pi * R^2 / 2 = R^2
-    assert ball_kernel_integral(spec, (0, 0, 0), (0, 0, 0), 1.0) == pytest.approx(1.0, rel=1e-10)
-    assert ball_kernel_integral(spec, (0, 0, 0), (0, 0, 0), 0.8) == pytest.approx(0.64, rel=1e-10)
+    assert ball_kernel_integral(3, 1.0, (0, 0, 0), (0, 0, 0), 1.0) == pytest.approx(1.0, rel=1e-10)
+    assert ball_kernel_integral(3, 1.0, (0, 0, 0), (0, 0, 0), 0.8) == pytest.approx(0.64, rel=1e-10)
     # exterior source at distance 2: C(3) * vol(B) / 2 = 1/3
-    assert ball_kernel_integral(spec, (0, 0, 0), (2, 0, 0), 1.0) == pytest.approx(
+    assert ball_kernel_integral(3, 1.0, (0, 0, 0), (2, 0, 0), 1.0) == pytest.approx(
         1.0 / 3.0, rel=1e-10
     )
 
@@ -219,67 +201,46 @@ def test_ball_integral_newton_exact_values():
 def test_ball_integral_squared_kernel_exact_value():
     # spherical-cap slicing gives the squared kernel in closed form:
     # (1 - (3/4) log 3) / (2 pi) for a unit ball at distance 2
-    spec = KernelSpec(d=3, base="free", transform="power", param=2.0)
-    assert ball_kernel_integral(spec, (0, 0, 0), (2, 0, 0), 1.0) == pytest.approx(
+    assert ball_kernel_integral(3, 2.0, (0, 0, 0), (2, 0, 0), 1.0) == pytest.approx(
         0.02801776087962292, rel=1e-9
     )
 
 
-def _brute_ball_integral(spec, x, center, r, m=60):
+def _brute_ball_integral(d, beta, x, center, r, m=60):
     """Midpoint cubature over the bounding box, for cross-checks only."""
-    d = spec.d
     axes = [np.linspace(c - r, c + r, m, endpoint=False) + r / m for c in center]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([a.reshape(-1) for a in mesh], axis=1)
     inside = np.linalg.norm(pts - np.asarray(center), axis=1) < r
-    vals = [kernel_eval(spec, x, p) for p in pts[inside]]
+    vals = [free_green(d, x, p) ** beta for p in pts[inside]]
     return float(np.sum(vals)) * (2 * r / m) ** d
 
 
 def test_ball_integral_matches_brute_cubature_free():
-    spec = KernelSpec(d=3, base="free", transform="power", param=1.5)
     x, center, r = (0.0, 0.0, 0.0), (2.0, 0.0, 0.0), 1.0
-    ref = _brute_ball_integral(spec, x, center, r, m=48)
-    got = ball_kernel_integral(spec, x, center, r)
+    ref = _brute_ball_integral(3, 1.5, x, center, r, m=48)
+    got = ball_kernel_integral(3, 1.5, x, center, r)
     assert got == pytest.approx(ref, rel=5e-3)
-
-
-def test_ball_integral_matches_brute_cubature_disk():
-    spec = KernelSpec(d=2, base="disk", transform="exp", param=3.0, radius=2.0)
-    x, center, r = (0.1, 0.0), (0.5, 0.3), 0.6
-    ref = _brute_ball_integral(spec, x, center, r, m=400)
-    got = ball_kernel_integral(spec, x, center, r)
-    assert got == pytest.approx(ref, rel=5e-3)
-
-
-def test_ball_integral_disk_power_with_interior_singularity():
-    spec = KernelSpec(d=2, base="disk", transform="power", param=2.0, radius=2.0)
-    x = (0.2, 0.1)
-    ref = _brute_ball_integral(spec, x, (0.2, 0.1), 0.5, m=600)
-    got = ball_kernel_integral(spec, x, (0.2, 0.1), 0.5)
-    assert got == pytest.approx(ref, rel=1e-2)
 
 
 def test_ball_integral_centered_source_singular_but_integrable():
-    spec = KernelSpec(d=3, base="free", transform="power", param=2.9)
-    val = ball_kernel_integral(spec, (0, 0, 0), (0, 0, 0), 1.0)
+    val = ball_kernel_integral(3, 2.9, (0, 0, 0), (0, 0, 0), 1.0)
     # closed form: C^beta * S(3) * R^p / p with p = 3 - 2.9
     c = green_constant(3)
     assert val == pytest.approx(c ** 2.9 * 4 * math.pi / 0.1, rel=1e-10)
 
 
 def test_ball_integral_monotone_in_radius():
-    spec = KernelSpec(d=3, base="free", transform="power", param=1.2)
-    vals = [ball_kernel_integral(spec, (0, 0, 0), (2, 0, 0), r) for r in (0.3, 0.6, 1.0)]
+    vals = [ball_kernel_integral(3, 1.2, (0, 0, 0), (2, 0, 0), r) for r in (0.3, 0.6, 1.0)]
     assert vals[0] < vals[1] < vals[2]
 
 
-def test_ball_integral_validates_disk_geometry():
-    spec = KernelSpec(d=2, base="disk", transform="power", param=1.0, radius=1.0)
+def test_ball_integral_rejects_transforms_outside_the_free_range():
+    for d, beta in [(3, 3.0), (3, math.nextafter(3.0, 4.0)), (4, 2.0), (4, 2.5), (2, 1.0), (1, 1.0)]:
+        with pytest.raises(ValueError):
+            ball_kernel_integral(d, beta, (0.0,) * d, (1.0,) + (0.0,) * (d - 1), 0.5)
     with pytest.raises(ValueError):
-        ball_kernel_integral(spec, (0, 0), (0.8, 0), 0.5)  # ball pokes out
-    with pytest.raises(ValueError):
-        ball_kernel_integral(spec, (1.2, 0), (0, 0), 0.5)  # source outside
+        ball_kernel_integral(3, 1.0, (0, 0, 0), (2, 0, 0), 0.0)
 
 
 def test_volume_bound_closed_forms():
@@ -289,10 +250,9 @@ def test_volume_bound_closed_forms():
 
 def test_volume_bound_dominates_ball_integrals():
     # any ball of the given diameter, any source in it
-    spec = KernelSpec(d=3, base="free", transform="power", param=2.0)
     bound = volume_bound(3, 2.0, 2.0)
     for x in [(0, 0, 0), (0.5, 0, 0), (0.9, 0.3, 0)]:
-        val = ball_kernel_integral(spec, x, (0, 0, 0), 1.0)
+        val = ball_kernel_integral(3, 2.0, x, (0, 0, 0), 1.0)
         assert val <= bound * (1 + 1e-9)
 
 

@@ -18,15 +18,14 @@ from scipy.special import chndtr, gamma
 from greenpot import (
     Ball,
     BallIndicator,
+    CubicSet,
     GridSpec,
-    KernelSpec,
     LatticeSet,
     McEstimate,
     RieszEstimate,
     RngStream,
     StepBudgetError,
     ball_kernel_integral,
-    cubic_open_set,
     disk_green_2d,
     estimate_boundary_term,
     estimate_riesz_potential,
@@ -107,7 +106,7 @@ def test_vectorized_walk_matches_loop():
     # a 3-d ball, a planar disk and an L of three unit squares
     cases = [(Ball(center=(0.0, 0.0, 0.0), radius=1.0), 12, (0.2, -0.1, 0.0)),
              (Ball(center=(0.0, 0.0), radius=1.0), 162, (0.1, 0.05)),
-             (cubic_open_set(2, [(0, 0), (1, 0), (1, 1)]), 18, (0.5, 0.0))]
+             (CubicSet(2, [(0, 0), (1, 0), (1, 1)]), 18, (0.5, 0.0))]
     for domain, n, x in cases:
         grid = GridSpec(d=domain.d, n=n)
         lat = grid_points(domain, grid)
@@ -242,14 +241,13 @@ def riesz_tail_bound(d: int, beta: float, radius: float, horizon: float) -> floa
     subordinated process, so it holds for every start point and ball
     position; the exact tail ``D E[h(S_T)]`` must lie below it.
     """
-    params = riesz_params(d, beta)
-    alpha = params.alpha
+    alpha, coefficient = riesz_params(d, beta)
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     vol = math.pi ** (d / 2.0) / gamma(d / 2.0 + 1.0) * radius**d
     inv_moment = gamma(d / alpha) / ((alpha / 2.0) * gamma(d / 2.0))
     time_integral = (alpha / (d - alpha)) * horizon ** (-(d - alpha) / alpha)
-    return params.coefficient * vol * (2.0 * math.pi) ** (-d / 2.0) * inv_moment * time_integral
+    return coefficient * vol * (2.0 * math.pi) ** (-d / 2.0) * inv_moment * time_integral
 
 
 def test_riesz_tail_bound_closed_form_alpha_two():
@@ -312,11 +310,10 @@ def test_ball_chance_matches_sampling_and_stays_finite():
 def test_subordination_oracle_matches_ball_integral(d, beta):
     # D h(0) is the whole expected occupation, by the Bochner integral alone
     x, center = (0.0,) * d, (2.0,) + (0.0,) * (d - 1)
-    params = riesz_params(d, beta)
-    h0, _ = mc._tail_table(d, params.alpha, 2.0, 1.0)
-    spec = KernelSpec(d=d, base="free", transform="power", param=beta)
-    ref = ball_kernel_integral(spec, x, center, 1.0)
-    assert params.coefficient * h0 == pytest.approx(ref, rel=1e-9)
+    alpha, coefficient = riesz_params(d, beta)
+    h0, _ = mc._tail_table(d, alpha, 2.0, 1.0)
+    ref = ball_kernel_integral(d, beta, x, center, 1.0)
+    assert coefficient * h0 == pytest.approx(ref, rel=1e-9)
 
 
 def _tail_by_quad(d, alpha, m, r, s0):
@@ -401,28 +398,28 @@ def test_riesz_estimate_bit_reproducible():
     assert a == b
 
 
-def _clock(params, time_step, nsteps, rng, block, chunk, rows):
+def _clock(alpha, time_step, nsteps, rng, block, chunk, rows):
     """The clock of one chunk of the estimator: its draws, summed along each row."""
     gen = mc.generator(rng.seed, rng.stream, block, chunk)
-    return np.cumsum(sample_stable_increment(params.alpha, time_step, gen,
+    return np.cumsum(sample_stable_increment(alpha, time_step, gen,
                                              size=(rows, nsteps)), axis=1)
 
 
-def _block_clocks(params, time_step, nsteps, rng, trials):
+def _block_clocks(alpha, time_step, nsteps, rng, trials):
     """Each block's clocks, its chunks drawn as the estimator draws them and stacked."""
     rows = max(1, mc.CHUNK_DRAWS // nsteps)
-    return [np.vstack([_clock(params, time_step, nsteps, rng, b, c, min(rows, n - lo))
+    return [np.vstack([_clock(alpha, time_step, nsteps, rng, b, c, min(rows, n - lo))
                        for c, lo in enumerate(range(0, n, rows))])
             for b, n in enumerate(mc._block_sizes(trials))]
 
 
-def _conditional_values(d, params, m, r, time_step, clock):
+def _conditional_values(d, alpha, coefficient, m, r, time_step, clock):
     """Per-trial values of the conditional route, x outside the ball so P(0) = 0:
     the trapezoid of P(S_k) plus h(S_N), times D."""
-    _, tail = mc._tail_table(d, params.alpha, m, r)
+    _, tail = mc._tail_table(d, alpha, m, r)
     p = chndtr(r * r / clock, d, m * m / clock)
     window = time_step * (p.sum(axis=1) - 0.5 * p[:, -1])
-    return params.coefficient * (window + tail(clock[:, -1]))
+    return coefficient * (window + tail(clock[:, -1]))
 
 
 @pytest.mark.parametrize("chunk_draws", [1, 2**40], ids=["row", "block"])
@@ -436,12 +433,12 @@ def test_chunked_riesz_worker_matches_whole_block_oracle(monkeypatch, beta, chun
     monkeypatch.setattr(mc, "CHUNK_DRAWS", chunk_draws)
     est = estimate_riesz_potential(3, beta, ind, (0.0, 0.0, 0.0), time_step, horizon,
                                    trials, RngStream(19))
-    params = riesz_params(3, beta)
+    alpha, coefficient = riesz_params(3, beta)
     if beta == 1.0:
         clocks = [time_step * np.arange(1.0, 13.0)[None, :]]
     else:
-        clocks = _block_clocks(params, time_step, 12, RngStream(19), trials)
-    vals = np.concatenate([_conditional_values(3, params, 1.0, 0.5, time_step, c)
+        clocks = _block_clocks(alpha, time_step, 12, RngStream(19), trials)
+    vals = np.concatenate([_conditional_values(3, alpha, coefficient, 1.0, 0.5, time_step, c)
                            for c in clocks])
     assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
     if beta != 1.0:
@@ -459,17 +456,17 @@ def test_conditional_route_matches_path_route_at_equal_draws():
     rng = RngStream(23)
     est = estimate_riesz_potential(d, beta, ind, (0.0, 0.0, 0.0), time_step, horizon,
                                    trials, rng)
-    params = riesz_params(d, beta)
-    (clock,) = _block_clocks(params, time_step, 20, rng, trials)
-    cond = _conditional_values(d, params, 2.0, 1.0, time_step, clock)
+    alpha, coefficient = riesz_params(d, beta)
+    (clock,) = _block_clocks(alpha, time_step, 20, rng, trials)
+    cond = _conditional_values(d, alpha, coefficient, 2.0, 1.0, time_step, clock)
     assert est.mean == pytest.approx(cond.mean(), rel=1e-12)
     steps = np.diff(clock, axis=1, prepend=0.0)
     normals = RngStream(24).generator().standard_normal(clock.shape + (d,))
     moves = normals * np.sqrt(steps)[..., None]
     hits = ind(np.cumsum(moves, axis=1).reshape(-1, d)).reshape(clock.shape)
-    _, tail = mc._tail_table(d, params.alpha, 2.0, 1.0)
-    path = params.coefficient * (time_step * (hits.sum(axis=1) - 0.5 * hits[:, -1])
-                                 + tail(clock[:, -1]))
+    _, tail = mc._tail_table(d, alpha, 2.0, 1.0)
+    path = coefficient * (time_step * (hits.sum(axis=1) - 0.5 * hits[:, -1])
+                          + tail(clock[:, -1]))
     diff = path - cond
     assert abs(path.mean() - est.mean) <= 3.0 * diff.std(ddof=1) / math.sqrt(trials)
 

@@ -19,16 +19,15 @@ from greenpot import (
     BallIndicator,
     Box,
     ConvergenceReport,
+    CubicSet,
     DiscreteOperator,
     GridSpec,
-    KernelSpec,
     ResourceLimitError,
     apply_operator,
     assemble,
     ball_kernel_integral,
     cmp_functional,
     converge,
-    cubic_open_set,
     disk_green_2d,
     exterior_grid,
     free_operator_value,
@@ -40,6 +39,7 @@ from greenpot import (
 )
 from greenpot import operators as operators_module
 from greenpot.cli import _report_from_convergence
+from greenpot.kernels import check_transform
 from greenpot.lattice import EXACT_RANGE
 
 ORIGIN3 = (0.0, 0.0, 0.0)
@@ -159,15 +159,18 @@ def test_kernel_spec_and_assemble_accept_the_same_transforms():
               for a in (0.0, 1e-9, 1.0, math.nextafter(2 * math.pi, 0.0), 2 * math.pi)]
     verdicts = set()
     for kind, param, d, free in cases:
-        spec_ok = _accepts(lambda: KernelSpec(d=d, base="free" if free else "disk", transform=kind,
-                                              param=param, radius=None if free else 1.0))
+        valid = _accepts(lambda: check_transform(kind, param, d, free))
         if free:
+            target = BallIndicator((0.0,) * d, 0.3)
             op_ok = _accepts(lambda: free_operator_value(GridSpec(d=d, n=d), (kind, param),
-                                                         BallIndicator((0.0,) * d, 0.3), (0.0,) * d))
+                                                         target, (0.0,) * d))
+            study_ok = _accepts(lambda: converge(None, (kind, param), (0.0,) * d, target, 1, d))
         else:
             op_ok = _accepts(lambda: assemble(GridSpec(d=d, n=8), (kind, param), Ball((0.0, 0.0), 1.0)))
-        assert spec_ok == op_ok, (kind, param, d, free)
-        verdicts.add(spec_ok)
+            study_ok = _accepts(lambda: converge(Ball((0.0, 0.0), 1.0), (kind, param),
+                                                 (0.2, 0.0), (-0.3, 0.1), 1, 2))
+        assert valid == op_ok == study_ok, (kind, param, d, free)
+        verdicts.add(valid)
     assert verdicts == {True, False}
 
 
@@ -282,8 +285,7 @@ def test_point_evaluation_errors_propagate():
 def test_free_operator_value_matches_ball_integral():
     grid = GridSpec(d=3, n=81)
     assert free_operator_value(grid, ("power", 1.0), UNIT_BALL, ORIGIN3) == pytest.approx(1.0, rel=4e-2)
-    spec = KernelSpec(d=3, base="free", transform="power", param=1.5)
-    ref = ball_kernel_integral(spec, ORIGIN3, ORIGIN3, 1.0)
+    ref = ball_kernel_integral(3, 1.5, ORIGIN3, ORIGIN3, 1.0)
     assert free_operator_value(grid, ("power", 1.5), UNIT_BALL, ORIGIN3) == pytest.approx(ref, rel=4e-2)
 
 
@@ -291,8 +293,7 @@ def test_free_value_away_from_the_support():
     # x lies a unit away from the ball; the sum needs no point of the grid at x
     target = BallIndicator((2.0, 0.0, 0.0), 1.0)
     val = free_operator_value(GridSpec(d=3, n=27), ("power", 1.0), target, ORIGIN3)
-    spec = KernelSpec(d=3, base="free", transform="power", param=1.0)
-    ref = ball_kernel_integral(spec, ORIGIN3, (2.0, 0.0, 0.0), 1.0)  # exactly 1/3
+    ref = ball_kernel_integral(3, 1.0, ORIGIN3, (2.0, 0.0, 0.0), 1.0)  # exactly 1/3
     assert val == pytest.approx(ref, rel=0.1)
 
 
@@ -301,9 +302,9 @@ def test_free_value_away_from_the_support():
     [
         (("power", 1.0), Ball((0.0, 0.0), 1.0)),
         (("power", 2.0), Ball((0.0, 0.0), 1.0)),
-        (("power", 4.0), cubic_open_set(8, [(0, 0), (1, 0)])),
+        (("power", 4.0), CubicSet(8, [(0, 0), (1, 0)])),
         (("exp", 3.0), Ball((0.0, 0.0), 1.0)),
-        (("exp", 6.0), cubic_open_set(8, [(0, 0), (1, 0)])),
+        (("exp", 6.0), CubicSet(8, [(0, 0), (1, 0)])),
     ],
 )
 def test_cmp_functional_nonnegative_on_killed_operators(transform, domain):
@@ -354,6 +355,13 @@ def test_converge_pointwise_disk_runs_and_improves():
     assert rep.reference == pytest.approx(disk_green_2d(1.0, (0.2, 0.0), (-0.3, 0.1)), rel=1e-12)
     assert rep.levels == (2, 18, 162)
     assert rep.abs_errors[2] < rep.abs_errors[0]
+
+
+def test_converge_disk_reference_applies_the_transform():
+    x, y = (0.2, 0.0), (-0.3, 0.1)
+    green = disk_green_2d(1.0, x, y)
+    for transform, expected in [(("exp", 3.0), math.exp(3.0 * green)), (("power", 2.5), green**2.5)]:
+        assert converge(Ball((0.0, 0.0), 1.0), transform, x, y, 1, 2).reference == expected
 
 
 def test_converge_free_operator_mode():

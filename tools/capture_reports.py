@@ -1,0 +1,93 @@
+"""Capture the greenpot CLI's reports for a byte-identity check.
+
+    python3 tools/capture_reports.py SRC_ROOT OUT_DIR
+
+Runs every subcommand of the checkout at ``SRC_ROOT`` (its ``src`` is put
+on ``PYTHONPATH``) in a fresh interpreter with one BLAS/OpenMP thread:
+
+- all twelve at their default flags, seeds 0 and 1 (the unit disk for
+  ``--domain``, ``[[2,1],[1,2]]`` for ``--matrix``);
+- ``converge-disk --transform exp:3`` and ``--transform power:2.5``;
+- ``converge-free --beta 1.4 --levels 4``;
+- ``riesz-mc --beta 1.5 --trials 20000``;
+- ``--help`` of every subcommand.
+
+``OUT_DIR`` receives each run's ``.json`` and ``.csv`` (not the
+``.meta.json`` sidecar, which holds a timestamp), each ``--help`` text as
+``<subcommand>.help.txt`` and every exit code in ``exit_codes.txt``.  Two
+captures agree when ``diff -r`` of their directories prints nothing.
+Standard library only; greenpot is never imported here.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+DISK = '{"d":2,"shape":{"ball":{"center":[0.0,0.0],"radius":1.0}}}'
+MATRIX = "[[2,1],[1,2]]"
+REQUIRED = {"killed-green": ["--domain", DISK], "cmp-functional": ["--domain", DISK],
+            "exit-mc": ["--domain", DISK], "domain-grid": ["--domain", DISK],
+            "check-potential": ["--matrix", MATRIX]}
+SUBCOMMANDS = ["lattice-green", "killed-green", "check-potential", "hadamard-sweep",
+               "exp-sweep", "cmp-random", "cmp-functional", "converge-disk",
+               "converge-free", "riesz-mc", "exit-mc", "domain-grid"]
+# label -> subcommand and flags, run at seed 0
+EXTRA = {
+    "converge-disk.exp3": ["converge-disk", "--transform", "exp:3"],
+    "converge-disk.power2.5": ["converge-disk", "--transform", "power:2.5"],
+    "converge-free.beta1.4.levels4": ["converge-free", "--beta", "1.4", "--levels", "4"],
+    "riesz-mc.beta1.5.trials20000": ["riesz-mc", "--beta", "1.5", "--trials", "20000"],
+}
+THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def runs() -> dict:
+    """Capture label -> argv after ``greenpot``; help runs end in ``--help``."""
+    table = {}
+    for name in SUBCOMMANDS:
+        for seed in (0, 1):
+            table[f"{name}.s{seed}"] = [name, *REQUIRED.get(name, []), "--seed", str(seed)]
+    for label, (name, *flags) in EXTRA.items():
+        table[label] = [name, *REQUIRED.get(name, []), *flags, "--seed", "0"]
+    for name in SUBCOMMANDS:
+        table[f"{name}.help"] = [name, "--help"]
+    return table
+
+
+def capture(src_root: Path, out_dir: Path) -> None:
+    env = {**os.environ, **THREADS, "PYTHONPATH": str(src_root.resolve() / "src")}
+    out_dir = out_dir.resolve()  # the runs start in a scratch directory
+    out_dir.mkdir(parents=True, exist_ok=True)
+    codes = []
+    with tempfile.TemporaryDirectory() as work:
+        for label, argv in runs().items():
+            cmd = [sys.executable, "-m", "greenpot.cli", *argv]
+            is_help = argv[-1] == "--help"
+            if not is_help:
+                cmd += ["--out", str(out_dir / label)]
+            proc = subprocess.run(cmd, capture_output=True, text=True, cwd=work, env=env,
+                                  timeout=600)
+            if is_help:
+                (out_dir / f"{label}.txt").write_text(proc.stdout)
+            else:
+                (out_dir / f"{label}.meta.json").unlink(missing_ok=True)
+            codes.append(f"{label} {proc.returncode}\n")
+            print(f"{label}: exit {proc.returncode}", file=sys.stderr)
+    (out_dir / "exit_codes.txt").write_text("".join(codes))
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: python3 tools/capture_reports.py SRC_ROOT OUT_DIR", file=sys.stderr)
+        return 2
+    capture(Path(args[0]), Path(args[1]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
