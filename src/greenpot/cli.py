@@ -434,7 +434,7 @@ EXPERIMENTS = {
     "converge-free": (run_converge_free, "free-space operator refinement study",
                       {"beta": 1.0, "x": (0.0, 0.0, 0.0), "center": (0.0, 0.0, 0.0),
                        "radius": 1.0, "levels": 3, "base": 3, "tol": None}),
-    "riesz-mc": (run_riesz_mc, "occupation-time estimate vs quadrature oracle",
+    "riesz-mc": (run_riesz_mc, "occupation-time estimate vs ball-integral oracle",
                  {"d": 3, "beta": 2.0, "x": (0.0, 0.0, 0.0), "center": (2.0, 0.0, 0.0),
                   "radius": 1.0, "time_step": 0.05, "horizon": 1.0, "trials": 100000}),
     "exit-mc": (run_exit_mc, "walk-exit estimate of the killed kernel boundary term",

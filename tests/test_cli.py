@@ -505,6 +505,12 @@ def test_planar_exit_mc_does_not_import_quadrature():
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
+def test_riesz_mc_does_not_import_quadrature():
+    # in d = 3 the ball-kernel oracle is a closed form on scipy.special
+    proc = _run_fresh(QUADRATURE_GUARD, ["riesz-mc", "--trials", "2000"])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 STATS_GUARD = """
 import json, sys
 from greenpot.cli import main

@@ -1,9 +1,9 @@
 """Tests for the closed-form kernels and ball integrals.
 
 Reference values are either exact closed forms (Newton's theorem gives
-several ball integrals in elementary terms) or independent brute-force
-cubature; the two routes are kept separate from the implementation under
-test.
+several ball integrals in elementary terms), independent brute-force
+cubature, or the polar quadrature `_polar_quadrature`, kept as the oracle
+of the closed forms in `_ball_power_integral`.
 """
 
 import math
@@ -21,7 +21,7 @@ from greenpot import (
     riesz_params,
     volume_bound,
 )
-from greenpot.kernels import check_transform
+from greenpot.kernels import _ball_power_integral, _polar_quadrature, check_transform
 
 # closed forms: Gamma(d/2-1) / (2 pi^(d/2)) collapses for small d
 EXACT_CONSTANTS = {
@@ -202,8 +202,55 @@ def test_ball_integral_squared_kernel_exact_value():
     # spherical-cap slicing gives the squared kernel in closed form:
     # (1 - (3/4) log 3) / (2 pi) for a unit ball at distance 2
     assert ball_kernel_integral(3, 2.0, (0, 0, 0), (2, 0, 0), 1.0) == pytest.approx(
-        0.02801776087962292, rel=1e-9
+        (1 - 0.75 * math.log(3)) / (2 * math.pi), rel=1e-14
     )
+
+
+# |B_1| in closed form
+BALL_VOLUMES = {3: 4 * math.pi / 3, 4: math.pi**2 / 2, 5: 8 * math.pi**2 / 15}
+
+
+@pytest.mark.parametrize(
+    "d, betas", [(3, (1.0, 1.5, 2.0, 2.5)), (4, (1.0, 1.3, 1.6)), (5, (1.0, 1.3, 1.6))]
+)
+def test_exterior_ball_power_integral_matches_quadrature(d, betas):
+    for beta in betas:
+        s = beta * (d - 2)
+        for a in (2, 2.001, 3, 5, 10, 20, 100):
+            assert _ball_power_integral(d, s, a, 1.0, 1e-8) == pytest.approx(
+                _polar_quadrature(d, s, a, 1.0, 1e-11), rel=1e-10
+            ), (beta, a)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_exterior_ball_power_integral_is_newton_at_beta_one(d):
+    # the 2F1 is exactly 1 at s = d - 2: volume / a^(d-2)
+    for r, a in [(1.0, 2.0), (1.0, 7.5), (0.3, 0.6), (2.0, 1e3)]:
+        assert _ball_power_integral(d, d - 2.0, a, r, 1e-8) == pytest.approx(
+            BALL_VOLUMES[d] * r**d * a ** (2.0 - d), rel=1e-15
+        )
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_ball_power_integral_is_continuous_at_twice_the_radius(d):
+    # a = 2r switches to the 2F1 from the quadrature
+    below = math.nextafter(2.0, 0.0)
+    for beta in (1.0, 1.3, 1.6):
+        s = beta * (d - 2)
+        assert _ball_power_integral(d, s, 2.0, 1.0, 1e-11) == pytest.approx(
+            _ball_power_integral(d, s, below, 1.0, 1e-11), rel=1e-13
+        )
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.5, 2.0, 2.5, 2.9])
+def test_ball_integral_with_the_source_on_the_sphere(beta):
+    # shells about x on the sphere |x - center| = r: pi/r (2r)^(4-s) / ((3-s)(4-s));
+    # r^2 - a^2 (1 - mu^2) lost the chord's digits here and failed at beta = 2.9
+    for r in (1.0, 0.3):
+        exact = math.pi / r * (2 * r) ** (4 - beta) / ((3 - beta) * (4 - beta))
+        assert ball_kernel_integral(3, beta, (r, 0, 0), (0, 0, 0), r) == pytest.approx(
+            green_constant(3) ** beta * exact, rel=1e-10
+        )
 
 
 def _brute_ball_integral(d, beta, x, center, r, m=60):

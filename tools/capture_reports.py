@@ -10,12 +10,13 @@ on ``PYTHONPATH``) in a fresh interpreter with one BLAS/OpenMP thread:
 - ``converge-disk --transform exp:3`` and ``--transform power:2.5``;
 - ``converge-free --beta 1.4 --levels 4``;
 - ``riesz-mc --beta 1.5 --trials 20000``;
-- ``--help`` of every subcommand.
+- ``--help`` of every subcommand and of ``greenpot`` itself.
 
 ``OUT_DIR`` receives each run's ``.json`` and ``.csv`` (not the
 ``.meta.json`` sidecar, which holds a timestamp), each ``--help`` text as
-``<subcommand>.help.txt`` and every exit code in ``exit_codes.txt``.  Two
-captures agree when ``diff -r`` of their directories prints nothing.
+``<subcommand>.help.txt`` (``greenpot.help.txt`` for the top level) and
+every exit code in ``exit_codes.txt``.  Two captures agree when ``diff -r``
+of their directories prints nothing.
 Standard library only; greenpot is never imported here.
 """
 
@@ -55,6 +56,7 @@ def runs() -> dict:
         table[label] = [name, *REQUIRED.get(name, []), *flags, "--seed", "0"]
     for name in SUBCOMMANDS:
         table[f"{name}.help"] = [name, "--help"]
+    table["greenpot.help"] = ["--help"]
     return table
 
 
