@@ -211,7 +211,8 @@ def run_killed_green(cfg):
     lattice = nonempty_grid_points(domain, grid)
     check_points(len(lattice))
     matrix = killed_green_matrix(lattice)
-    check = is_inverse_m_matrix(matrix.entries, tol=cfg["tol"])
+    dump = len(lattice) <= cfg["dump_limit"]
+    check = is_inverse_m_matrix(matrix.entries, tol=cfg["tol"], overwrite_u=not dump)
     report = {
         "experiment": "killed-green",
         "d": domain.d,
@@ -220,7 +221,7 @@ def run_killed_green(cfg):
         "potential_check": asdict(check),
     }
     rows = None
-    if len(lattice) <= cfg["dump_limit"]:
+    if dump:
         report["matrix"] = {"d": domain.d, "points": lattice.points,
                             "entries": matrix.entries.reshape(-1)}
         pts = lattice.points

@@ -383,7 +383,9 @@ def killed_green_matrix(lattice: LatticeSet) -> KilledGreenMatrix:
     ``P`` keeps probability ``1/(2d)`` on nearest-neighbor pairs inside the
     set; mass stepping outside is killed.  Up to `DENSE_LIMIT` points numpy
     inverts ``I - P``; beyond it, one banded Cholesky solve costs ``m^2``
-    times the bandwidth (one grid row) and peaks at two ``m x m`` arrays.
+    times the bandwidth (one grid row) and peaks at one ``m x m`` array
+    plus the band.  Either way ``G`` is checked and symmetrized in place,
+    `COLUMN_BLOCK` rows at a time.
 
     Returns
     -------
@@ -416,14 +418,20 @@ def killed_green_matrix(lattice: LatticeSet) -> KilledGreenMatrix:
         band[lap.row[lower] - lap.col[lower], lap.col[lower]] = lap.data[lower]
         try:
             g = solveh_banded(band, np.eye(m, order="F"), overwrite_b=True, lower=True,
-                              check_finite=False)
+                              check_finite=False).T  # C-ordered, like numpy's inverse
         except np.linalg.LinAlgError as exc:  # "k-th leading minor not positive definite"
             raise np.linalg.LinAlgError(f"I - P is singular: {exc}") from exc
-    skew = max(float(np.max(np.abs(g[:, lo:lo + COLUMN_BLOCK] - g[lo:lo + COLUMN_BLOCK].T)))
-               for lo in range(0, m, COLUMN_BLOCK))
-    _check_symmetric(skew, max(float(g.max()), -float(g.min())))
-    g = np.add(g, g.T)
-    g /= 2.0
+    scale, skew = max(float(g.max()), -float(g.min())), 0.0
+    buf = np.empty(min(m, COLUMN_BLOCK) * m)
+    for lo in range(0, m, COLUMN_BLOCK):  # skew of each pair, then g = (g + g.T) / 2 in place
+        upper, lower = g[lo:lo + COLUMN_BLOCK, lo:], g[lo:, lo:lo + COLUMN_BLOCK].T
+        part = np.subtract(upper, lower, out=buf[:upper.size].reshape(upper.shape))
+        skew = max(skew, float(np.max(np.abs(part, out=part))))
+        np.add(upper, lower, out=part)
+        part /= 2.0
+        upper[...] = part
+        lower[...] = part
+    _check_symmetric(skew, scale)
     return KilledGreenMatrix(lattice=lattice, entries=g)
 
 

@@ -591,8 +591,12 @@ def test_large_solve_and_inverse_stay_within_traced_memory():
         held = tracemalloc.get_traced_memory()[0]
         report = is_inverse_m_matrix(green)
         inverse_peak = tracemalloc.get_traced_memory()[1] - held
+        tracemalloc.reset_peak()
+        in_place = is_inverse_m_matrix(green, overwrite_u=True)
+        in_place_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert report.is_potential is True
-    assert solve_peak <= 2.2 * unit
+    assert report.is_potential is True and in_place.is_potential is True
+    assert solve_peak <= 1.3 * unit
     assert inverse_peak <= 1.2 * unit
+    assert in_place_peak <= 0.2 * unit

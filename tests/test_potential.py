@@ -91,9 +91,12 @@ LAPACK_CASES = {
     "power3.7": lambda: hadamard_power(_disk18(), 3.7),
     "exp0.5": lambda: hadamard_exp(_disk18(), 0.5),
     "not_potential": lambda: np.array(NOT_POTENTIAL),
+    # ones + I with its last diagonal entry 0.5: Cholesky fails only at the last row
+    "indefinite": lambda: np.ones((40, 40)) + np.diag(np.r_[np.ones(39), -0.5]),
     "singular": lambda: np.ones((3, 3)),
     "unreliable": lambda: np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]),
     "scalar": lambda: np.array([[2.5]]),
+    "nonsymmetric": lambda: _disk18() * np.linspace(1.0, 2.0, len(_disk18()))[:, None],
 }
 
 
@@ -107,16 +110,20 @@ def test_lapack_inverse_route_matches_numpy_inverse(case, monkeypatch):
 
     monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
     monkeypatch.setattr(np.linalg, "inv", numpy_inverse)
-    lapack = asdict(is_inverse_m_matrix(u))
+    kept = u.copy()
+    # in place, a failed Cholesky (not_potential, indefinite, singular) restores u for LU
+    routes = [is_inverse_m_matrix(u), is_inverse_m_matrix(u.copy(), overwrite_u=True)]
     monkeypatch.undo()
-    if case == "singular":
-        assert lapack["nonsingular"] is False
-    if case == "unreliable":
-        assert lapack["unreliable"] is True
-    # verdicts exactly; values of the two inverses to 1e-12 (roundoff-level extremes read 0.0)
-    assert {k: v for k, v in lapack.items() if not isinstance(v, float)} == \
-        {k: v for k, v in dense.items() if not isinstance(v, float)}
-    assert lapack == pytest.approx(dense, rel=1e-12, abs=0.0, nan_ok=True)
+    assert np.array_equal(u, kept)
+    for lapack in map(asdict, routes):
+        if case == "singular":
+            assert lapack["nonsingular"] is False
+        if case == "unreliable":
+            assert lapack["unreliable"] is True
+        # verdicts exactly; values of the two inverses to 1e-12 (roundoff-level extremes read 0.0)
+        assert {k: v for k, v in lapack.items() if not isinstance(v, float)} == \
+            {k: v for k, v in dense.items() if not isinstance(v, float)}
+        assert lapack == pytest.approx(dense, rel=1e-12, abs=0.0, nan_ok=True)
 
 
 def test_input_validation():

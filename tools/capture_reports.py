@@ -10,6 +10,7 @@ on ``PYTHONPATH``) in a fresh interpreter with one BLAS/OpenMP thread:
 - ``converge-disk --transform exp:3`` and ``--transform power:2.5``;
 - ``converge-free --beta 1.4 --levels 4``;
 - ``riesz-mc --beta 1.5 --trials 20000``;
+- ``killed-green --n 1458`` (m = 2285, above ``lattice.DENSE_LIMIT``);
 - ``--help`` of every subcommand and of ``greenpot`` itself.
 
 ``OUT_DIR`` receives each run's ``.json`` and ``.csv`` (not the
@@ -42,6 +43,7 @@ EXTRA = {
     "converge-disk.power2.5": ["converge-disk", "--transform", "power:2.5"],
     "converge-free.beta1.4.levels4": ["converge-free", "--beta", "1.4", "--levels", "4"],
     "riesz-mc.beta1.5.trials20000": ["riesz-mc", "--beta", "1.5", "--trials", "20000"],
+    "killed-green.n1458": ["killed-green", "--n", "1458"],
 }
 THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
