@@ -99,15 +99,12 @@ def check_points(m: int) -> None:
 
 
 def _weighted(green: np.ndarray, grid: GridSpec, kind: str, param: float) -> np.ndarray:
-    """Operator entries ``h^d T(scale * green)`` of Green values, written over `green`."""
-    green *= grid.green_scale
+    """Operator entries ``h^d T(scale * green)`` of Green values."""
+    scaled = green * grid.green_scale
+    weight = grid.h**grid.d
     if kind == "power":
-        green **= param
-    else:
-        green *= param
-        np.exp(green, out=green)
-    green *= grid.h**grid.d
-    return green
+        return weight * scaled**param
+    return weight * np.exp(param * scaled)
 
 
 def assemble(grid: GridSpec, transform, domain) -> DiscreteOperator:

@@ -65,54 +65,18 @@ def _check_square_nonneg(u) -> np.ndarray:
     return a
 
 
-def _is_symmetric(a: np.ndarray) -> bool:
-    """``a == a.T`` exactly, compared one block row at a time."""
-    step = lattice.COLUMN_BLOCK
-    return all(np.array_equal(a[lo:lo + step, lo:], a[lo:, lo:lo + step].T)
-               for lo in range(0, len(a), step))
-
-
-def _mirror_lower(a: np.ndarray) -> None:
-    """Copy the strict lower triangle of square `a` onto its upper one, in place,
-    one block row at a time (``_mirror_lower(a.T)`` copies upper onto lower)."""
-    step = lattice.COLUMN_BLOCK
-    for lo in range(0, len(a), step):
-        hi = lo + step
-        block = a[lo:hi, lo:hi]
-        upper = np.triu_indices(len(block), 1)
-        block[upper] = block.T[upper]
-        a[lo:hi, hi:] = a[hi:, lo:hi].T
-
-
 def _inverse(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """``a^-1``: numpy's up to `lattice.DENSE_LIMIT` rows, LAPACK's beyond.
-
-    Beyond the limit an exactly symmetric `a` is inverted by Cholesky
-    (``potrf``/``potri``, half the flops of LU), anything else, and a
-    symmetric `a` that is not positive definite, by ``getrf``/``getri``.
-    LAPACK works on whichever of ``a`` and ``a.T`` is F-contiguous: on a
-    copy of it, or in place when `overwrite` is set, and then ``a`` is
-    left undefined.
-    """
+    """``a^-1``: numpy's up to `lattice.DENSE_LIMIT` rows, beyond it LAPACK
+    ``getrf`` and ``getri`` in one array: a copy of ``a``, or, when
+    `overwrite` is set, ``a`` itself (``a.T`` when ``a`` is not
+    F-contiguous, its inverse then transposed back; ``a`` is left
+    undefined)."""
     if len(a) <= lattice.DENSE_LIMIT:
         return np.linalg.inv(a)
     from scipy.linalg import lapack
 
-    flip = not a.flags.f_contiguous
-    b = a.T if flip else a
-    if _is_symmetric(a):
-        diagonal = a.diagonal().copy() if overwrite else None
-        c, info = lapack.dpotrf(b, lower=1, clean=0, overwrite_a=overwrite)
-        if info == 0:
-            c, info = lapack.dpotri(c, lower=1, overwrite_c=1)
-            if info != 0:
-                raise np.linalg.LinAlgError("Singular matrix")
-            _mirror_lower(c)
-            return c
-        if overwrite:  # potrf wrote only the lower triangle and diagonal
-            _mirror_lower(b.T)
-            np.fill_diagonal(b, diagonal)
-    lu, piv, info = lapack.dgetrf(b, overwrite_a=overwrite)
+    flip = overwrite and not a.flags.f_contiguous  # a.T of a C-ordered a is F-contiguous
+    lu, piv, info = lapack.dgetrf(a.T if flip else a, overwrite_a=overwrite)
     if info == 0:
         lwork = int(lapack.dgetri_lwork(len(a))[0])
         lu, info = lapack.dgetri(lu, piv, lwork=lwork, overwrite_lu=True)
@@ -138,11 +102,10 @@ def is_inverse_m_matrix(u, tol: float = DEFAULT_TOL, overwrite_u: bool = False) 
     number ``|u|_1 |u^-1|_1``, taken from the inverse already in hand;
     values beyond 1e12 mark the report unreliable instead of deciding.
 
-    Beyond `lattice.DENSE_LIMIT` rows the inverse is LAPACK's: Cholesky
-    for an exactly symmetric ``u``, LU when ``u`` is not symmetric or not
-    positive definite.  It is made on one copy of ``u``, or in ``u``
-    itself when `overwrite_u` is set (``u`` is then left undefined), and
-    the checks make no ``m x m`` temporary.
+    Beyond `lattice.DENSE_LIMIT` rows the inverse is LAPACK's LU inverse,
+    made on one copy of ``u``, or in ``u`` itself when `overwrite_u` is
+    set (``u`` is then left undefined), and the checks make no ``m x m``
+    temporary.
     """
     a = _check_square_nonneg(u)
     norm = _norm_1(a)

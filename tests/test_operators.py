@@ -73,18 +73,6 @@ def test_planar_entries_match_killed_green_algebra():
     assert np.allclose(op.matrix, (2.0 / 8) * np.exp(1.5 * 0.5 * g), rtol=1e-14)
 
 
-@pytest.mark.parametrize("transform", [("power", 1.0), ("power", 2.0), ("power", 3.7), ("exp", 1.5)])
-def test_weighted_in_place_matches_out_of_place_entries(transform):
-    grid = GridSpec(d=2, n=18)
-    green = killed_green_matrix(grid_points(Ball((0.0, 0.0), 1.0), grid)).entries
-    kind, param = transform
-    scaled, weight = green * grid.green_scale, grid.h**grid.d  # the out-of-place expression
-    old = weight * scaled**param if kind == "power" else weight * np.exp(param * scaled)
-    got = operators_module._weighted(green, grid, kind, param)
-    assert got is green
-    assert np.array_equal(got, old)
-
-
 @functools.cache
 def _old_route_terms(n: int, x: tuple):
     """Green values and samples of the earlier free-space route on the unit

@@ -91,8 +91,6 @@ LAPACK_CASES = {
     "power3.7": lambda: hadamard_power(_disk18(), 3.7),
     "exp0.5": lambda: hadamard_exp(_disk18(), 0.5),
     "not_potential": lambda: np.array(NOT_POTENTIAL),
-    # ones + I with its last diagonal entry 0.5: Cholesky fails only at the last row
-    "indefinite": lambda: np.ones((40, 40)) + np.diag(np.r_[np.ones(39), -0.5]),
     "singular": lambda: np.ones((3, 3)),
     "unreliable": lambda: np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]),
     "scalar": lambda: np.array([[2.5]]),
@@ -111,8 +109,9 @@ def test_lapack_inverse_route_matches_numpy_inverse(case, monkeypatch):
     monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
     monkeypatch.setattr(np.linalg, "inv", numpy_inverse)
     kept = u.copy()
-    # in place, a failed Cholesky (not_potential, indefinite, singular) restores u for LU
-    routes = [is_inverse_m_matrix(u), is_inverse_m_matrix(u.copy(), overwrite_u=True)]
+    # on a copy of u, and in place on a C-ordered (inverted as its transpose) and an F-ordered copy
+    routes = [is_inverse_m_matrix(u)] + [is_inverse_m_matrix(u.copy(order=order), overwrite_u=True)
+                                         for order in "CF"]
     monkeypatch.undo()
     assert np.array_equal(u, kept)
     for lapack in map(asdict, routes):
