@@ -33,8 +33,8 @@ stays within 2e-9 of the three-term expansion
 Killed Green matrices on finite index sets are obtained by direct linear
 solves against the one-step transition matrix (see `killed_green_matrix`).
 
-scipy (Bessel functions, banded Cholesky, sparse LU) is imported inside the
-functions that call it, so killed Green work up to `DENSE_LIMIT` points needs only numpy.
+scipy (Bessel functions, banded Cholesky, sparse LU) is imported inside the functions that
+call it: a killed Green matrix needs only numpy up to `DENSE_LIMIT` points, `scipy.linalg` beyond.
 """
 
 from __future__ import annotations
@@ -404,18 +404,18 @@ def killed_green_matrix(lattice: LatticeSet) -> KilledGreenMatrix:
     m = len(lattice)
     if m == 0:
         raise ValueError("lattice set is empty")
+    rows, cols = _transition_coo(lattice)
     if m <= DENSE_LIMIT:
-        rows, cols = _transition_coo(lattice)
         a = np.eye(m)
         a[rows, cols] = -1.0 / (2 * lattice.d)
         g = np.linalg.inv(a)
         del a
     else:  # one Cholesky solve on the lower band of the symmetric I - P
         from scipy.linalg import solveh_banded
-        lap = _killed_laplacian(lattice).tocoo()
-        lower = lap.row >= lap.col
-        band = np.zeros((np.max(lap.row - lap.col) + 1, m))
-        band[lap.row[lower] - lap.col[lower], lap.col[lower]] = lap.data[lower]
+        lower = rows > cols
+        band = np.zeros((np.max(rows - cols, initial=0) + 1, m))
+        band[0] = 1.0
+        band[rows[lower] - cols[lower], cols[lower]] = -1.0 / (2 * lattice.d)
         try:
             g = solveh_banded(band, np.eye(m, order="F"), overwrite_b=True, lower=True,
                               check_finite=False).T  # C-ordered, like numpy's inverse

@@ -65,24 +65,58 @@ def _check_square_nonneg(u) -> np.ndarray:
     return a
 
 
+def _is_symmetric(a: np.ndarray) -> bool:
+    """``a == a.T`` exactly, compared one block row at a time."""
+    step = lattice.COLUMN_BLOCK
+    return all(np.array_equal(a[lo:lo + step, lo:], a[lo:, lo:lo + step].T)
+               for lo in range(0, len(a), step))
+
+
+def _mirror_lower(a: np.ndarray) -> None:
+    """Copy the strict lower triangle of square `a` onto the upper one, block row by block row."""
+    step = lattice.COLUMN_BLOCK
+    for lo in range(0, len(a), step):
+        hi = lo + step
+        block = a[lo:hi, lo:hi]
+        upper = np.triu_indices(len(block), 1)
+        block[upper] = block.T[upper]
+        a[lo:hi, hi:] = a[hi:, lo:hi].T
+
+
 def _inverse(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """``a^-1``: numpy's up to `lattice.DENSE_LIMIT` rows, beyond it LAPACK
-    ``getrf`` and ``getri`` in one array: a copy of ``a``, or, when
-    `overwrite` is set, ``a`` itself (``a.T`` when ``a`` is not
-    F-contiguous, its inverse then transposed back; ``a`` is left
-    undefined)."""
+    """``a^-1``: numpy's up to `lattice.DENSE_LIMIT` rows, LAPACK's beyond:
+    Cholesky (``potrf``/``potri``, half the flops of LU) for an exactly
+    symmetric `a`, else ``getrf``/``getri``.  LAPACK works on a copy, or in
+    ``a`` itself when `overwrite` is set (``a`` is then left undefined); a
+    failed in-place ``potrf`` is undone from the triangle it does not read
+    and a saved diagonal before LU."""
     if len(a) <= lattice.DENSE_LIMIT:
         return np.linalg.inv(a)
     from scipy.linalg import lapack
 
-    flip = overwrite and not a.flags.f_contiguous  # a.T of a C-ordered a is F-contiguous
-    lu, piv, info = lapack.dgetrf(a.T if flip else a, overwrite_a=overwrite)
+    symmetric = _is_symmetric(a)
+    # a.T of a C-ordered a is F-contiguous, LAPACK's layout, and equal to a when a is symmetric
+    flip = not a.flags.f_contiguous and (symmetric or overwrite)
+    b = a.T if flip else a
+    if symmetric:
+        diagonal = b.diagonal().copy() if overwrite else None
+        c, info = lapack.dpotrf(b, lower=1, clean=0, overwrite_a=overwrite)
+        if info == 0:
+            c, info = lapack.dpotri(c, lower=1, overwrite_c=1)
+            if info != 0:
+                raise np.linalg.LinAlgError("Singular matrix")
+            _mirror_lower(c)
+            return c
+        if overwrite:  # potrf wrote only the lower triangle and the diagonal
+            _mirror_lower(b.T)
+            np.fill_diagonal(b, diagonal)
+    lu, piv, info = lapack.dgetrf(b, overwrite_a=overwrite)
     if info == 0:
         lwork = int(lapack.dgetri_lwork(len(a))[0])
         lu, info = lapack.dgetri(lu, piv, lwork=lwork, overwrite_lu=True)
     if info != 0:
         raise np.linalg.LinAlgError("Singular matrix")
-    return lu.T if flip else lu
+    return lu.T if flip and not symmetric else lu
 
 
 def _norm_1(a: np.ndarray) -> float:
@@ -99,13 +133,16 @@ def is_inverse_m_matrix(u, tol: float = DEFAULT_TOL, overwrite_u: bool = False) 
     ``scale`` is the largest magnitude in the inverse; either extreme
     within ``tol * scale`` of 0 is reported as 0.0, so roundoff does not
     reach the report.  The reported ``condition`` is the 1-norm condition
-    number ``|u|_1 |u^-1|_1``, taken from the inverse already in hand;
-    values beyond 1e12 mark the report unreliable instead of deciding.
+    number ``|u|_1 |u^-1|_1``, taken from the inverse already in hand and
+    reported to 12 significant digits (the last ones move with the LAPACK
+    route and the BLAS threads); beyond 1e12 it marks the report unreliable
+    instead of deciding.
 
-    Beyond `lattice.DENSE_LIMIT` rows the inverse is LAPACK's LU inverse,
-    made on one copy of ``u``, or in ``u`` itself when `overwrite_u` is
-    set (``u`` is then left undefined), and the checks make no ``m x m``
-    temporary.
+    Beyond `lattice.DENSE_LIMIT` rows the inverse is LAPACK's Cholesky
+    inverse for an exactly symmetric ``u`` and its LU inverse otherwise,
+    made on one copy of ``u``, or in ``u`` itself when `overwrite_u` is set
+    (``u`` is then left undefined, and restored from its other triangle if
+    Cholesky fails), and the checks make no ``m x m`` temporary.
     """
     a = _check_square_nonneg(u)
     norm = _norm_1(a)
@@ -119,6 +156,7 @@ def is_inverse_m_matrix(u, tol: float = DEFAULT_TOL, overwrite_u: bool = False) 
             is_potential=False,
         )
     cond = norm * _norm_1(inv)
+    shown = float(f"{cond:.12g}")
     if not math.isfinite(cond) or cond > CONDITION_LIMIT:
         return PotentialReport(
             nonsingular=cond < math.inf,
@@ -126,7 +164,7 @@ def is_inverse_m_matrix(u, tol: float = DEFAULT_TOL, overwrite_u: bool = False) 
             min_row_sum_of_inverse=math.nan,
             is_potential=None,
             unreliable=True,
-            condition=cond,
+            condition=shown,
         )
     scale = max(float(inv.max()), -float(inv.min()))
     min_row = float(np.min(inv.sum(axis=1)))
@@ -139,7 +177,7 @@ def is_inverse_m_matrix(u, tol: float = DEFAULT_TOL, overwrite_u: bool = False) 
         max_offdiag_of_inverse=0.0 if abs(max_off) <= cut else max_off,
         min_row_sum_of_inverse=0.0 if abs(min_row) <= cut else min_row,
         is_potential=bool(ok),
-        condition=cond,
+        condition=shown,
     )
 
 

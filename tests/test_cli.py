@@ -201,10 +201,16 @@ def test_exactly_singular_sparse_factor_is_numerical_failure(capsys, monkeypatch
     lat = grid_points(Ball((0.0, 0.0), 1.0), GridSpec(d=2, n=18))
     with pytest.raises(RuntimeError, match="singular"):  # what splu itself raises
         splu(singular(lat))
+
+    def clique(lattice):  # six points all neighbours: the band of I - P is not positive definite
+        return np.nonzero(~np.eye(6, dtype=bool))
+
     monkeypatch.setattr(lattice_module, "_killed_laplacian", singular)
     monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
-    with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        killed_green_matrix(lat)
+    with monkeypatch.context() as banded:  # the band is written from the neighbour pairs
+        banded.setattr(lattice_module, "_transition_coo", clique)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            killed_green_matrix(lat)
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
         killed_green_entries(lat, tuple(lat.points[0]), [tuple(lat.points[-1])])
     rc, out, err = run_cli(capsys, ["converge-disk", "--levels", "1"])
@@ -509,6 +515,22 @@ def test_riesz_mc_does_not_import_quadrature():
     # in d = 3 the ball-kernel oracle is a closed form on scipy.special
     proc = _run_fresh(QUADRATURE_GUARD, ["riesz-mc", "--trials", "2000"])
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+SPARSE_GUARD = """
+import json, sys
+from greenpot.cli import main
+assert main(json.loads(sys.argv[1])) == 0
+assert "scipy.linalg" in sys.modules
+assert "scipy.sparse" not in sys.modules
+"""
+
+
+def test_large_killed_green_does_not_import_scipy_sparse():
+    # above DENSE_LIMIT the band of I - P comes straight from the neighbour pairs
+    proc = _run_fresh(SPARSE_GUARD, ["killed-green", "--domain", DISK, "--n", "930"])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout)["size"] > lattice_module.DENSE_LIMIT
 
 
 STATS_GUARD = """

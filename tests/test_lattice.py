@@ -581,7 +581,6 @@ def test_large_solve_and_inverse_stay_within_traced_memory():
     m = len(lat)
     assert m > lattice_module.DENSE_LIMIT
     import scipy.linalg  # noqa: F401  (its one-time import is not the solve's memory)
-    import scipy.sparse.linalg  # noqa: F401
     unit = 8 * m * m
     tracemalloc.start()
     try:
@@ -599,4 +598,5 @@ def test_large_solve_and_inverse_stay_within_traced_memory():
     assert report.is_potential is True and in_place.is_potential is True
     assert solve_peak <= 1.3 * unit
     assert inverse_peak <= 1.2 * unit
-    assert in_place_peak <= 0.2 * unit
+    # Cholesky in place needs no workspace: the peak is one column block of |u|
+    assert in_place_peak <= 1.2 * 8 * m * lattice_module.COLUMN_BLOCK

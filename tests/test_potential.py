@@ -31,6 +31,7 @@ from greenpot import (
     sample_cmp,
 )
 from greenpot import lattice as lattice_module
+from greenpot import potential as potential_module
 from greenpot.cli import _jsonable, canonical_json
 from greenpot.mc import generator
 
@@ -91,6 +92,8 @@ LAPACK_CASES = {
     "power3.7": lambda: hadamard_power(_disk18(), 3.7),
     "exp0.5": lambda: hadamard_exp(_disk18(), 0.5),
     "not_potential": lambda: np.array(NOT_POTENTIAL),
+    # ones + I with its last diagonal entry 0.5: symmetric, Cholesky fails only at the last row
+    "indefinite": lambda: np.ones((40, 40)) + np.diag(np.r_[np.ones(39), -0.5]),
     "singular": lambda: np.ones((3, 3)),
     "unreliable": lambda: np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]),
     "scalar": lambda: np.array([[2.5]]),
@@ -107,6 +110,7 @@ def test_lapack_inverse_route_matches_numpy_inverse(case, monkeypatch):
         raise AssertionError("numpy inverse used above DENSE_LIMIT")
 
     monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
+    monkeypatch.setattr(lattice_module, "COLUMN_BLOCK", 7)  # several blocks in each blockwise pass
     monkeypatch.setattr(np.linalg, "inv", numpy_inverse)
     kept = u.copy()
     # on a copy of u, and in place on a C-ordered (inverted as its transpose) and an F-ordered copy
@@ -123,6 +127,53 @@ def test_lapack_inverse_route_matches_numpy_inverse(case, monkeypatch):
         assert {k: v for k, v in lapack.items() if not isinstance(v, float)} == \
             {k: v for k, v in dense.items() if not isinstance(v, float)}
         assert lapack == pytest.approx(dense, rel=1e-12, abs=0.0, nan_ok=True)
+
+
+@pytest.mark.parametrize("case, unused", [("disk", "dgetrf"), ("nonsymmetric", "dpotrf")])
+def test_lapack_route_follows_symmetry(case, unused, monkeypatch):
+    # exactly symmetric positive definite: Cholesky alone; nonsymmetric: LU alone
+    from scipy.linalg import lapack
+
+    u = LAPACK_CASES[case]()
+    dense = is_inverse_m_matrix(u)
+
+    def unused_route(*args, **kwargs):
+        raise AssertionError(f"{unused} called")
+
+    monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
+    monkeypatch.setattr(lapack, unused, unused_route)
+    for order in "CF":
+        for overwrite in (False, True):
+            report = asdict(is_inverse_m_matrix(u.copy(order=order), overwrite_u=overwrite))
+            assert report == pytest.approx(asdict(dense), rel=1e-12, abs=0.0, nan_ok=True)
+
+
+@pytest.mark.parametrize("case", ["not_potential", "indefinite", "singular"])
+def test_failed_in_place_cholesky_reports_as_copy_route(case, monkeypatch):
+    # potrf fails on these symmetric inputs; in place, u is rebuilt from its
+    # untouched triangle and saved diagonal, so LU sees the same matrix
+    from scipy.linalg import lapack
+
+    u = LAPACK_CASES[case]()
+    potrf, infos = lapack.dpotrf, []
+
+    def recorded(*args, **kwargs):
+        c, info = potrf(*args, **kwargs)
+        infos.append(info)
+        return c, info
+
+    monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
+    monkeypatch.setattr(lattice_module, "COLUMN_BLOCK", 7)  # several blocks in the restore
+    monkeypatch.setattr(lapack, "dpotrf", recorded)
+    reports = [is_inverse_m_matrix(u)] + [is_inverse_m_matrix(u.copy(order=order), overwrite_u=True)
+                                          for order in "CF"]
+    assert len(infos) == 3 and all(info > 0 for info in infos)
+    texts = {canonical_json(_jsonable(asdict(report))) for report in reports}
+    assert len(texts) == 1
+    if case != "singular":  # the same LU on the same matrix: bit-identical inverses
+        copy = potential_module._inverse(u)
+        for order in "CF":
+            assert np.array_equal(potential_module._inverse(u.copy(order=order), overwrite=True), copy)
 
 
 def test_input_validation():

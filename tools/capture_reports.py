@@ -10,7 +10,8 @@ on ``PYTHONPATH``) in a fresh interpreter with one BLAS/OpenMP thread:
 - ``converge-disk --transform exp:3`` and ``--transform power:2.5``;
 - ``converge-free --beta 1.4 --levels 4``;
 - ``riesz-mc --beta 1.5 --trials 20000``;
-- ``killed-green --n 1458`` (m = 2285, above ``lattice.DENSE_LIMIT``);
+- ``killed-green --n 1458`` (m = 2285) and, on the unit ball in d = 3,
+  ``killed-green --n 162`` (m = 1647), both above ``lattice.DENSE_LIMIT``;
 - ``--help`` of every subcommand and of ``greenpot`` itself.
 
 ``OUT_DIR`` receives each run's ``.json`` and ``.csv`` (not the
@@ -30,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 DISK = '{"d":2,"shape":{"ball":{"center":[0.0,0.0],"radius":1.0}}}'
+BALL3 = '{"d":3,"shape":{"ball":{"center":[0.0,0.0,0.0],"radius":1.0}}}'
 MATRIX = "[[2,1],[1,2]]"
 REQUIRED = {"killed-green": ["--domain", DISK], "cmp-functional": ["--domain", DISK],
             "exit-mc": ["--domain", DISK], "domain-grid": ["--domain", DISK],
@@ -37,13 +39,15 @@ REQUIRED = {"killed-green": ["--domain", DISK], "cmp-functional": ["--domain", D
 SUBCOMMANDS = ["lattice-green", "killed-green", "check-potential", "hadamard-sweep",
                "exp-sweep", "cmp-random", "cmp-functional", "converge-disk",
                "converge-free", "riesz-mc", "exit-mc", "domain-grid"]
-# label -> subcommand and flags, run at seed 0
+# label -> subcommand and flags, run at seed 0; a flag here overrides its
+# REQUIRED value, since argparse keeps the last
 EXTRA = {
     "converge-disk.exp3": ["converge-disk", "--transform", "exp:3"],
     "converge-disk.power2.5": ["converge-disk", "--transform", "power:2.5"],
     "converge-free.beta1.4.levels4": ["converge-free", "--beta", "1.4", "--levels", "4"],
     "riesz-mc.beta1.5.trials20000": ["riesz-mc", "--beta", "1.5", "--trials", "20000"],
     "killed-green.n1458": ["killed-green", "--n", "1458"],
+    "killed-green.ball3.n162": ["killed-green", "--domain", BALL3, "--n", "162"],
 }
 THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
