@@ -22,6 +22,7 @@ __all__ = [
     "disk_green_2d",
     "riesz_params",
     "ball_kernel_integral",
+    "ball_integral_route",
     "volume_bound",
     "check_transform",
 ]
@@ -196,6 +197,11 @@ def _polar_quadrature(d: int, s: float, a: float, r: float, tol: float) -> float
     return val
 
 
+def ball_integral_route(a: float, r: float) -> str:
+    """How `ball_kernel_integral` evaluates at distance `a` from the center of a radius-`r` ball."""
+    return "adaptive quadrature" if 0.0 < a < 2.0 * r else "closed form"
+
+
 def _ball_power_integral(d: int, s: float, a: float, r: float, tol: float) -> float:
     """Integral of ``|x - y|^(-s)`` over a ball of radius r, |x - center| = a.
 
@@ -214,10 +220,10 @@ def _ball_power_integral(d: int, s: float, a: float, r: float, tol: float) -> fl
     p = d - s
     if p <= 0:
         raise ValueError("kernel power is not integrable over the ball")
+    if ball_integral_route(a, r) == "adaptive quadrature":
+        return _polar_quadrature(d, s, a, r, tol)
     if a == 0.0:
         return sphere_surface(d) * r**p / p
-    if a < 2.0 * r:
-        return _polar_quadrature(d, s, a, r, tol)
     from scipy.special import hyp2f1
 
     volume = sphere_surface(d) * r**d / d

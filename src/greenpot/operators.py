@@ -36,7 +36,7 @@ from .domains import (
     round_to_grid,
     split_ties,
 )
-from .kernels import ball_kernel_integral, check_transform, disk_green_2d
+from .kernels import ball_integral_route, ball_kernel_integral, check_transform, disk_green_2d
 from .lattice import (
     LatticeSet,
     killed_green_entries,
@@ -290,7 +290,8 @@ def converge(domain, transform, x, target, levels: int, base: int) -> Convergenc
         d = len(np.asarray(x, dtype=float))
         _, param = check_transform(*transform, d, True)
         reference = ball_kernel_integral(d, param, x, target.center, target.radius)
-        provenance = "ball kernel integral, adaptive quadrature"
+        a = float(np.linalg.norm(np.asarray(x, dtype=float) - target.center))
+        provenance = f"ball kernel integral, {ball_integral_route(a, target.radius)}"
 
         def value(grid):
             return free_operator_value(grid, transform, target, x)

@@ -4,10 +4,13 @@ A nonnegative nonsingular matrix is a potential when its inverse is a
 row diagonally dominant M-matrix: off-diagonal entries nonpositive and
 row sums nonnegative.  The complete-maximum-principle functional
 ``sum_j ((Uv)_j - 1)^+ v_j`` is nonnegative for every ``v`` exactly on
-potentials (for symmetric ``U``), which gives a second, inversion-free
-route to the same class.  Entrywise powers ``U^(beta)`` with
-``beta >= 1`` and entrywise exponentials ``exp(alpha U)`` with
-``alpha > 0`` stay inside the class.
+potentials (for symmetric ``U``), a second route to the same class.
+`sample_cmp` scores its probes in blocks of ``rows = max(COLUMN_BLOCK,
+PROBE_BYTES // (8 m))`` rows (``16 rows m`` bytes past the inverse,
+whatever the trial count), takes the sign probes ``+-e_i`` in closed form
+from ``U >= 0`` and returns the first minimum.  Entrywise powers
+``U^(beta)`` with ``beta >= 1`` and entrywise exponentials
+``exp(alpha U)`` with ``alpha > 0`` stay inside the class.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 CONDITION_LIMIT = 1e12
+PROBE_BYTES = 1 << 18  # bytes of one block of CMP probes, at least lattice.COLUMN_BLOCK rows
 
 
 @dataclass(frozen=True)
@@ -144,17 +148,22 @@ def is_inverse_m_matrix(u, tol: float = DEFAULT_TOL, overwrite_u: bool = False) 
     (``u`` is then left undefined, and restored from its other triangle if
     Cholesky fails), and the checks make no ``m x m`` temporary.
     """
-    a = _check_square_nonneg(u)
+    return _inverse_m_test(_check_square_nonneg(u), tol, overwrite_u)[0]
+
+
+def _inverse_m_test(a: np.ndarray, tol: float,
+                    overwrite: bool) -> tuple[PotentialReport, np.ndarray | None]:
+    """`is_inverse_m_matrix` of a checked `a`, and the inverse it formed (``None`` if singular)."""
     norm = _norm_1(a)
     try:
-        inv = _inverse(a, overwrite_u)
+        inv = _inverse(a, overwrite)
     except np.linalg.LinAlgError:
         return PotentialReport(
             nonsingular=False,
             max_offdiag_of_inverse=math.nan,
             min_row_sum_of_inverse=math.nan,
             is_potential=False,
-        )
+        ), None
     cond = norm * _norm_1(inv)
     shown = float(f"{cond:.12g}")
     if not math.isfinite(cond) or cond > CONDITION_LIMIT:
@@ -165,11 +174,13 @@ def is_inverse_m_matrix(u, tol: float = DEFAULT_TOL, overwrite_u: bool = False) 
             is_potential=None,
             unreliable=True,
             condition=shown,
-        )
+        ), inv
     scale = max(float(inv.max()), -float(inv.min()))
     min_row = float(np.min(inv.sum(axis=1)))
-    np.fill_diagonal(inv, -math.inf)  # the inverse is private
+    diagonal = inv.diagonal().copy()
+    np.fill_diagonal(inv, -math.inf)
     max_off = float(np.max(inv)) if a.shape[0] > 1 else 0.0
+    np.fill_diagonal(inv, diagonal)
     cut = tol * scale
     ok = max_off <= cut and min_row >= -cut
     return PotentialReport(
@@ -178,7 +189,7 @@ def is_inverse_m_matrix(u, tol: float = DEFAULT_TOL, overwrite_u: bool = False) 
         min_row_sum_of_inverse=0.0 if abs(min_row) <= cut else min_row,
         is_potential=bool(ok),
         condition=shown,
-    )
+    ), inv
 
 
 def cmp_inequality(u, v) -> float:
@@ -194,42 +205,56 @@ def sample_cmp(u, trials: int, seed: int, include_adversarial: bool = True):
 
     Draws `trials` standard-normal vectors, then the natural violators:
     the signed indicator vectors ``e_i, -e_i`` and, when the inverse
-    exists, its rows scaled by ``0.5, -0.5, 1, -1, 1.5, -1.5, 2, -2``, each
-    written straight into one probe buffer.  Returns the pair
-    ``(min_value, argmin_vector)``.
+    exists, its rows scaled by ``0.5, -0.5, 1, -1, 1.5, -1.5, 2, -2``.
+    Returns the pair ``(min_value, argmin_vector)``, the first minimum in
+    that order.  They are scored ``rows = max(lattice.COLUMN_BLOCK,
+    PROBE_BYTES // (8 m))`` at a time, so past the inverse this holds
+    ``2 * 8 * rows * m`` bytes of probes and products; ``U >= 0`` makes
+    ``e_i`` score ``(U_ii - 1)^+`` and ``-e_i`` score 0 without a product.
     """
     a = _check_square_nonneg(u)
     if trials < 1:
         raise ValueError("trials must be positive")
-    m, inv = a.shape[0], None
-    if include_adversarial:
-        try:
-            inv = np.linalg.inv(a)
-        except np.linalg.LinAlgError:
-            pass
-    signs = (1.0, -1.0) if include_adversarial else ()
-    scales = () if inv is None else (0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0, -2.0)
-    vs = np.zeros((trials + (len(signs) + len(scales)) * m, m))
-    generator(seed).standard_normal(out=vs[:trials])
-    probes = vs[trials:].reshape(-1, m, m)
-    for k, c in enumerate(signs):
-        np.fill_diagonal(probes[k], c)
-    for k, c in enumerate(scales, len(signs)):
-        np.multiply(inv, c, out=probes[k])
-    excess = vs @ a.T
-    excess -= 1.0
-    np.clip(excess, 0.0, None, out=excess)
-    values = np.einsum("ij,ij->i", excess, vs)
-    k = int(np.argmin(values))
-    return float(values[k]), vs[k].copy()
+    inv = _inverse_m_test(a, DEFAULT_TOL, False)[1] if include_adversarial else None
+    return _probe_min(a, trials, seed, include_adversarial, inv)
+
+
+def _probe_min(a: np.ndarray, trials: int, seed: int, signs: bool, inv: np.ndarray | None):
+    """`sample_cmp`'s scan of the probes, scaled rows of `inv` included unless it is ``None``."""
+    m = len(a)
+    rows = max(lattice.COLUMN_BLOCK, PROBE_BYTES // (8 * m))
+    buf = np.empty((min(rows, max(trials, m)), m))
+    best, witness = math.inf, None
+
+    def score(block):
+        nonlocal best, witness
+        ex = block @ a.T
+        ex -= 1.0
+        values = np.einsum("ij,ij->i", np.clip(ex, 0.0, None, out=ex), block)
+        k = int(np.argmin(values))
+        if witness is None or values[k] < best:
+            best, witness = float(values[k]), block[k].copy()
+
+    rng = generator(seed)
+    for lo in range(0, trials, rows):
+        score(rng.standard_normal(out=buf[:min(rows, trials - lo)]))
+    if signs and best > 0.0:  # the first e_i with U_ii <= 1 scores 0, else -e_0 does
+        i = int(np.argmax(np.diagonal(a) <= 1.0))
+        best, witness = 0.0, np.zeros(m)
+        witness[i] = 1.0 if a[i, i] <= 1.0 else -1.0
+    for c in () if inv is None else (0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0, -2.0):
+        for lo in range(0, m, rows):
+            score(np.multiply(inv[lo:lo + rows], c, out=buf[:min(rows, m - lo)]))
+    return best, witness
 
 
 def classify(u, trials: int = 0, seed: int = 0, tol: float = DEFAULT_TOL) -> PotentialReport:
-    """Inverse M-matrix test plus optional CMP sampling in one report."""
-    report = is_inverse_m_matrix(u, tol=tol)
+    """Inverse M-matrix test plus optional CMP sampling on the same inverse, in one report."""
+    a = _check_square_nonneg(u)
+    report, inv = _inverse_m_test(a, tol, False)
     if trials <= 0:
         return report
-    value, _ = sample_cmp(u, trials=trials, seed=seed)
+    value, _ = _probe_min(a, trials, seed, True, inv)
     return replace(report, cmp_inequality_min=value, trials=trials, seed=seed)
 
 

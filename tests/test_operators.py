@@ -377,6 +377,14 @@ def test_converge_free_operator_mode():
     assert abs(rep.values[1] - 1.0) < abs(rep.values[0] - 1.0)
 
 
+def test_converge_free_provenance_names_the_reference_route():
+    # S(d) r^p / p at the center, polar quadrature within 2r of it, the 2F1 form beyond
+    for x, route in [(ORIGIN3, "closed form"), ((0.5, 0.0, 0.0), "adaptive quadrature"),
+                     ((2.5, 0.0, 0.0), "closed form")]:
+        rep = converge(None, ("power", 1.0), x, UNIT_BALL, 1, 3)
+        assert rep.provenance == "ball kernel integral, " + route
+
+
 def test_converge_validation():
     with pytest.raises(ValueError):
         converge(Ball((0.5, 0.0), 1.0), ("power", 1.0), (0.1, 0.0), (0.0, 0.0), 2, 2)

@@ -235,29 +235,103 @@ def _stacked_probe_min(u, trials, seed, include_adversarial):
     return float(values.min()), vs[np.argmin(values)]
 
 
+def _disk162():
+    u = killed_green_matrix(grid_points(Ball((0.0, 0.0), 1.0), GridSpec(d=2, n=162))).entries
+    assert len(u) == 249
+    return u
+
+
+def _probe_rows(m):
+    return max(lattice_module.COLUMN_BLOCK, potential_module.PROBE_BYTES // (8 * m))
+
+
 @pytest.mark.parametrize("adversarial", [True, False])
-@pytest.mark.parametrize("trials", [2, 300])
+@pytest.mark.parametrize("trials", [2, 300, "3 blocks + 7"])
 def test_sample_cmp_matches_stacked_probe_oracle(adversarial, trials):
     two = killed_green_matrix(LatticeSet.from_points(2, [(0, 0), (1, 0)])).entries
-    for u in (NOT_POTENTIAL, two, np.ones((3, 3)), [[0.1, 0.0], [0.0, 0.1]]):
-        value, witness = sample_cmp(u, trials=trials, seed=5, include_adversarial=adversarial)
-        expected, probe = _stacked_probe_min(u, trials, 5, adversarial)
+    cases = [NOT_POTENTIAL, two, np.ones((3, 3)), [[0.1, 0.0], [0.0, 0.1]]]
+    if trials == "3 blocks + 7":  # three full blocks of normals and a partial one
+        cases += [random_potential(3, (40, 40), 2).entries, _disk162()]
+    for u in cases:
+        n = 3 * _probe_rows(len(u)) + 7 if trials == "3 blocks + 7" else trials
+        value, witness = sample_cmp(u, trials=n, seed=5, include_adversarial=adversarial)
+        expected, probe = _stacked_probe_min(u, n, 5, adversarial)
         assert value == expected
         assert np.array_equal(witness, probe)
 
 
+def test_sample_cmp_ties_go_to_the_first_probe():
+    # potentials score 0 on many probes; the witness is the first of them in stacking order
+    u = _disk162()
+    m, trials = len(u), 100
+    normals = generator(5).standard_normal((trials, m))
+    e = np.eye(m)
+    scaled = u / u[5, 5]
+    cases = [
+        (1e-3 * u, None),  # many normals have every (Uv)_j <= 1: the first of them
+        (scaled, e[int(np.argmax(np.diagonal(scaled) <= 1.0))]),  # the first e_i with U_ii <= 1
+        (u, -e[0]),  # every U_ii > 1: -e_0, the first of the -e_i
+    ]
+    for a, first in cases:
+        value, witness = sample_cmp(a, trials=trials, seed=5)
+        expected, probe = _stacked_probe_min(a, trials, 5, True)
+        assert value == expected == 0.0
+        assert np.array_equal(witness, probe)
+        zeros = np.flatnonzero([cmp_inequality(a, v) == 0.0 for v in normals])
+        if first is None:
+            assert len(zeros) > 1 and np.array_equal(witness, normals[zeros[0]])
+        else:
+            assert len(zeros) == 0 and np.array_equal(witness, first)
+
+
 def test_sample_cmp_probes_stay_within_traced_memory():
-    # the sign and scaled inverse rows go straight into the one probe buffer
-    u = killed_green_matrix(grid_points(Ball((0.0, 0.0), 1.0), GridSpec(d=2, n=162))).entries
-    m = len(u)
-    assert m == 249
-    tracemalloc.start()
-    try:
-        sample_cmp(u, 1, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * 10 * m * m * 8
+    # beyond the inverse, one block of probes and one of their products, whatever the trials
+    u = _disk162()
+    m, rows = len(u), _probe_rows(len(u))
+    sample_cmp(u, 1, 0)  # first-call allocations of numpy and the generator
+    peaks = {}
+    for trials in (1000, 10_000):
+        tracemalloc.start()
+        try:
+            sample_cmp(u, trials, 0)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # two blocks, plus a few vectors (the values of a block, the witness)
+    assert peaks[10_000] <= 8 * (m * m + 2 * rows * m) + 8 * 4 * max(rows, m)
+    assert abs(peaks[10_000] - peaks[1000]) <= 8 * rows * m
+
+
+@pytest.mark.parametrize("dense_limit", [None, 0])
+def test_classify_inverts_once(dense_limit, monkeypatch):
+    # the probes take the inverse-M test's inverse; numpy's inverse only below DENSE_LIMIT
+    u, calls = _disk18(), {"_inverse": 0, "numpy": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    if dense_limit is not None:
+        monkeypatch.setattr(lattice_module, "DENSE_LIMIT", dense_limit)
+    inverse = potential_module._inverse
+    monkeypatch.setattr(potential_module, "_inverse", counted("_inverse", inverse))
+    monkeypatch.setattr(np.linalg, "inv", counted("numpy", np.linalg.inv))
+    report = classify(u, trials=100, seed=3)
+    assert report.is_potential is True and report.cmp_inequality_min == 0.0
+    assert calls == {"_inverse": 1, "numpy": 1 if dense_limit is None else 0}
+
+
+def test_classify_shares_the_inverse_when_unreliable():
+    # the 12 x 12 Hilbert matrix (condition 4e16): no verdict, and its scaled
+    # inverse rows, not the normals, give the probes' minimum
+    hilbert = 1.0 / (np.arange(12)[:, None] + np.arange(12) + 1.0)
+    report = classify(hilbert, trials=50, seed=4)
+    assert report.unreliable is True and report.condition > 1e12
+    expected, _ = _stacked_probe_min(hilbert, 50, 4, True)
+    assert report.cmp_inequality_min == expected
+    assert expected < sample_cmp(hilbert, trials=50, seed=4, include_adversarial=False)[0]
 
 
 def test_sample_cmp_reproducible():
@@ -274,6 +348,9 @@ def test_classify_attaches_sampling_fields():
     assert report.is_potential is False
     assert report.cmp_inequality_min is not None and report.cmp_inequality_min < 0
     assert report.trials == 2_000 and report.seed == 5
+    # two normals score 0; the scaled rows of the check's own inverse (its diagonal restored) do not
+    scaled = classify(NOT_POTENTIAL, trials=2, seed=5).cmp_inequality_min
+    assert scaled == _stacked_probe_min(NOT_POTENTIAL, 2, 5, True)[0] == -2 / 3
     bare = classify(NOT_POTENTIAL)
     assert bare.cmp_inequality_min is None and bare.trials == 0
 

@@ -12,6 +12,9 @@ on ``PYTHONPATH``) in a fresh interpreter with one BLAS/OpenMP thread:
 - ``riesz-mc --beta 1.5 --trials 20000``;
 - ``killed-green --n 1458`` (m = 2285) and, on the unit ball in d = 3,
   ``killed-green --n 162`` (m = 1647), both above ``lattice.DENSE_LIMIT``;
+- ``killed-green --n 162 --dump-limit 300`` on the disk (m = 249, its
+  matrix dumped), then ``check-potential --matrix @`` that report at its
+  default 10000 trials, whose normals the CMP probes score in 40 row blocks;
 - ``--help`` of every subcommand and of ``greenpot`` itself.
 
 ``OUT_DIR`` receives each run's ``.json`` and ``.csv`` (not the
@@ -48,6 +51,9 @@ EXTRA = {
     "riesz-mc.beta1.5.trials20000": ["riesz-mc", "--beta", "1.5", "--trials", "20000"],
     "killed-green.n1458": ["killed-green", "--n", "1458"],
     "killed-green.ball3.n162": ["killed-green", "--domain", BALL3, "--n", "162"],
+    "killed-green.n162.dump300": ["killed-green", "--n", "162", "--dump-limit", "300"],
+    # "{out}" is the output directory, where the run above left its report
+    "check-potential.n162": ["check-potential", "--matrix", "@{out}/killed-green.n162.dump300.json"],
 }
 THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -73,6 +79,7 @@ def capture(src_root: Path, out_dir: Path) -> None:
     codes = []
     with tempfile.TemporaryDirectory() as work:
         for label, argv in runs().items():
+            argv = [arg.replace("{out}", str(out_dir)) for arg in argv]
             cmd = [sys.executable, "-m", "greenpot.cli", *argv]
             is_help = argv[-1] == "--help"
             if not is_help:
