@@ -34,6 +34,7 @@ from .lattice import (
     AsymmetricSolveError,
     KilledGreenMatrix,
     LatticeSet,
+    ResourceLimitError,
     exit_distribution,
     killed_green_entries,
     killed_green_matrix,
@@ -55,7 +56,6 @@ from .operators import (
     BallIndicator,
     ConvergenceReport,
     DiscreteOperator,
-    ResourceLimitError,
     apply_operator,
     assemble,
     cmp_functional,

@@ -50,29 +50,17 @@ from .domains import (
     interior_grid,
     nonempty_grid_points,
 )
-from .kernels import (
-    QuadratureError,
-    ball_kernel_integral,
-    disk_green_2d,
-    green_constant,
-)
+from .kernels import QuadratureError, ball_kernel_integral, disk_green_2d
 from .lattice import (
-    POTENTIAL_KERNEL_CONSTANT,
     AsymmetricSolveError,
+    ResourceLimitError,
+    far_field,
     killed_green_matrix,
-    potential_kernel_2d,
-    whole_space_green,
+    potential_kernel_2d_array,
+    whole_space_green_array,
 )
 from .mc import RngStream, StepBudgetError, estimate_boundary_term, estimate_riesz_potential
-from .operators import (
-    BallIndicator,
-    ResourceLimitError,
-    assemble,
-    check_points,
-    cmp_functional,
-    converge,
-    is_origin_disk,
-)
+from .operators import BallIndicator, assemble, cmp_functional, converge, is_origin_disk
 from .potential import classify, hadamard_exp, hadamard_power, is_inverse_m_matrix, random_potential
 
 STREAMS = {"matrices": 0, "probes": 1, "functions": 2, "walks": 3, "riesz": 4}
@@ -163,15 +151,17 @@ def load_matrix(cfg) -> np.ndarray:
 
 
 def _jsonable(v):
+    """`v` with numpy scalars and arrays as Python values and every
+    non-finite float as None, which JSON has no literal for."""
     if isinstance(v, (np.floating, np.integer, np.bool_)):
-        return v.item()
+        return _jsonable(v.item())
     if isinstance(v, np.ndarray):
         return [_jsonable(c) for c in v.tolist()]
     if isinstance(v, (list, tuple)):
         return [_jsonable(c) for c in v]
     if isinstance(v, dict):
         return {k: _jsonable(c) for k, c in v.items()}
-    if isinstance(v, float) and math.isnan(v):
+    if isinstance(v, float) and not math.isfinite(v):
         return None
     return v
 
@@ -180,25 +170,17 @@ def _jsonable(v):
 # each runner: cfg dict -> (report dict, (header, rows) or None, passed or None)
 
 def run_lattice_green(cfg):
-    d = cfg["d"]
-    top = cfg["max"]
-    if d == 2:
-        kernel, asymptote = (potential_kernel_2d,
-                             lambda r: (2.0 / math.pi) * math.log(r) + POTENTIAL_KERNEL_CONSTANT)
-    else:
-        kernel, asymptote = (lambda p: whole_space_green(d, p),
-                             lambda r: d * green_constant(d) * r ** (2 - d))
-    points = [(k,) + (0,) * (d - 1) for k in range(1, top + 1)]
+    d, top = cfg["d"], cfg["max"]
+    points = [(0,) * d] + [(k,) + (0,) * (d - 1) for k in range(1, top + 1)]
     points += [(k, k) + (0,) * (d - 2) for k in range(1, top + 1) if k * math.sqrt(2) <= top]
-    rows = []
-    for p in points:
-        val, asym = kernel(p), asymptote(math.hypot(*p))
-        rows.append([p, val, asym, val / asym if asym else math.inf])
-    origin = kernel((0,) * d)
+    # the kernel before the asymptote: it rejects d < 2 with its own message
+    values = potential_kernel_2d_array(points) if d == 2 else whole_space_green_array(d, points)
+    rows = [[p, v, a, v / a] for p, v, a in
+            zip(points[1:], values[1:].tolist(), far_field(d, points[1:]).tolist())]
     report = {
         "experiment": "lattice-green",
         "d": d,
-        "origin_value": origin,
+        "origin_value": float(values[0]),
         "entries": [{"point": list(p), "value": v, "asymptote": a, "ratio": q}
                     for p, v, a, q in rows],
     }
@@ -209,7 +191,6 @@ def run_killed_green(cfg):
     domain = load_domain(cfg)
     grid = GridSpec(d=domain.d, n=cfg["n"])
     lattice = nonempty_grid_points(domain, grid)
-    check_points(len(lattice))
     matrix = killed_green_matrix(lattice)
     dump = len(lattice) <= cfg["dump_limit"]
     check = is_inverse_m_matrix(matrix.entries, tol=cfg["tol"], overwrite_u=not dump)

@@ -15,13 +15,13 @@ summed once on one shared-node rule: an 8-node Gauss-Legendre panel on
 40 nodes in ``u`` after ``t = 1e4/u^2``, which turns the algebraic tail
 into a polynomial.  ``e^(-t/d) I_n(t/d)`` is evaluated once per
 ``(d, n)`` on the nodes and cached; where scipy's ``ive`` gives NaN
-(argument above about 1e9) its Hankel expansion takes over.  Keys past
-the exact range take the continuum asymptote.  Only the integrand
-depends on d.  For ``d >= 3`` it is the product of the key's rows, and
-against adaptive quadrature of the same integral it agrees to 5.2e-14
-relative (d = 3, every key up to 16), 6.3e-15 (d = 4, up to 8) and
-2.1e-13 (d = 5, up to 5).  The cost scales with the keys read, not with
-the exact range.
+(argument above about 1e9) its Hankel expansion takes over.  Points past
+the exact range take `far_field`, the one continuum asymptote.  Only the
+integrand depends on d.  For ``d >= 3`` it is the product of the key's
+rows, and against adaptive quadrature of the same integral it agrees to
+5.2e-14 relative (d = 3, every key up to 16), 6.3e-15 (d = 4, up to 8)
+and 2.1e-13 (d = 5, up to 5).  The cost scales with the keys read, not
+with the exact range.
 
 The planar potential kernel is the compensated integrand
 ``B_0(t)^2 - B_{x_1}(t) B_{x_2}(t)`` with ``B_n(t) = e^(-t/2) I_n(t/2)``.
@@ -31,7 +31,8 @@ stays within 2e-9 of the three-term expansion
 ``(2/pi) log|x| + kappa - cos(4 phi) / (6 pi |x|^2)`` for ``|x| >= 100``.
 
 Killed Green matrices on finite index sets are obtained by direct linear
-solves against the one-step transition matrix (see `killed_green_matrix`).
+solves against the one-step transition matrix (see `killed_green_matrix`),
+which refuses more than `MAX_POINTS` points before it allocates.
 
 scipy (Bessel functions, banded Cholesky, sparse LU) is imported inside the functions that
 call it: a killed Green matrix needs only numpy up to `DENSE_LIMIT` points, `scipy.linalg` beyond.
@@ -58,7 +59,10 @@ __all__ = [
     "killed_green_matrix",
     "killed_green_entries",
     "killed_green_via_kernel",
+    "far_field",
     "AsymmetricSolveError",
+    "ResourceLimitError",
+    "MAX_POINTS",
     "exit_distribution",
     "EXACT_RANGE",
 ]
@@ -146,9 +150,10 @@ class LatticeSet:
 
     def index_of(self, point) -> int:
         key = tuple(int(c) for c in point)
-        if key not in self:
+        row = self.rows_of([key])[0] if len(key) == self.d else -1
+        if row < 0:
             raise KeyError(f"{key} is not in the lattice set")
-        return int(self.rows_of([key])[0])
+        return int(row)
 
 
 @functools.cache
@@ -209,19 +214,32 @@ def _scaled_bessel(orders: np.ndarray, z: np.ndarray) -> np.ndarray:
 _BESSEL_ROWS: dict[tuple, np.ndarray] = {}
 
 
-def _lattice_kernel(d: int, points, exact_range: int, far) -> np.ndarray:
+def far_field(d: int, points) -> np.ndarray:
+    """The continuum asymptote at every nonzero row of a ``(k, d)`` integer
+    array: ``(2/pi) log|x| + POTENTIAL_KERNEL_CONSTANT`` for ``d = 2`` and
+    ``d C(d) |x|^(2-d)`` for ``d >= 3``; the kernels' values past their
+    exact range."""
+    x = np.asarray(points, dtype=np.int64).reshape(-1, d)
+    r = np.sqrt(np.einsum("ij,ij->i", x, x))
+    if d == 2:
+        return (2.0 / math.pi) * np.log(r) + POTENTIAL_KERNEL_CONSTANT
+    return d * green_constant(d) * r ** (2 - d)
+
+
+def _lattice_kernel(d: int, points, exact_range: int) -> np.ndarray:
     """The Bessel key sum of the module docstring at every row of a
-    ``(k, d)`` integer array, and ``far(|x|)`` past sup norm `exact_range`.
+    ``(k, d)`` integer array, and `far_field` past sup norm `exact_range`.
 
     Each distinct sorted key is summed once, so a value depends only on
     its key: permutations and sign flips leave it bit for bit unchanged.
     """
-    keys = np.abs(np.asarray(points, dtype=np.int64).reshape(-1, d))
-    keys.sort(axis=1)
-    out = np.empty(len(keys))
-    near = keys[:, -1] <= exact_range
+    x = np.asarray(points, dtype=np.int64).reshape(-1, d)
+    near = np.abs(x).max(axis=1) <= exact_range
+    out = np.empty(len(x))
     if near.any():
-        uniq, inverse = np.unique(keys[near], axis=0, return_inverse=True)
+        keys = np.abs(x[near])
+        keys.sort(axis=1)
+        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
         # order 0 is always present, as rows[0], for the planar integrand
         orders, slot = np.unique(np.append(uniq, 0), return_inverse=True)
         slot = slot[:-1].reshape(uniq.shape)
@@ -242,7 +260,7 @@ def _lattice_kernel(d: int, points, exact_range: int, far) -> np.ndarray:
                     integrand *= rows[chunk[:, j]]
             values[lo:lo + len(chunk)] = integrand.sum(axis=1)
         out[near] = values[inverse.reshape(-1)]
-    out[~near] = far(np.sqrt(np.einsum("ij,ij->i", keys, keys)[~near]))
+    out[~near] = far_field(d, x[~near])
     return out
 
 
@@ -250,7 +268,7 @@ def whole_space_green_array(d: int, points, exact_range: int = EXACT_RANGE) -> n
     """`whole_space_green` at every row of a ``(k, d)`` integer array."""
     if d < 3:
         raise ValueError("whole-space Green function requires d >= 3 (transience)")
-    return _lattice_kernel(d, points, exact_range, lambda r: d * green_constant(d) * r ** (2 - d))
+    return _lattice_kernel(d, points, exact_range)
 
 
 def whole_space_green(d: int, x, exact_range: int = EXACT_RANGE) -> float:
@@ -258,7 +276,7 @@ def whole_space_green(d: int, x, exact_range: int = EXACT_RANGE) -> float:
 
     Values with ``|x|_inf <= exact_range`` are the Bessel key sum of the
     module docstring, checked against adaptive quadrature to 1e-11
-    relative; beyond that the asymptote ``d C(d) |x|^(2-d)`` is used.
+    relative; beyond it `far_field`'s asymptote ``d C(d) |x|^(2-d)``.
     Values depend only on the sorted absolute coordinates, so coordinate
     permutations and sign flips leave them bit for bit unchanged.
 
@@ -287,8 +305,7 @@ POTENTIAL_EXACT_RANGE = 256
 
 def potential_kernel_2d_array(points, exact_range: int = POTENTIAL_EXACT_RANGE) -> np.ndarray:
     """`potential_kernel_2d` at every row of a ``(k, 2)`` integer array."""
-    return _lattice_kernel(2, points, exact_range,
-                           lambda r: (2.0 / math.pi) * np.log(r) + POTENTIAL_KERNEL_CONSTANT)
+    return _lattice_kernel(2, points, exact_range)
 
 
 def potential_kernel_2d(x, exact_range: int = POTENTIAL_EXACT_RANGE) -> float:
@@ -298,7 +315,7 @@ def potential_kernel_2d(x, exact_range: int = POTENTIAL_EXACT_RANGE) -> float:
     ``int_0^inf (e^-t I_0(t/2)^2 - e^-t I_{x_1}(t/2) I_{x_2}(t/2)) dt`` on
     the shared rule of the module docstring.  Points with
     ``|x|_inf > exact_range`` use the asymptote
-    ``(2/pi) log|x| + (2 gamma + log 8)/pi``.
+    ``(2/pi) log|x| + (2 gamma + log 8)/pi`` of `far_field`.
     """
     point = np.asarray(x, dtype=np.int64)
     if point.shape != (2,):
@@ -350,6 +367,8 @@ def _killed_laplacian(lattice: LatticeSet):
     return sparse.csc_matrix((data, (r, c)), shape=(m, m))
 
 
+# points of a killed Green matrix, whose m x m array is formed
+MAX_POINTS = 20000
 # numpy inverses up to here; beyond, the scipy routes are faster and lighter
 # even with the scipy.linalg import (measured crossovers 1330-1480 points)
 DENSE_LIMIT = 1450
@@ -359,6 +378,10 @@ COLUMN_BLOCK = 256  # columns per block when a full matrix is scanned
 
 class AsymmetricSolveError(RuntimeError):
     """A killed Green solve came out asymmetric beyond `SYMMETRY_TOL`."""
+
+
+class ResourceLimitError(RuntimeError):
+    """A request exceeded the configured storage limits."""
 
 
 def _factor(lattice: LatticeSet):
@@ -395,6 +418,9 @@ def killed_green_matrix(lattice: LatticeSet) -> KilledGreenMatrix:
 
     Raises
     ------
+    ResourceLimitError
+        If the set has more than `MAX_POINTS` points; checked before
+        anything is allocated.
     AsymmetricSolveError
         If ``G`` and its transpose differ by more than `SYMMETRY_TOL`
         times its largest entry.
@@ -404,6 +430,8 @@ def killed_green_matrix(lattice: LatticeSet) -> KilledGreenMatrix:
     m = len(lattice)
     if m == 0:
         raise ValueError("lattice set is empty")
+    if m > MAX_POINTS:
+        raise ResourceLimitError(f"{m} grid points exceed the cap of {MAX_POINTS}")
     rows, cols = _transition_coo(lattice)
     if m <= DENSE_LIMIT:
         a = np.eye(m)
@@ -493,22 +521,16 @@ def killed_green_via_kernel(lattice: LatticeSet, x, y, exit_law: dict) -> float:
     """
     if x not in lattice or y not in lattice:
         raise ValueError("x and y must belong to the lattice set")
-    total = 0.0
-    for prob in exit_law.values():
-        if prob < 0:
-            raise ValueError("exit law has a negative weight")
-        total += prob
-    if total > 1 + 1e-9:
-        raise ValueError("exit law weights exceed 1")
-    px = np.asarray(x, dtype=np.int64)
-    py = np.asarray(y, dtype=np.int64)
     d = lattice.d
-    if d >= 3:
-        acc = whole_space_green(d, px - py)
-        for z, prob in exit_law.items():
-            acc -= prob * whole_space_green(d, np.asarray(z, dtype=np.int64) - py)
-        return acc
-    acc = -potential_kernel_2d(px - py)
-    for z, prob in exit_law.items():
-        acc += prob * potential_kernel_2d(np.asarray(z, dtype=np.int64) - py)
-    return acc
+    probs = np.fromiter(exit_law.values(), dtype=float, count=len(exit_law))
+    if np.any(probs < 0):
+        raise ValueError("exit law has a negative weight")
+    if probs.sum() > 1 + 1e-9:
+        raise ValueError("exit law weights exceed 1")
+    # x - y, then each exit point minus y, in one kernel call
+    points = np.array([x, *exit_law], dtype=np.int64) - np.asarray(y, dtype=np.int64)
+    if d == 2:
+        a = potential_kernel_2d_array(points)
+        return float(probs @ a[1:] - a[0])
+    g = whole_space_green_array(d, points)
+    return float(g[0] - probs @ g[1:])

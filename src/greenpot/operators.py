@@ -39,6 +39,7 @@ from .domains import (
 from .kernels import ball_integral_route, ball_kernel_integral, check_transform, disk_green_2d
 from .lattice import (
     LatticeSet,
+    ResourceLimitError,
     killed_green_entries,
     killed_green_matrix,
     whole_space_green,  # noqa: F401  unused; perfbench/selftest.py and tests pin this binding
@@ -57,14 +58,6 @@ __all__ = [
     "cmp_functional",
     "converge",
 ]
-
-# points of a killed operator, whose m x m matrix is formed
-MAX_POINTS = 20000
-
-
-class ResourceLimitError(RuntimeError):
-    """A request exceeded the configured storage limits."""
-
 
 class BallIndicator(Ball):
     """Indicator function of an open Euclidean ball."""
@@ -93,11 +86,6 @@ class DiscreteOperator:
     matrix: np.ndarray
 
 
-def check_points(m: int) -> None:
-    if m > MAX_POINTS:
-        raise ResourceLimitError(f"{m} grid points exceed the cap of {MAX_POINTS}")
-
-
 def _weighted(green: np.ndarray, grid: GridSpec, kind: str, param: float) -> np.ndarray:
     """Operator entries ``h^d T(scale * green)`` of Green values."""
     scaled = green * grid.green_scale
@@ -112,11 +100,11 @@ def assemble(grid: GridSpec, transform, domain) -> DiscreteOperator:
 
     `transform` is ``("power", beta)`` with ``beta >= 1`` or ``("exp",
     alpha)`` with ``0 < alpha < 2*pi`` (plane only).  The operator holds its
-    m x m matrix, so more than `MAX_POINTS` points raise ResourceLimitError.
+    m x m matrix, so more than `lattice.MAX_POINTS` points raise
+    ResourceLimitError.
     """
     kind, param = check_transform(*transform, grid.d, False)
     lattice = nonempty_grid_points(domain, grid)
-    check_points(len(lattice))
     entries = _weighted(killed_green_matrix(lattice).entries, grid, kind, param)
     return DiscreteOperator(grid=grid, lattice=lattice, transform=(kind, param), matrix=entries)
 

@@ -20,7 +20,6 @@ import greenpot
 from greenpot import Ball, GridSpec, RieszEstimate, grid_points, killed_green_entries, killed_green_matrix
 from greenpot import cli
 from greenpot import lattice as lattice_module
-from greenpot import operators as operators_module
 from greenpot.cli import canonical_json, csv_text, derived_seed, main
 from greenpot.potential import hadamard_exp, hadamard_power, is_inverse_m_matrix, random_potential
 
@@ -182,11 +181,19 @@ def test_oversized_killed_green_is_resource_stop(capsys, monkeypatch):
     def never(lattice):
         raise AssertionError("solve reached past the size cap")
 
-    monkeypatch.setattr(operators_module, "MAX_POINTS", 24)  # the n = 18 disk has 25 points
-    monkeypatch.setattr(cli, "killed_green_matrix", never)
+    monkeypatch.setattr(lattice_module, "MAX_POINTS", 24)  # the n = 18 disk has 25 points
+    monkeypatch.setattr(lattice_module, "_transition_coo", never)  # the first array built
     rc, out, err = run_cli(capsys, ["killed-green", "--domain", DISK, "--n", "18"])
     assert rc == 1 and out == ""
-    assert err.startswith("resource stop:") and "25" in err and "Traceback" not in err
+    assert err == "resource stop: 25 grid points exceed the cap of 24\n"
+
+
+def test_oversized_random_population_is_resource_stop(capsys, monkeypatch):
+    # the cap sits in killed_green_matrix, so random populations meet it too
+    monkeypatch.setattr(lattice_module, "MAX_POINTS", 4)
+    rc, out, err = run_cli(capsys, ["hadamard-sweep", "--count", "1", "--sizes", "5,6"])
+    assert rc == 1 and out == ""
+    assert err.startswith("resource stop:") and "Traceback" not in err
 
 
 def test_exactly_singular_sparse_factor_is_numerical_failure(capsys, monkeypatch):
@@ -571,6 +578,29 @@ def test_converge_free_report_does_not_depend_on_blas_threads():
                        OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
     assert [p.returncode for p in runs] == [0, 0], runs[0].stderr[-2000:] + runs[1].stderr[-2000:]
     assert runs[0].stdout == runs[1].stdout
+
+
+def test_lattice_green_reads_the_asymptote_past_the_exact_range(capsys):
+    # past sup norm EXACT_RANGE the kernel is the asymptote column itself
+    rc, out, err = run_cli(capsys, ["lattice-green", "--d", "4", "--max", "31"])
+    assert rc == 0, err
+    entries = json.loads(out)["entries"]
+    far = [e for e in entries if max(map(abs, e["point"])) > lattice_module.EXACT_RANGE]
+    assert len(far) == 20  # (17..31, 0, 0, 0) and (17..21, 17..21, 0, 0)
+    assert all(e["ratio"] == 1.0 and e["value"] == e["asymptote"] for e in far)
+    assert all(e["ratio"] != 1.0 for e in entries if e not in far)
+
+
+def test_overflowing_condition_is_null_not_infinity(capsys):
+    # the 1-norm of this matrix overflows, and so does its condition estimate
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    rc, out, err = run_cli(capsys, ["check-potential", "--matrix", "[[1e308,1e308],[0,1e308]]",
+                                    "--trials", "0"])
+    assert rc == 1 and "FAIL" in err  # undecided, not a potential
+    report = json.loads(out, parse_constant=reject)["report"]
+    assert report["condition"] is None
 
 
 def test_planar_lattice_green_is_finite(capsys):

@@ -341,8 +341,9 @@ def test_lattice_set_basics():
     assert (0, 0) in s and (1, 0) in s and (2, 2) not in s
     assert s.index_of((0, 0)) == 0  # lexicographic order
     assert [tuple(p) for p in s.points] == [(0, 0), (0, 1), (1, 0)]
-    with pytest.raises(KeyError):
-        s.index_of((5, 5))
+    for point in [(5, 5), (0, 0, 0), (0,)]:  # absent, or of the wrong dimension
+        with pytest.raises(KeyError, match=r"is not in the lattice set"):
+            s.index_of(point)
     with pytest.raises(ValueError):
         LatticeSet.from_points(2, [(1, 0), (1, 0)])  # duplicates rejected
 
@@ -508,6 +509,33 @@ def test_membership_far_outside_and_wrong_dimension():
     assert np.array_equal(LatticeSet.from_points(2, []).rows_of([(0, 0)]), [-1])
     with pytest.raises(ValueError):
         LatticeSet.from_points(2, [(0, 0), (2**40, 0)])  # packed keys would overflow
+
+
+def test_far_field_is_the_kernel_past_the_exact_range():
+    gen = np.random.default_rng(5)
+    for d, kernel, top in [(2, lattice_module.potential_kernel_2d_array, 256),
+                           (3, lambda p: whole_space_green_array(3, p), EXACT_RANGE),
+                           (5, lambda p: whole_space_green_array(5, p), EXACT_RANGE)]:
+        pts = gen.integers(-3 * top, 3 * top, size=(200, d))
+        pts[:, 0] = gen.choice([-1, 1], size=200) * gen.integers(top + 1, 3 * top, size=200)
+        np.testing.assert_array_equal(kernel(pts), lattice_module.far_field(d, pts))
+    r = math.hypot(3, 4)
+    assert lattice_module.far_field(2, [(3, 4)])[0] == pytest.approx(
+        2 / math.pi * math.log(r) + POTENTIAL_KERNEL_CONSTANT, rel=1e-15)
+    assert lattice_module.far_field(3, [(0, 3, -4)])[0] == pytest.approx(
+        3 * green_constant(3) / r, rel=1e-15)
+
+
+def test_exit_law_reconstructs_killed_green_3d():
+    # the whole-space branch: g(x - y) - sum_z g(z - y) P_x(exit at z)
+    lat = grid_points(Ball(center=(0.0, 0.0, 0.0), radius=1.0), GridSpec(d=3, n=27))
+    mat = killed_green_matrix(lat)
+    assert 20 < len(lat) < 200
+    for x in [(0, 0, 0), (1, -1, 0)]:
+        law = exit_distribution(lat, x, green=mat)
+        for y in [(0, 0, 0), (1, 1, 1), (-2, 0, 1)]:
+            via = killed_green_via_kernel(lat, x, y, law)
+            assert via == pytest.approx(mat.entry(x, y), abs=1e-10)
 
 
 def _disk(n):

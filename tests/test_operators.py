@@ -37,7 +37,7 @@ from greenpot import (
     round_to_grid,
     whole_space_green,
 )
-from greenpot import operators as operators_module
+from greenpot import lattice as lattice_module
 from greenpot.cli import _report_from_convergence
 from greenpot.kernels import check_transform
 from greenpot.lattice import EXACT_RANGE
@@ -175,7 +175,7 @@ def test_kernel_spec_and_assemble_accept_the_same_transforms():
 
 
 def test_assemble_respects_point_cap(monkeypatch):
-    monkeypatch.setattr(operators_module, "MAX_POINTS", 3)
+    monkeypatch.setattr(lattice_module, "MAX_POINTS", 3)
     with pytest.raises(ResourceLimitError):
         assemble(GridSpec(d=2, n=8), ("power", 1.0), domain=Ball((0.0, 0.0), 1.0))
 
@@ -183,7 +183,7 @@ def test_assemble_respects_point_cap(monkeypatch):
 def test_free_rows_take_no_point_cap_but_the_matrix_does(monkeypatch):
     # the cap guards the m x m matrix of a killed operator; the free sum
     # holds one block of its row at a time
-    monkeypatch.setattr(operators_module, "MAX_POINTS", 3)
+    monkeypatch.setattr(lattice_module, "MAX_POINTS", 3)
     grid = GridSpec(d=3, n=12)
     region = BallIndicator(ORIGIN3, 0.8)
     assert len(grid_points(region, grid)) > 3

@@ -15,6 +15,10 @@ on ``PYTHONPATH``) in a fresh interpreter with one BLAS/OpenMP thread:
 - ``killed-green --n 162 --dump-limit 300`` on the disk (m = 249, its
   matrix dumped), then ``check-potential --matrix @`` that report at its
   default 10000 trials, whose normals the CMP probes score in 40 row blocks;
+- ``lattice-green --d 4 --max 31`` and ``--d 2 --max 300``, whose tables
+  reach past the exact ranges 16 and 256;
+- ``check-potential --matrix [[1e308,1e308],[0,1e308]] --trials 0``, whose
+  condition estimate overflows;
 - ``--help`` of every subcommand and of ``greenpot`` itself.
 
 ``OUT_DIR`` receives each run's ``.json`` and ``.csv`` (not the
@@ -54,6 +58,12 @@ EXTRA = {
     "killed-green.n162.dump300": ["killed-green", "--n", "162", "--dump-limit", "300"],
     # "{out}" is the output directory, where the run above left its report
     "check-potential.n162": ["check-potential", "--matrix", "@{out}/killed-green.n162.dump300.json"],
+    # past the exact ranges, where the table reads the far-field asymptote
+    "lattice-green.d4.max31": ["lattice-green", "--d", "4", "--max", "31"],
+    "lattice-green.d2.max300": ["lattice-green", "--d", "2", "--max", "300"],
+    # the 1-norm condition estimate overflows to inf
+    "check-potential.overflow": ["check-potential", "--matrix", "[[1e308,1e308],[0,1e308]]",
+                                 "--trials", "0"],
 }
 THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
