@@ -77,52 +77,40 @@ def _is_symmetric(a: np.ndarray) -> bool:
 
 
 def _mirror_lower(a: np.ndarray) -> None:
-    """Copy the strict lower triangle of square `a` onto the upper one, block row by block row."""
-    step = lattice.COLUMN_BLOCK
-    for lo in range(0, len(a), step):
-        hi = lo + step
-        block = a[lo:hi, lo:hi]
-        upper = np.triu_indices(len(block), 1)
-        block[upper] = block.T[upper]
-        a[lo:hi, hi:] = a[hi:, lo:hi].T
+    """Copy the strict lower triangle of square `a` onto the upper one, row by row."""
+    for i in range(len(a)):
+        a[i, i + 1:] = a[i + 1:, i]
 
 
 def _inverse(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """``a^-1``: numpy's up to `lattice.DENSE_LIMIT` rows, LAPACK's beyond:
-    Cholesky (``potrf``/``potri``, half the flops of LU) for an exactly
-    symmetric `a`, else ``getrf``/``getri``.  LAPACK works on a copy, or in
-    ``a`` itself when `overwrite` is set (``a`` is then left undefined); a
-    failed in-place ``potrf`` is undone from the triangle it does not read
-    and a saved diagonal before LU."""
-    if len(a) <= lattice.DENSE_LIMIT:
+    """``a^-1``: LAPACK's Cholesky (``potrf``/``potri``, half the flops of LU)
+    for an exactly symmetric `a` beyond `lattice.DENSE_LIMIT` rows, on a copy
+    or, when `overwrite` is set, in ``a`` (then left undefined, or restored
+    from its other triangle and a saved diagonal if ``potrf`` fails); numpy's
+    LU, which leaves ``a`` as it was, for everything else."""
+    # not scipy.linalg.inv: with scipy 1.17.1 its overwrite_a=True crashes (SIGSEGV) on some
+    # symmetric indefinite inputs, and assume_a="gen", which avoids that, needs scipy >= 1.17
+    if len(a) <= lattice.DENSE_LIMIT or not _is_symmetric(a):
         return np.linalg.inv(a)
     from scipy.linalg import lapack
 
-    symmetric = _is_symmetric(a)
-    # a.T of a C-ordered a is F-contiguous, LAPACK's layout, and equal to a when a is symmetric
-    flip = not a.flags.f_contiguous and (symmetric or overwrite)
-    b = a.T if flip else a
-    if symmetric:
-        diagonal = b.diagonal().copy() if overwrite else None
-        c, info = lapack.dpotrf(b, lower=1, clean=0, overwrite_a=overwrite)
-        if info == 0:
-            c, info = lapack.dpotri(c, lower=1, overwrite_c=1)
-            if info != 0:
-                raise np.linalg.LinAlgError("Singular matrix")
-            _mirror_lower(c)
-            return c
-        if overwrite:  # potrf wrote only the lower triangle and the diagonal
-            _mirror_lower(b.T)
-            np.fill_diagonal(b, diagonal)
-    lu, piv, info = lapack.dgetrf(b, overwrite_a=overwrite)
+    # a.T of a C-ordered a is F-contiguous, LAPACK's layout, and equal to the symmetric a
+    b = a if a.flags.f_contiguous else a.T
+    diagonal = b.diagonal().copy() if overwrite else None
+    c, info = lapack.dpotrf(b, lower=1, clean=0, overwrite_a=overwrite)
     if info == 0:
-        lwork = int(lapack.dgetri_lwork(len(a))[0])
-        lu, info = lapack.dgetri(lu, piv, lwork=lwork, overwrite_lu=True)
-    if info != 0:
-        raise np.linalg.LinAlgError("Singular matrix")
-    return lu.T if flip and not symmetric else lu
+        c, info = lapack.dpotri(c, lower=1, overwrite_c=1)
+        if info != 0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        _mirror_lower(c)
+        return c
+    if overwrite:  # potrf wrote only the lower triangle and the diagonal
+        _mirror_lower(b.T)
+        np.fill_diagonal(b, diagonal)
+    return np.linalg.inv(a)
 
 
+@np.errstate(over="ignore")  # a column sum past the largest float is the intended inf
 def _norm_1(a: np.ndarray) -> float:
     """``numpy.linalg.norm(a, 1)`` of a square `a`, one column block at a time."""
     step = lattice.COLUMN_BLOCK
@@ -142,11 +130,11 @@ def is_inverse_m_matrix(u, tol: float = DEFAULT_TOL, overwrite_u: bool = False) 
     route and the BLAS threads); beyond 1e12 it marks the report unreliable
     instead of deciding.
 
-    Beyond `lattice.DENSE_LIMIT` rows the inverse is LAPACK's Cholesky
-    inverse for an exactly symmetric ``u`` and its LU inverse otherwise,
-    made on one copy of ``u``, or in ``u`` itself when `overwrite_u` is set
-    (``u`` is then left undefined, and restored from its other triangle if
-    Cholesky fails), and the checks make no ``m x m`` temporary.
+    Beyond `lattice.DENSE_LIMIT` rows an exactly symmetric ``u`` is inverted
+    by LAPACK's Cholesky on one copy, or in ``u`` itself when `overwrite_u`
+    is set (``u`` is then left undefined, and restored from its other
+    triangle if Cholesky fails); any other ``u`` goes to numpy's LU and is
+    left as it was.  The checks make no ``m x m`` temporary.
     """
     return _inverse_m_test(_check_square_nonneg(u), tol, overwrite_u)[0]
 
@@ -168,7 +156,7 @@ def _inverse_m_test(a: np.ndarray, tol: float,
     shown = float(f"{cond:.12g}")
     if not math.isfinite(cond) or cond > CONDITION_LIMIT:
         return PotentialReport(
-            nonsingular=cond < math.inf,
+            nonsingular=True,
             max_offdiag_of_inverse=math.nan,
             min_row_sum_of_inverse=math.nan,
             is_potential=None,

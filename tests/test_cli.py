@@ -11,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -592,15 +593,20 @@ def test_lattice_green_reads_the_asymptote_past_the_exact_range(capsys):
 
 
 def test_overflowing_condition_is_null_not_infinity(capsys):
-    # the 1-norm of this matrix overflows, and so does its condition estimate
+    # the 1-norm of this matrix overflows, and so does its condition estimate,
+    # but its inverse [[1e-308, -1e-308], [0, 1e-308]] is finite
     def reject(name):
         raise ValueError(f"{name} is not JSON")
 
-    rc, out, err = run_cli(capsys, ["check-potential", "--matrix", "[[1e308,1e308],[0,1e308]]",
-                                    "--trials", "0"])
-    assert rc == 1 and "FAIL" in err  # undecided, not a potential
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(capsys, ["check-potential", "--matrix", "[[1e308,1e308],[0,1e308]]",
+                                        "--trials", "0"])
+    assert rc == 1 and err == "FAIL: check-potential assertion did not hold\n"  # undecided
+    assert caught == []  # the overflow to inf is the intended 1-norm, not a warning
     report = json.loads(out, parse_constant=reject)["report"]
     assert report["condition"] is None
+    assert report["nonsingular"] is True and report["unreliable"] is True
 
 
 def test_planar_lattice_green_is_finite(capsys):

@@ -101,13 +101,21 @@ LAPACK_CASES = {
 }
 
 
+# exactly symmetric and positive definite: Cholesky above DENSE_LIMIT; the rest take numpy's LU
+CHOLESKY_CASES = {"disk", "power3.7", "exp0.5", "unreliable", "scalar"}
+
+
 @pytest.mark.parametrize("case", LAPACK_CASES)
 def test_lapack_inverse_route_matches_numpy_inverse(case, monkeypatch):
     u = LAPACK_CASES[case]()
     dense = asdict(is_inverse_m_matrix(u))
+    inv, calls = np.linalg.inv, []
 
     def numpy_inverse(a):
-        raise AssertionError("numpy inverse used above DENSE_LIMIT")
+        if case in CHOLESKY_CASES:
+            raise AssertionError("numpy inverse used on a Cholesky case above DENSE_LIMIT")
+        calls.append(len(a))
+        return inv(a)
 
     monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
     monkeypatch.setattr(lattice_module, "COLUMN_BLOCK", 7)  # several blocks in each blockwise pass
@@ -118,6 +126,7 @@ def test_lapack_inverse_route_matches_numpy_inverse(case, monkeypatch):
                                          for order in "CF"]
     monkeypatch.undo()
     assert np.array_equal(u, kept)
+    assert calls == ([] if case in CHOLESKY_CASES else [len(u)] * 3)
     for lapack in map(asdict, routes):
         if case == "singular":
             assert lapack["nonsingular"] is False
@@ -129,9 +138,11 @@ def test_lapack_inverse_route_matches_numpy_inverse(case, monkeypatch):
         assert lapack == pytest.approx(dense, rel=1e-12, abs=0.0, nan_ok=True)
 
 
-@pytest.mark.parametrize("case, unused", [("disk", "dgetrf"), ("nonsymmetric", "dpotrf")])
+@pytest.mark.parametrize("case, unused",
+                         [("disk", "dgetrf"), ("disk", "inv"), ("nonsymmetric", "dpotrf")])
 def test_lapack_route_follows_symmetry(case, unused, monkeypatch):
-    # exactly symmetric positive definite: Cholesky alone; nonsymmetric: LU alone
+    # exactly symmetric positive definite: Cholesky alone, neither LAPACK's nor numpy's LU;
+    # nonsymmetric: numpy's LU alone
     from scipy.linalg import lapack
 
     u = LAPACK_CASES[case]()
@@ -141,17 +152,48 @@ def test_lapack_route_follows_symmetry(case, unused, monkeypatch):
         raise AssertionError(f"{unused} called")
 
     monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
-    monkeypatch.setattr(lapack, unused, unused_route)
+    monkeypatch.setattr(np.linalg if unused == "inv" else lapack, unused, unused_route)
     for order in "CF":
         for overwrite in (False, True):
             report = asdict(is_inverse_m_matrix(u.copy(order=order), overwrite_u=overwrite))
             assert report == pytest.approx(asdict(dense), rel=1e-12, abs=0.0, nan_ok=True)
 
 
+def test_every_case_classifies_without_lapack_lu(monkeypatch):
+    from scipy.linalg import lapack
+
+    def lu(*args, **kwargs):
+        raise AssertionError("LAPACK LU called")
+
+    for case, make in LAPACK_CASES.items():
+        u = make()
+        dense = asdict(classify(u))
+        monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
+        monkeypatch.setattr(lapack, "dgetrf", lu)
+        monkeypatch.setattr(lapack, "dgetri", lu)
+        reports = [classify(u), is_inverse_m_matrix(u.copy(), overwrite_u=True)]
+        monkeypatch.undo()
+        for report in map(asdict, reports):
+            assert report == pytest.approx(dense, rel=1e-12, abs=0.0, nan_ok=True), case
+
+
+@pytest.mark.parametrize("order", "CF")
+def test_nonsymmetric_input_is_not_overwritten(order, monkeypatch):
+    # one entry off symmetric in the last row: numpy's LU on u itself, which it leaves as it was
+    u = _disk18()
+    u[-1, 0] *= 1.5
+    u = u.copy(order=order)
+    kept = u.copy()
+    monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
+    report = is_inverse_m_matrix(u, overwrite_u=True)
+    assert report.nonsingular is True
+    assert np.array_equal(u, kept)
+
+
 @pytest.mark.parametrize("case", ["not_potential", "indefinite", "singular"])
 def test_failed_in_place_cholesky_reports_as_copy_route(case, monkeypatch):
     # potrf fails on these symmetric inputs; in place, u is rebuilt from its
-    # untouched triangle and saved diagonal, so LU sees the same matrix
+    # untouched triangle and saved diagonal, so numpy's LU sees the same matrix
     from scipy.linalg import lapack
 
     u = LAPACK_CASES[case]()
@@ -163,7 +205,6 @@ def test_failed_in_place_cholesky_reports_as_copy_route(case, monkeypatch):
         return c, info
 
     monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
-    monkeypatch.setattr(lattice_module, "COLUMN_BLOCK", 7)  # several blocks in the restore
     monkeypatch.setattr(lapack, "dpotrf", recorded)
     reports = [is_inverse_m_matrix(u)] + [is_inverse_m_matrix(u.copy(order=order), overwrite_u=True)
                                           for order in "CF"]

@@ -15,6 +15,9 @@ on ``PYTHONPATH``) in a fresh interpreter with one BLAS/OpenMP thread:
 - ``killed-green --n 162 --dump-limit 300`` on the disk (m = 249, its
   matrix dumped), then ``check-potential --matrix @`` that report at its
   default 10000 trials, whose normals the CMP probes score in 40 row blocks;
+- ``killed-green --n 930 --dump-limit 1500`` on the disk (m = 1465, just
+  above ``lattice.DENSE_LIMIT``), then ``check-potential --matrix @`` that
+  report at ``--trials 0``: Cholesky on a copy in both;
 - ``lattice-green --d 4 --max 31`` and ``--d 2 --max 300``, whose tables
   reach past the exact ranges 16 and 256;
 - ``check-potential --matrix [[1e308,1e308],[0,1e308]] --trials 0``, whose
@@ -58,6 +61,9 @@ EXTRA = {
     "killed-green.n162.dump300": ["killed-green", "--n", "162", "--dump-limit", "300"],
     # "{out}" is the output directory, where the run above left its report
     "check-potential.n162": ["check-potential", "--matrix", "@{out}/killed-green.n162.dump300.json"],
+    "killed-green.n930.dump1500": ["killed-green", "--n", "930", "--dump-limit", "1500"],
+    "check-potential.n930": ["check-potential", "--matrix", "@{out}/killed-green.n930.dump1500.json",
+                             "--trials", "0"],
     # past the exact ranges, where the table reads the far-field asymptote
     "lattice-green.d4.max31": ["lattice-green", "--d", "4", "--max", "31"],
     "lattice-green.d2.max300": ["lattice-green", "--d", "2", "--max", "300"],
