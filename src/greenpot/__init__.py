@@ -69,6 +69,7 @@ from .potential import (
     hadamard_exp,
     hadamard_power,
     is_inverse_m_matrix,
+    killed_green_check,
     random_potential,
     sample_cmp,
 )

@@ -61,7 +61,8 @@ from .lattice import (
 )
 from .mc import RngStream, StepBudgetError, estimate_boundary_term, estimate_riesz_potential
 from .operators import BallIndicator, assemble, cmp_functional, converge, is_origin_disk
-from .potential import classify, hadamard_exp, hadamard_power, is_inverse_m_matrix, random_potential
+from .potential import (classify, hadamard_exp, hadamard_power, is_inverse_m_matrix, killed_green_check,
+                        random_potential)
 
 STREAMS = {"matrices": 0, "probes": 1, "functions": 2, "walks": 3, "riesz": 4}
 
@@ -192,8 +193,7 @@ def run_killed_green(cfg):
     grid = GridSpec(d=domain.d, n=cfg["n"])
     lattice = nonempty_grid_points(domain, grid)
     matrix = killed_green_matrix(lattice)
-    dump = len(lattice) <= cfg["dump_limit"]
-    check = is_inverse_m_matrix(matrix.entries, tol=cfg["tol"], overwrite_u=not dump)
+    check = killed_green_check(matrix, tol=cfg["tol"])
     report = {
         "experiment": "killed-green",
         "d": domain.d,
@@ -202,7 +202,7 @@ def run_killed_green(cfg):
         "potential_check": asdict(check),
     }
     rows = None
-    if dump:
+    if len(lattice) <= cfg["dump_limit"]:
         report["matrix"] = {"d": domain.d, "points": lattice.points,
                             "entries": matrix.entries.reshape(-1)}
         pts = lattice.points

@@ -32,10 +32,13 @@ stays within 2e-9 of the three-term expansion
 
 Killed Green matrices on finite index sets are obtained by direct linear
 solves against the one-step transition matrix (see `killed_green_matrix`),
-which refuses more than `MAX_POINTS` points before it allocates.
+which refuses more than `MAX_POINTS` points before it allocates.  Single
+columns come from conjugate gradients preconditioned by the fast sine
+transform of the set's bounding box (see `killed_green_entries`).
 
-scipy (Bessel functions, banded Cholesky, sparse LU) is imported inside the functions that
-call it: a killed Green matrix needs only numpy up to `DENSE_LIMIT` points, `scipy.linalg` beyond.
+scipy (Bessel functions, banded Cholesky) is imported inside the functions that
+call it: a killed Green matrix needs only numpy up to `DENSE_LIMIT` points, `scipy.linalg`
+beyond, and a killed Green column needs only numpy.
 """
 
 from __future__ import annotations
@@ -355,18 +358,6 @@ def _transition_coo(lattice: LatticeSet):
     return rows, nbr[rows, steps]
 
 
-def _killed_laplacian(lattice: LatticeSet):
-    """Sparse CSC ``I - P``: unit diagonal, ``-1/(2d)`` between neighbours in the set."""
-    from scipy import sparse
-
-    rows, cols = _transition_coo(lattice)
-    m = len(lattice)
-    data = np.concatenate([np.ones(m), np.full(len(rows), -1.0 / (2 * lattice.d))])
-    r = np.concatenate([np.arange(m), rows])
-    c = np.concatenate([np.arange(m), cols])
-    return sparse.csc_matrix((data, (r, c)), shape=(m, m))
-
-
 # points of a killed Green matrix, whose m x m array is formed
 MAX_POINTS = 20000
 # numpy inverses up to here; beyond, the scipy routes are faster and lighter
@@ -374,6 +365,9 @@ MAX_POINTS = 20000
 DENSE_LIMIT = 1450
 SYMMETRY_TOL = 1e-10
 COLUMN_BLOCK = 256  # columns per block when a full matrix is scanned
+# a killed Green column (`killed_green_entries`) stops at CG_STOP and is certified to CG_TOL;
+# its box arrays, counted as _CG_ARRAYS float64 boxes, are capped at CG_BYTES
+CG_STOP, CG_TOL, CG_BYTES, _CG_ARRAYS = 1e-13, 1e-9, 1 << 30, 16
 
 
 class AsymmetricSolveError(RuntimeError):
@@ -382,22 +376,6 @@ class AsymmetricSolveError(RuntimeError):
 
 class ResourceLimitError(RuntimeError):
     """A request exceeded the configured storage limits."""
-
-
-def _factor(lattice: LatticeSet):
-    """Sparse LU of ``I - P``; an exactly singular factor is a `LinAlgError`."""
-    from scipy.sparse.linalg import splu
-
-    try:
-        return splu(_killed_laplacian(lattice))
-    except RuntimeError as exc:  # splu's "Factor is exactly singular"
-        raise np.linalg.LinAlgError(str(exc)) from exc
-
-
-def _check_symmetric(skew: float, scale: float) -> None:
-    if skew > SYMMETRY_TOL * scale:
-        raise AsymmetricSolveError(
-            f"killed Green solve asymmetric beyond tolerance: {skew / scale:.3e}")
 
 
 def killed_green_matrix(lattice: LatticeSet) -> KilledGreenMatrix:
@@ -459,27 +437,108 @@ def killed_green_matrix(lattice: LatticeSet) -> KilledGreenMatrix:
         part /= 2.0
         upper[...] = part
         lower[...] = part
-    _check_symmetric(skew, scale)
+    if skew > SYMMETRY_TOL * scale:
+        raise AsymmetricSolveError(f"killed Green solve asymmetric beyond tolerance: {skew / scale:.3e}")
     return KilledGreenMatrix(lattice=lattice, entries=g)
+
+
+def _sine_transform(a: np.ndarray) -> np.ndarray:
+    """``(-2)^d`` times the DST-I ``X_k = sum_j a_j sin(pi j k / (L + 1))`` of `a` along
+    every axis; twice, it multiplies by ``prod(2 (L_i + 1))``.  Each pass transforms the last
+    axis by an `numpy.fft.rfft` ``T`` of ``t_j = sin(pi j / N) (a_j + a_(N-j)) + (a_j -
+    a_(N-j)) / 2``, ``N = L + 1``: ``X_2k = -Im T_k``, ``X_(2k+1) = X_(2k-1) + Re T_k``,
+    ``X_1 = Re T_0 / 2`` (*Numerical Recipes*, 3rd ed., 12.4.1), then moves it to the front."""
+    for _ in range(a.ndim):
+        n, rev = a.shape[-1], a[..., ::-1]
+        t = np.zeros(a.shape[:-1] + (n + 1,))
+        np.multiply(a + rev, np.sin(np.pi / (n + 1) * np.arange(1, n + 1)), out=t[..., 1:])
+        t[..., 1:] += 0.5 * (a - rev)
+        spectrum, out = np.fft.rfft(t), np.empty(a.shape)
+        np.multiply(spectrum.imag[..., 1:n // 2 + 1], 2.0, out=out[..., 1::2])
+        odd = np.cumsum(spectrum.real[..., :(n + 1) // 2], axis=-1) - 0.5 * spectrum.real[..., :1]
+        np.multiply(odd, -2.0, out=out[..., 0::2])
+        a = np.moveaxis(out, -1, 0)
+    return a
+
+
+def _box_laplacian(u: np.ndarray, inside: np.ndarray, q: float) -> np.ndarray:
+    """``(I - P) u`` by array shifts, for `u` on a box and 0 off the set where `inside` is 1."""
+    total = np.zeros_like(u)
+    for axis in range(u.ndim):
+        head, tail = [slice(None)] * u.ndim, [slice(None)] * u.ndim
+        head[axis], tail[axis] = slice(None, -1), slice(1, None)
+        total[tuple(tail)] += u[tuple(head)]
+        total[tuple(head)] += u[tuple(tail)]
+    return (u - q * total) * inside
+
+
+def _component(local: np.ndarray, start: int, sides: tuple) -> np.ndarray:
+    """1.0 on the box `sides` where the points `local` connect to ``local[start]``, else 0.0:
+    breadth first on flat indices of the box widened by a cell, so no step wraps."""
+    shape = tuple(s + 2 for s in sides)
+    flat = np.ravel_multi_index(tuple(local.T + 1), shape)
+    unseen, mask = np.zeros(math.prod(shape), dtype=bool), np.zeros(math.prod(shape))
+    unseen[flat] = True
+    steps = np.array([math.prod(shape[k + 1:]) for k in range(len(shape))])
+    front = flat[start:start + 1]
+    while len(front):
+        mask[front], unseen[front] = 1.0, False
+        ahead = np.unique((front[:, None] + np.concatenate([steps, -steps])).ravel())
+        front = ahead[unseen[ahead]]
+    return np.ascontiguousarray(mask.reshape(shape)[(slice(1, -1),) * len(shape)])
 
 
 def killed_green_entries(lattice: LatticeSet, x, ys) -> np.ndarray:
     """The entries ``G[x, y]`` of `killed_green_matrix` for each point of `ys`.
 
-    Factors the sparse ``I - P`` once and solves for the column at `x`
-    and the column at each `y`.  Every mirrored pair ``G[x, y]``,
-    ``G[y, x]`` passes the same symmetry check as the full matrix, scaled
-    by the largest solved value, and their means are returned.
+    Solves for the one column at `x`, which holds every ``G[x, y]`` by symmetry, by
+    conjugate gradients on the set's bounding box, preconditioned by the box's Dirichlet
+    inverse through `_sine_transform`, on numpy alone.  ``I - P`` on the set is at least
+    ``lam = 1 - (1/d) sum_i cos(pi / (L_i + 1))`` (interlacing), so the run stops at
+    ``|r|_2 <= CG_STOP lam |u|_2``, and one recomputed residual must certify ``|e_x - (I -
+    P) u|_2 / lam <= CG_TOL |u|_2`` or this raises `LinAlgError`.  Off the component of `x`
+    the column is exactly 0.  Sums are numpy sums, not BLAS dots, so values do not depend on
+    the thread count.  A box past `CG_BYTES` is a `ResourceLimitError` before allocating.
     """
     i = lattice.index_of(x)
     rows = np.array([lattice.index_of(y) for y in ys], dtype=np.int64)
-    rhs = np.zeros((len(lattice), len(rows) + 1))
-    rhs[i, 0] = 1.0
-    rhs[rows, np.arange(1, len(rows) + 1)] = 1.0
-    g = _factor(lattice).solve(rhs)
-    forward, backward = g[i, 1:], g[rows, 0]
-    _check_symmetric(np.max(np.abs(forward - backward), initial=0.0), np.max(np.abs(g)))
-    return (forward + backward) / 2.0
+    local = lattice.points - lattice.points.min(axis=0)
+    sides = tuple(int(s) + 1 for s in local.max(axis=0))
+    if (need := _CG_ARRAYS * 8 * math.prod(s + 2 for s in sides)) > CG_BYTES:
+        raise ResourceLimitError(f"conjugate gradients on a {'x'.join(map(str, sides))} box need "
+                                 f"{need} bytes, over the budget of {CG_BYTES}")
+    q, inside = 0.5 / lattice.d, _component(local, i, sides)
+    # the box's eigenvalues 1 - (1/d) sum_i cos(pi j_i / (L_i + 1)), in sin^2 for small ones
+    waves = [np.sin(np.pi * np.arange(1, s + 1) / (2 * s + 2)) ** 2 * (2.0 / lattice.d) for s in sides]
+    lam = sum(w[0] for w in waves)
+    inverse = 1.0 / (functools.reduce(np.add.outer, waves) * math.prod(2.0 * (s + 1) for s in sides))
+
+    def precondition(r):
+        return _sine_transform(_sine_transform(r) * inverse) * inside
+
+    def norm(a):
+        return math.sqrt(float(np.sum(a * a)))
+
+    u, r = np.zeros(sides), np.zeros(sides)
+    r[tuple(local[i])] = 1.0
+    p = precondition(r)
+    rz = float(np.sum(r * p))
+    for _ in range(len(lattice)):
+        ap = _box_laplacian(p, inside, q)
+        alpha = rz / float(np.sum(p * ap))
+        u += alpha * p
+        r -= alpha * ap
+        if norm(r) <= CG_STOP * lam * norm(u):
+            break
+        z = precondition(r)
+        rz, last = float(np.sum(r * z)), rz
+        p = z + (rz / last) * p
+    r = -_box_laplacian(u, inside, q)
+    r[tuple(local[i])] += 1.0
+    if not norm(r) / lam <= CG_TOL * norm(u):
+        raise np.linalg.LinAlgError(f"killed Green column not certified: residual bound "
+                                    f"{norm(r) / lam / norm(u):.3e} relative")
+    return u[tuple(local[rows].T)]
 
 
 def exit_distribution(lattice: LatticeSet, start, green: KilledGreenMatrix | None = None) -> dict:

@@ -27,6 +27,7 @@ from .mc import generator
 __all__ = [
     "PotentialReport",
     "is_inverse_m_matrix",
+    "killed_green_check",
     "cmp_inequality",
     "sample_cmp",
     "classify",
@@ -82,12 +83,11 @@ def _mirror_lower(a: np.ndarray) -> None:
         a[i, i + 1:] = a[i + 1:, i]
 
 
-def _inverse(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
+def _inverse(a: np.ndarray) -> np.ndarray:
     """``a^-1``: LAPACK's Cholesky (``potrf``/``potri``, half the flops of LU)
-    for an exactly symmetric `a` beyond `lattice.DENSE_LIMIT` rows, on a copy
-    or, when `overwrite` is set, in ``a`` (then left undefined, or restored
-    from its other triangle and a saved diagonal if ``potrf`` fails); numpy's
-    LU, which leaves ``a`` as it was, for everything else."""
+    on a copy of an exactly symmetric `a` beyond `lattice.DENSE_LIMIT` rows;
+    numpy's LU for everything else, or where ``potrf`` fails.  `a` is left
+    as it was."""
     # not scipy.linalg.inv: with scipy 1.17.1 its overwrite_a=True crashes (SIGSEGV) on some
     # symmetric indefinite inputs, and assume_a="gen", which avoids that, needs scipy >= 1.17
     if len(a) <= lattice.DENSE_LIMIT or not _is_symmetric(a):
@@ -95,19 +95,14 @@ def _inverse(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
     from scipy.linalg import lapack
 
     # a.T of a C-ordered a is F-contiguous, LAPACK's layout, and equal to the symmetric a
-    b = a if a.flags.f_contiguous else a.T
-    diagonal = b.diagonal().copy() if overwrite else None
-    c, info = lapack.dpotrf(b, lower=1, clean=0, overwrite_a=overwrite)
-    if info == 0:
-        c, info = lapack.dpotri(c, lower=1, overwrite_c=1)
-        if info != 0:
-            raise np.linalg.LinAlgError("Singular matrix")
-        _mirror_lower(c)
-        return c
-    if overwrite:  # potrf wrote only the lower triangle and the diagonal
-        _mirror_lower(b.T)
-        np.fill_diagonal(b, diagonal)
-    return np.linalg.inv(a)
+    c, info = lapack.dpotrf(a if a.flags.f_contiguous else a.T, lower=1, clean=0)
+    if info != 0:
+        return np.linalg.inv(a)
+    c, info = lapack.dpotri(c, lower=1, overwrite_c=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    _mirror_lower(c)
+    return c
 
 
 @np.errstate(over="ignore")  # a column sum past the largest float is the intended inf
@@ -117,7 +112,7 @@ def _norm_1(a: np.ndarray) -> float:
     return max(float(np.abs(a[:, lo:lo + step]).sum(axis=0).max()) for lo in range(0, len(a), step))
 
 
-def is_inverse_m_matrix(u, tol: float = DEFAULT_TOL, overwrite_u: bool = False) -> PotentialReport:
+def is_inverse_m_matrix(u, tol: float = DEFAULT_TOL) -> PotentialReport:
     """Test whether a nonnegative matrix is a nonsingular potential.
 
     Inverts ``u`` and checks that all off-diagonal entries of the inverse
@@ -131,53 +126,81 @@ def is_inverse_m_matrix(u, tol: float = DEFAULT_TOL, overwrite_u: bool = False) 
     instead of deciding.
 
     Beyond `lattice.DENSE_LIMIT` rows an exactly symmetric ``u`` is inverted
-    by LAPACK's Cholesky on one copy, or in ``u`` itself when `overwrite_u`
-    is set (``u`` is then left undefined, and restored from its other
-    triangle if Cholesky fails); any other ``u`` goes to numpy's LU and is
-    left as it was.  The checks make no ``m x m`` temporary.
+    by LAPACK's Cholesky on one copy; any other ``u`` goes to numpy's LU.
+    ``u`` is left as it was, and the checks make no ``m x m`` temporary.
+    `killed_green_check` decides a killed Green matrix without inverting it.
     """
-    return _inverse_m_test(_check_square_nonneg(u), tol, overwrite_u)[0]
+    return _inverse_m_test(_check_square_nonneg(u), tol)[0]
 
 
-def _inverse_m_test(a: np.ndarray, tol: float,
-                    overwrite: bool) -> tuple[PotentialReport, np.ndarray | None]:
+def _inverse_m_test(a: np.ndarray, tol: float) -> tuple[PotentialReport, np.ndarray | None]:
     """`is_inverse_m_matrix` of a checked `a`, and the inverse it formed (``None`` if singular)."""
     norm = _norm_1(a)
     try:
-        inv = _inverse(a, overwrite)
+        inv = _inverse(a)
     except np.linalg.LinAlgError:
-        return PotentialReport(
-            nonsingular=False,
-            max_offdiag_of_inverse=math.nan,
-            min_row_sum_of_inverse=math.nan,
-            is_potential=False,
-        ), None
+        return PotentialReport(False, math.nan, math.nan, False), None
     cond = norm * _norm_1(inv)
-    shown = float(f"{cond:.12g}")
-    if not math.isfinite(cond) or cond > CONDITION_LIMIT:
-        return PotentialReport(
-            nonsingular=True,
-            max_offdiag_of_inverse=math.nan,
-            min_row_sum_of_inverse=math.nan,
-            is_potential=None,
-            unreliable=True,
-            condition=shown,
-        ), inv
+    if not cond <= CONDITION_LIMIT:
+        return _report(cond), inv
     scale = max(float(inv.max()), -float(inv.min()))
     min_row = float(np.min(inv.sum(axis=1)))
     diagonal = inv.diagonal().copy()
     np.fill_diagonal(inv, -math.inf)
     max_off = float(np.max(inv)) if a.shape[0] > 1 else 0.0
     np.fill_diagonal(inv, diagonal)
-    cut = tol * scale
-    ok = max_off <= cut and min_row >= -cut
-    return PotentialReport(
-        nonsingular=True,
-        max_offdiag_of_inverse=0.0 if abs(max_off) <= cut else max_off,
-        min_row_sum_of_inverse=0.0 if abs(min_row) <= cut else min_row,
-        is_potential=bool(ok),
-        condition=shown,
-    ), inv
+    return _report(cond, max_off, min_row, tol * scale), inv
+
+
+def _report(cond: float, max_off: float = math.nan, min_row: float = math.nan,
+            cut: float = 0.0, margin: float = 0.0) -> PotentialReport:
+    """The report on a nonsingular matrix whose inverse has condition `cond` and extremes
+    `max_off` and `min_row`, each known to within `margin`: unreliable unless `cond` <=
+    `CONDITION_LIMIT`; else an extreme within `cut` of 0 reads 0.0, and both must hold
+    within `cut` after `margin`."""
+    shown = float(f"{cond:.12g}")
+    if not cond <= CONDITION_LIMIT:
+        return PotentialReport(True, math.nan, math.nan, None, unreliable=True, condition=shown)
+    return PotentialReport(True, 0.0 if abs(max_off) <= cut else max_off,
+                           0.0 if abs(min_row) <= cut else min_row,
+                           bool(max_off + margin <= cut and min_row - margin >= -cut), condition=shown)
+
+
+def killed_green_check(green: KilledGreenMatrix, tol: float = DEFAULT_TOL) -> PotentialReport:
+    """`is_inverse_m_matrix` of a killed Green matrix, certified by its residual.
+
+    ``G^-1`` is known: ``I - P``, with off-diagonals 0 or ``-1/(2d)`` and row sums ``1 -
+    deg/(2d) >= 0``.  If ``eps = |(I - P) G - I|_inf < 1``, ``G^-1 = (I + R)^-1 (I - P)``
+    lies entrywise, and in each row sum, within ``delta = |I - P|_inf eps / (1 - eps)`` of
+    ``I - P`` (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 14).
+    The report reads its extremes from ``I - P`` (``scale`` 1), needs both margins to hold
+    after ``delta`` and takes ``condition = |G|_1 |I - P|_1``.  ``eps`` is summed over
+    gathered rows of ``G`` in two buffers of ``COLUMN_BLOCK / 2`` rows: no matrix product
+    and no ``m x m`` temporary.  ``eps >= 1`` (or NaN) raises `LinAlgError`.
+    """
+    g, (_, nbr) = green.entries, lattice._neighbours(green.lattice)
+    m, two_d = nbr.shape
+    degree = np.count_nonzero(nbr >= 0, axis=1)
+    norm = 1.0 + float(degree.max()) / two_d  # |I - P|_inf = |I - P|_1
+    cond = _norm_1(g) * norm  # before the buffers: its column block is scratch too
+    rows = min(m, max(1, lattice.COLUMN_BLOCK // 2))
+    total, gathered, eps = *np.empty((2, rows, m)), 0.0
+    for lo in range(0, m, rows):
+        k = min(rows, m - lo)
+        acc, buf = total[:k], gathered[:k]
+        for step in range(two_d):  # mode "clip" takes without a buffered copy; -1 rows are zeroed
+            col = nbr[lo:lo + k, step]
+            np.take(g, col, axis=0, out=buf if step else acc, mode="clip")[col < 0] = 0.0
+            if step:
+                acc += buf
+        acc *= -1.0 / two_d
+        acc += g[lo:lo + k]
+        acc[np.arange(k), np.arange(lo, lo + k)] -= 1.0
+        eps = np.maximum(eps, np.abs(acc, out=acc).sum(axis=1).max())  # NaN stays NaN
+    if not eps < 1.0:
+        raise np.linalg.LinAlgError(f"killed Green matrix not certified: |(I - P) G - I| = {eps:.3e}")
+    max_off = -1.0 / two_d if m > 1 and degree.sum() == m * (m - 1) else 0.0  # unless all neighbours
+    return _report(cond, max_off, float(two_d - degree.max()) / two_d, tol, norm * eps / (1.0 - eps))
 
 
 def cmp_inequality(u, v) -> float:
@@ -203,7 +226,7 @@ def sample_cmp(u, trials: int, seed: int, include_adversarial: bool = True):
     a = _check_square_nonneg(u)
     if trials < 1:
         raise ValueError("trials must be positive")
-    inv = _inverse_m_test(a, DEFAULT_TOL, False)[1] if include_adversarial else None
+    inv = _inverse_m_test(a, DEFAULT_TOL)[1] if include_adversarial else None
     return _probe_min(a, trials, seed, include_adversarial, inv)
 
 
@@ -239,7 +262,7 @@ def _probe_min(a: np.ndarray, trials: int, seed: int, signs: bool, inv: np.ndarr
 def classify(u, trials: int = 0, seed: int = 0, tol: float = DEFAULT_TOL) -> PotentialReport:
     """Inverse M-matrix test plus optional CMP sampling on the same inverse, in one report."""
     a = _check_square_nonneg(u)
-    report, inv = _inverse_m_test(a, tol, False)
+    report, inv = _inverse_m_test(a, tol)
     if trials <= 0:
         return report
     value, _ = _probe_min(a, trials, seed, True, inv)

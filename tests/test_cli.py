@@ -168,6 +168,18 @@ def test_asymmetric_solve_is_numerical_failure(capsys, monkeypatch):
     assert err.startswith("numerical failure:") and "Traceback" not in err
 
 
+def test_uncertified_killed_green_is_numerical_failure(capsys, monkeypatch):
+    # 2 G has residual (I - P) 2G - I = I, norm 1: the check certifies nothing
+    def doubled(lattice):
+        green = killed_green_matrix(lattice)
+        return greenpot.KilledGreenMatrix(lattice=lattice, entries=2.0 * green.entries)
+
+    monkeypatch.setattr(cli, "killed_green_matrix", doubled)
+    rc, out, err = run_cli(capsys, ["killed-green", "--domain", DISK, "--n", "18"])
+    assert rc == 1 and out == ""
+    assert err.startswith("numerical failure: killed Green matrix not certified")
+
+
 def test_singular_solve_is_numerical_failure_not_usage(capsys, monkeypatch):
     def singular(lattice):
         raise np.linalg.LinAlgError("matrix is singular")
@@ -198,28 +210,20 @@ def test_oversized_random_population_is_resource_stop(capsys, monkeypatch):
 
 
 def test_exactly_singular_sparse_factor_is_numerical_failure(capsys, monkeypatch):
-    from scipy import sparse
-    from scipy.sparse.linalg import splu
-
-    def singular(lattice):  # I - P with its last row and column zeroed
-        m = len(lattice)
-        return sparse.csc_matrix((np.ones(m - 1), (np.arange(m - 1), np.arange(m - 1))),
-                                 shape=(m, m))
-
+    # the banded route's Cholesky fails on a band that is not positive definite;
+    # a killed Green column fails through its residual certificate
     lat = grid_points(Ball((0.0, 0.0), 1.0), GridSpec(d=2, n=18))
-    with pytest.raises(RuntimeError, match="singular"):  # what splu itself raises
-        splu(singular(lat))
 
     def clique(lattice):  # six points all neighbours: the band of I - P is not positive definite
         return np.nonzero(~np.eye(6, dtype=bool))
 
-    monkeypatch.setattr(lattice_module, "_killed_laplacian", singular)
     monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
     with monkeypatch.context() as banded:  # the band is written from the neighbour pairs
         banded.setattr(lattice_module, "_transition_coo", clique)
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             killed_green_matrix(lat)
-    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+    monkeypatch.setattr(lattice_module, "CG_TOL", -1.0)  # below any residual bound
+    with pytest.raises(np.linalg.LinAlgError, match="not certified"):
         killed_green_entries(lat, tuple(lat.points[0]), [tuple(lat.points[-1])])
     rc, out, err = run_cli(capsys, ["converge-disk", "--levels", "1"])
     assert rc == 1 and out == ""
@@ -475,6 +479,7 @@ NUMPY_ONLY = [
     ["domain-grid", "--domain", STRIP, "--n", "8", "--mode", "exterior"],
     ["killed-green", "--domain", DISK, "--n", "18"],
     ["cmp-functional", "--domain", DISK, "--n", "18", "--functions", "3"],
+    ["converge-disk"],
 ]
 
 IMPORT_GUARD = """
@@ -484,7 +489,7 @@ from greenpot.cli import main
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
     assert "scipy" not in sys.modules, argv
-assert main(["converge-disk", "--levels", "2"]) == 0
+assert main(["lattice-green", "--d", "3", "--max", "2"]) == 0
 assert "scipy" in sys.modules
 """
 
@@ -534,11 +539,27 @@ assert "scipy.sparse" not in sys.modules
 """
 
 
+CHOLESKY_GUARD = """
+import json, sys
+from scipy.linalg import lapack
+def refuse(*args, **kwargs):
+    raise AssertionError("LAPACK Cholesky inverse called")
+lapack.dpotrf = lapack.dpotri = refuse
+from greenpot.cli import main
+assert main(json.loads(sys.argv[1])) == 0
+"""
+
+
 def test_large_killed_green_does_not_import_scipy_sparse():
-    # above DENSE_LIMIT the band of I - P comes straight from the neighbour pairs
-    proc = _run_fresh(SPARSE_GUARD, ["killed-green", "--domain", DISK, "--n", "930"])
+    # above DENSE_LIMIT the band of I - P comes straight from the neighbour pairs,
+    # and the check reads the residual against I - P instead of inverting G
+    argv = ["killed-green", "--domain", DISK, "--n", "930"]
+    proc = _run_fresh(SPARSE_GUARD, argv)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout)["size"] > lattice_module.DENSE_LIMIT
+    refused = _run_fresh(CHOLESKY_GUARD, argv)
+    assert refused.returncode == 0, refused.stderr[-2000:]
+    assert refused.stdout == proc.stdout
 
 
 STATS_GUARD = """
@@ -577,6 +598,15 @@ def test_converge_free_report_does_not_depend_on_blas_threads():
     # BLAS dot over the row depend on its thread count
     runs = [_run_fresh(EXIT_WITH_MAIN, ["converge-free", "--levels", "4"],
                        OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
+    assert [p.returncode for p in runs] == [0, 0], runs[0].stderr[-2000:] + runs[1].stderr[-2000:]
+    assert runs[0].stdout == runs[1].stdout
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for two BLAS threads")
+def test_converge_disk_report_does_not_depend_on_blas_threads():
+    # the conjugate gradients reduce with np.sum, not BLAS dots
+    runs = [_run_fresh(EXIT_WITH_MAIN, ["converge-disk"], OPENBLAS_NUM_THREADS=threads)
+            for threads in ("1", "2")]
     assert [p.returncode for p in runs] == [0, 0], runs[0].stderr[-2000:] + runs[1].stderr[-2000:]
     assert runs[0].stdout == runs[1].stdout
 

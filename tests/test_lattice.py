@@ -24,6 +24,7 @@ from greenpot import (
     POTENTIAL_KERNEL_CONSTANT,
     AsymmetricSolveError,
     Ball,
+    CubicSet,
     GridSpec,
     LatticeSet,
     exit_distribution,
@@ -457,6 +458,27 @@ def test_killed_green_random_sets_match_oracle(seed, m):
     assert np.all(np.diag(got) >= 1.0 - 1e-12)
 
 
+def _killed_laplacian(lat):
+    """Oracle: the sparse CSC ``I - P``, unit diagonal and ``-1/(2d)`` between neighbours."""
+    from scipy import sparse
+
+    rows, cols = lattice_module._transition_coo(lat)
+    m = len(lat)
+    data = np.concatenate([np.ones(m), np.full(len(rows), -1.0 / (2 * lat.d))])
+    r = np.concatenate([np.arange(m), rows])
+    c = np.concatenate([np.arange(m), cols])
+    return sparse.csc_matrix((data, (r, c)), shape=(m, m))
+
+
+def _splu_column(lat, x):
+    """Oracle: the column of ``G`` at `x` by one sparse LU solve of ``(I - P) u = e_x``."""
+    from scipy.sparse.linalg import splu
+
+    rhs = np.zeros(len(lat))
+    rhs[lat.index_of(x)] = 1.0
+    return splu(_killed_laplacian(lat)).solve(rhs)
+
+
 def _random_set(d, m, seed, lo=-4, hi=4):
     rng = np.random.default_rng(seed)
     return LatticeSet.from_points(d, np.unique(rng.integers(lo, hi + 1, size=(m, d)), axis=0))
@@ -477,7 +499,7 @@ def test_neighbour_pairs_match_brute_force(d, seed):
     rows, cols = lattice_module._transition_coo(lat)
     assert len(rows) == len(_loop_neighbour_pairs(lat))
     assert set(zip(rows.tolist(), cols.tolist())) == _loop_neighbour_pairs(lat)
-    system = lattice_module._killed_laplacian(lat).tocoo()
+    system = _killed_laplacian(lat).tocoo()
     off = system.row != system.col
     assert np.all(system.data[off] == -1.0 / (2 * d))
     assert np.all(system.data[~off] == 1.0) and np.sum(~off) == len(lat)
@@ -557,14 +579,17 @@ def test_single_entry_matches_dense_matrix(n):
 
 
 def test_symmetry_check_raises_named_error(monkeypatch):
+    # the full matrix is checked for symmetry; a single column by its residual certificate
     lat = _disk(18)
     x = tuple(lat.points[0])
     monkeypatch.setattr(lattice_module, "SYMMETRY_TOL", -1.0)
     with pytest.raises(AsymmetricSolveError):
         killed_green_matrix(lat)
-    with pytest.raises(AsymmetricSolveError):
+    assert killed_green_entries(lat, x, [x])[0] >= 1.0
+    monkeypatch.setattr(lattice_module, "CG_TOL", -1.0)
+    with pytest.raises(np.linalg.LinAlgError, match="not certified"):
         killed_green_entries(lat, x, [x])
-    with pytest.raises(AsymmetricSolveError):  # off-grid disk value, several targets
+    with pytest.raises(np.linalg.LinAlgError, match="not certified"):  # off-grid disk value, several targets
         converge(Ball((0.0, 0.0), 1.0), ("power", 1.0), (0.2, 0.0), (-0.3, 0.1), 1, 18)
 
 
@@ -618,13 +643,69 @@ def test_large_solve_and_inverse_stay_within_traced_memory():
         held = tracemalloc.get_traced_memory()[0]
         report = is_inverse_m_matrix(green)
         inverse_peak = tracemalloc.get_traced_memory()[1] - held
-        tracemalloc.reset_peak()
-        in_place = is_inverse_m_matrix(green, overwrite_u=True)
-        in_place_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert report.is_potential is True and in_place.is_potential is True
+    assert report.is_potential is True
     assert solve_peak <= 1.3 * unit
     assert inverse_peak <= 1.2 * unit
-    # Cholesky in place needs no workspace: the peak is one column block of |u|
-    assert in_place_peak <= 1.2 * 8 * m * lattice_module.COLUMN_BLOCK
+
+
+# a U of seven unit squares: not convex, and a third of its bounding box is not in it
+U_SHAPE = CubicSet(2, [(0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2), (2, 2)])
+
+
+@pytest.mark.parametrize("domain, n", [(Ball((0.0, 0.0), 1.0), 13122),
+                                       (Ball((0.0, 0.0, 0.0), 1.0), 243),
+                                       (U_SHAPE, 800)], ids=["disk13122", "ball243", "u_shape"])
+def test_cg_column_matches_sparse_lu(domain, n):
+    # the whole column at two points, one of them next to the boundary, against splu: to
+    # 1e-11 relative, or to roundoff of the largest entry where the far arm of the U is 1e-7
+    lat = grid_points(domain, GridSpec(d=domain.d, n=n))
+    pts = [tuple(p) for p in lat.points]
+    for x in (pts[len(pts) // 2], pts[0]):
+        got, ref = killed_green_entries(lat, x, pts), _splu_column(lat, x)
+        assert np.all(got > 0)
+        np.testing.assert_allclose(got, ref, rtol=1e-11, atol=1e-14 * ref.max())
+
+
+def test_cg_column_is_exactly_zero_off_the_component_of_x():
+    # two squares joined at a corner only: no walk crosses, G[x, y] = 0 exactly
+    lat = grid_points(CubicSet(2, [(0, 0), (1, 1)]), GridSpec(d=2, n=2 * 16**2))
+    pts = [tuple(p) for p in lat.points]
+    got = killed_green_entries(lat, pts[0], pts)
+    np.testing.assert_array_equal(got == 0.0, _splu_column(lat, pts[0]) == 0.0)
+    assert 0 < np.count_nonzero(got) < len(pts)
+
+
+def test_cg_box_over_budget_is_resource_stop_before_allocating(monkeypatch):
+    lat = _disk(162)
+    x = tuple(lat.points[0])
+
+    def never(*args):
+        raise AssertionError("allocated past the byte budget")
+
+    # the n = 162 disk spans a 17 x 17 box, counted with a margin of one cell
+    monkeypatch.setattr(lattice_module, "CG_BYTES", lattice_module._CG_ARRAYS * 8 * 19**2 - 1)
+    monkeypatch.setattr(lattice_module, "_component", never)  # the first box array
+    with pytest.raises(lattice_module.ResourceLimitError, match="over the budget"):
+        killed_green_entries(lat, x, [x])
+    monkeypatch.setattr(lattice_module, "CG_BYTES", lattice_module._CG_ARRAYS * 8 * 19**2)
+    with pytest.raises(AssertionError, match="allocated"):
+        killed_green_entries(lat, x, [x])
+
+
+@pytest.mark.parametrize("domain, n", [(Ball((0.0, 0.0), 1.0), 13122),
+                                       (Ball((0.0, 0.0, 0.0), 1.0), 2187)], ids=["disk", "ball"])
+def test_cg_column_stays_within_its_byte_budget(domain, n):
+    # the budget counts _CG_ARRAYS float64 arrays over the box widened by one cell per side
+    lat = grid_points(domain, GridSpec(d=domain.d, n=n))
+    x = tuple(lat.points[len(lat) // 2])
+    box = 8 * math.prod(int(s) + 3 for s in lat.points.max(axis=0) - lat.points.min(axis=0))
+    killed_green_entries(lat, x, [x])  # one-time imports are not the solve's memory
+    tracemalloc.start()
+    try:
+        killed_green_entries(lat, x, [x])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= lattice_module._CG_ARRAYS * box

@@ -26,6 +26,7 @@ from greenpot import (
     hadamard_exp,
     hadamard_power,
     is_inverse_m_matrix,
+    killed_green_check,
     killed_green_matrix,
     random_potential,
     sample_cmp,
@@ -121,12 +122,11 @@ def test_lapack_inverse_route_matches_numpy_inverse(case, monkeypatch):
     monkeypatch.setattr(lattice_module, "COLUMN_BLOCK", 7)  # several blocks in each blockwise pass
     monkeypatch.setattr(np.linalg, "inv", numpy_inverse)
     kept = u.copy()
-    # on a copy of u, and in place on a C-ordered (inverted as its transpose) and an F-ordered copy
-    routes = [is_inverse_m_matrix(u)] + [is_inverse_m_matrix(u.copy(order=order), overwrite_u=True)
-                                         for order in "CF"]
+    # a C-ordered u (inverted as its transpose) and an F-ordered copy
+    routes = [is_inverse_m_matrix(u), is_inverse_m_matrix(u.copy(order="F"))]
     monkeypatch.undo()
     assert np.array_equal(u, kept)
-    assert calls == ([] if case in CHOLESKY_CASES else [len(u)] * 3)
+    assert calls == ([] if case in CHOLESKY_CASES else [len(u)] * 2)
     for lapack in map(asdict, routes):
         if case == "singular":
             assert lapack["nonsingular"] is False
@@ -154,9 +154,8 @@ def test_lapack_route_follows_symmetry(case, unused, monkeypatch):
     monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
     monkeypatch.setattr(np.linalg if unused == "inv" else lapack, unused, unused_route)
     for order in "CF":
-        for overwrite in (False, True):
-            report = asdict(is_inverse_m_matrix(u.copy(order=order), overwrite_u=overwrite))
-            assert report == pytest.approx(asdict(dense), rel=1e-12, abs=0.0, nan_ok=True)
+        report = asdict(is_inverse_m_matrix(u.copy(order=order)))
+        assert report == pytest.approx(asdict(dense), rel=1e-12, abs=0.0, nan_ok=True)
 
 
 def test_every_case_classifies_without_lapack_lu(monkeypatch):
@@ -171,7 +170,7 @@ def test_every_case_classifies_without_lapack_lu(monkeypatch):
         monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
         monkeypatch.setattr(lapack, "dgetrf", lu)
         monkeypatch.setattr(lapack, "dgetri", lu)
-        reports = [classify(u), is_inverse_m_matrix(u.copy(), overwrite_u=True)]
+        reports = [classify(u), is_inverse_m_matrix(u.copy(order="F"))]
         monkeypatch.undo()
         for report in map(asdict, reports):
             assert report == pytest.approx(dense, rel=1e-12, abs=0.0, nan_ok=True), case
@@ -185,15 +184,15 @@ def test_nonsymmetric_input_is_not_overwritten(order, monkeypatch):
     u = u.copy(order=order)
     kept = u.copy()
     monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
-    report = is_inverse_m_matrix(u, overwrite_u=True)
+    report = is_inverse_m_matrix(u)
     assert report.nonsingular is True
     assert np.array_equal(u, kept)
 
 
 @pytest.mark.parametrize("case", ["not_potential", "indefinite", "singular"])
 def test_failed_in_place_cholesky_reports_as_copy_route(case, monkeypatch):
-    # potrf fails on these symmetric inputs; in place, u is rebuilt from its
-    # untouched triangle and saved diagonal, so numpy's LU sees the same matrix
+    # potrf fails on these symmetric inputs, which then go to numpy's LU,
+    # in either memory order, and are left as they were
     from scipy.linalg import lapack
 
     u = LAPACK_CASES[case]()
@@ -206,15 +205,91 @@ def test_failed_in_place_cholesky_reports_as_copy_route(case, monkeypatch):
 
     monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
     monkeypatch.setattr(lapack, "dpotrf", recorded)
-    reports = [is_inverse_m_matrix(u)] + [is_inverse_m_matrix(u.copy(order=order), overwrite_u=True)
-                                          for order in "CF"]
-    assert len(infos) == 3 and all(info > 0 for info in infos)
+    kept = u.copy()
+    reports = [is_inverse_m_matrix(u), is_inverse_m_matrix(u.copy(order="F"))]
+    assert len(infos) == 2 and all(info > 0 for info in infos)
+    assert np.array_equal(u, kept)
     texts = {canonical_json(_jsonable(asdict(report))) for report in reports}
     assert len(texts) == 1
     if case != "singular":  # the same LU on the same matrix: bit-identical inverses
-        copy = potential_module._inverse(u)
-        for order in "CF":
-            assert np.array_equal(potential_module._inverse(u.copy(order=order), overwrite=True), copy)
+        assert np.array_equal(potential_module._inverse(u.copy(order="F")), np.linalg.inv(kept))
+
+
+def _agree(residual, inverse):
+    """Verdicts and flags exactly; values to 1e-12, condition to its 12 shown digits."""
+    got, want = asdict(residual), asdict(inverse)
+    assert {k: v for k, v in got.items() if not isinstance(v, float)} == \
+        {k: v for k, v in want.items() if not isinstance(v, float)}
+    assert got.pop("condition") == pytest.approx(want.pop("condition"), rel=2e-11)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0, nan_ok=True)
+
+
+@pytest.mark.parametrize("d, n", [(2, 2), (2, 18), (2, 162), (2, 930), (3, 27), (3, 162)])
+def test_killed_green_check_agrees_with_inverse(d, n):
+    green = killed_green_matrix(grid_points(Ball((0.0,) * d, 1.0), GridSpec(d=d, n=n)))
+    report = killed_green_check(green)
+    assert report.is_potential is True
+    _agree(report, is_inverse_m_matrix(green.entries))
+
+
+def test_killed_green_check_agrees_on_random_sets():
+    for seed in range(20):
+        green = random_potential(2 + seed % 2, (2, 60), seed)
+        _agree(killed_green_check(green), is_inverse_m_matrix(green.entries))
+
+
+def test_killed_green_check_reads_the_extremes_of_i_minus_p():
+    # two neighbours: I - P = [[1, -1/4], [-1/4, 1]], every pair a neighbour pair
+    two = killed_green_check(killed_green_matrix(LatticeSet.from_points(2, [(0, 0), (1, 0)])))
+    assert (two.max_offdiag_of_inverse, two.min_row_sum_of_inverse) == (-0.25, 0.75)
+    one = killed_green_check(killed_green_matrix(LatticeSet.from_points(3, [(0, 0, 0)])))
+    assert (one.max_offdiag_of_inverse, one.min_row_sum_of_inverse, one.condition) == (0.0, 1.0, 1.0)
+
+
+def test_killed_green_check_refuses_a_raised_pair():
+    # one mirrored off-diagonal pair raised by 1e-6 max G: the residual no longer certifies
+    green = killed_green_matrix(grid_points(Ball((0.0, 0.0), 1.0), GridSpec(d=2, n=162)))
+    g = green.entries.copy()
+    bump = 1e-6 * g.max()
+    g[3, 40] += bump
+    g[40, 3] += bump
+    report = killed_green_check(KilledGreenMatrix(lattice=green.lattice, entries=g))
+    assert report.is_potential is False
+    assert report.nonsingular is True and not report.unreliable
+
+
+def test_killed_green_check_raises_when_the_residual_certifies_nothing():
+    green = killed_green_matrix(grid_points(Ball((0.0, 0.0), 1.0), GridSpec(d=2, n=18)))
+    for g in (2.0 * green.entries, np.full_like(green.entries, np.nan)):
+        with pytest.raises(np.linalg.LinAlgError, match="not certified"):
+            killed_green_check(KilledGreenMatrix(lattice=green.lattice, entries=g))
+
+
+def test_killed_green_check_inverts_nothing(monkeypatch):
+    from scipy.linalg import lapack
+
+    green = killed_green_matrix(grid_points(Ball((0.0, 0.0), 1.0), GridSpec(d=2, n=930)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("inverted")
+
+    for module, name in [(np.linalg, "inv"), (lapack, "dpotrf"), (lapack, "dpotri")]:
+        monkeypatch.setattr(module, name, refuse)
+    assert killed_green_check(green).is_potential is True
+
+
+def test_killed_green_check_scratch_stays_within_one_column_block():
+    # two buffers of COLUMN_BLOCK / 2 rows; the neighbour table (m x 2d x d) adds under 10%
+    green = killed_green_matrix(grid_points(Ball((0.0, 0.0), 1.0), GridSpec(d=2, n=1458)))
+    m = len(green.entries)
+    killed_green_check(green)
+    tracemalloc.start()
+    try:
+        killed_green_check(green)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * m * lattice_module.COLUMN_BLOCK
 
 
 def test_input_validation():

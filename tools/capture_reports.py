@@ -7,7 +7,9 @@ on ``PYTHONPATH``) in a fresh interpreter with one BLAS/OpenMP thread:
 
 - all twelve at their default flags, seeds 0 and 1 (the unit disk for
   ``--domain``, ``[[2,1],[1,2]]`` for ``--matrix``);
-- ``converge-disk --transform exp:3`` and ``--transform power:2.5``;
+- ``converge-disk --transform exp:3`` and ``--transform power:2.5``, and
+  ``converge-disk --levels 5``, whose finest column (n = 13122, m = 20589)
+  is large enough that the solver's error shows in the digits;
 - ``converge-free --beta 1.4 --levels 4``;
 - ``riesz-mc --beta 1.5 --trials 20000``;
 - ``killed-green --n 1458`` (m = 2285) and, on the unit ball in d = 3,
@@ -54,6 +56,7 @@ SUBCOMMANDS = ["lattice-green", "killed-green", "check-potential", "hadamard-swe
 EXTRA = {
     "converge-disk.exp3": ["converge-disk", "--transform", "exp:3"],
     "converge-disk.power2.5": ["converge-disk", "--transform", "power:2.5"],
+    "converge-disk.levels5": ["converge-disk", "--levels", "5"],
     "converge-free.beta1.4.levels4": ["converge-free", "--beta", "1.4", "--levels", "4"],
     "riesz-mc.beta1.5.trials20000": ["riesz-mc", "--beta", "1.5", "--trials", "20000"],
     "killed-green.n1458": ["killed-green", "--n", "1458"],
