@@ -31,7 +31,6 @@ from .kernels import (
 )
 from .lattice import (
     POTENTIAL_KERNEL_CONSTANT,
-    AsymmetricSolveError,
     KilledGreenMatrix,
     LatticeSet,
     ResourceLimitError,
@@ -46,7 +45,6 @@ from .mc import (
     McEstimate,
     RieszEstimate,
     RngStream,
-    StepBudgetError,
     estimate_boundary_term,
     estimate_riesz_potential,
     sample_half_stable,

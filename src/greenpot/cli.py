@@ -22,8 +22,9 @@ experiments stay reproducible and independent: 0 random matrix
 populations, 1 CMP probe vectors, 2 random grid functions, 3 lattice
 walks, 4 occupation-integral sampling.
 
-Exit codes: 0 pass, 1 assertion failure, resource stop or numerical
-failure (singular or asymmetric solve), 2 usage error.
+Exit codes: 0 pass, 1 assertion failure, resource stop (`ResourceLimitError`: a
+byte or step budget; `QuadratureError`) or numerical failure (`LinAlgError`: a
+singular, asymmetric or uncertified solve), 2 usage error.
 """
 
 from __future__ import annotations
@@ -51,15 +52,9 @@ from .domains import (
     nonempty_grid_points,
 )
 from .kernels import QuadratureError, ball_kernel_integral, disk_green_2d
-from .lattice import (
-    AsymmetricSolveError,
-    ResourceLimitError,
-    far_field,
-    killed_green_matrix,
-    potential_kernel_2d_array,
-    whole_space_green_array,
-)
-from .mc import RngStream, StepBudgetError, estimate_boundary_term, estimate_riesz_potential
+from .lattice import (ResourceLimitError, far_field, killed_green_matrix, potential_kernel_2d_array,
+                      whole_space_green_array)
+from .mc import RngStream, estimate_boundary_term, estimate_riesz_potential
 from .operators import BallIndicator, assemble, cmp_functional, converge, is_origin_disk
 from .potential import (classify, hadamard_exp, hadamard_power, is_inverse_m_matrix, killed_green_check,
                         random_potential)
@@ -517,13 +512,13 @@ def main(argv=None) -> int:
     try:
         cfg, out = merge_config(args)
         report, csv_data, passed = RUNNERS[args.experiment](cfg)
-    except (AsymmetricSolveError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+    except np.linalg.LinAlgError as exc:  # a ValueError, so caught first
         print(f"numerical failure: {exc}", file=sys.stderr)
         return FAIL
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except (ResourceLimitError, StepBudgetError, QuadratureError) as exc:
+    except (ResourceLimitError, QuadratureError) as exc:
         print(f"resource stop: {exc}", file=sys.stderr)
         return FAIL
     meta = {"experiment": args.experiment, "created_at":

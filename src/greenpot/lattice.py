@@ -32,9 +32,9 @@ stays within 2e-9 of the three-term expansion
 
 Killed Green matrices on finite index sets are obtained by direct linear
 solves against the one-step transition matrix (see `killed_green_matrix`),
-which refuses more than `MAX_POINTS` points before it allocates.  Single
-columns come from conjugate gradients preconditioned by the fast sine
-transform of the set's bounding box (see `killed_green_entries`).
+single columns by conjugate gradients preconditioned by the fast sine
+transform of the set's bounding box (see `killed_green_entries`); both
+refuse past the one byte budget `MAX_BYTES` before they allocate.
 
 scipy (Bessel functions, banded Cholesky) is imported inside the functions that
 call it: a killed Green matrix needs only numpy up to `DENSE_LIMIT` points, `scipy.linalg`
@@ -63,9 +63,8 @@ __all__ = [
     "killed_green_entries",
     "killed_green_via_kernel",
     "far_field",
-    "AsymmetricSolveError",
     "ResourceLimitError",
-    "MAX_POINTS",
+    "MAX_BYTES",
     "exit_distribution",
     "EXACT_RANGE",
 ]
@@ -147,16 +146,17 @@ class LatticeSet:
         """Row of each point of a ``(k, d)`` integer array, ``-1`` where absent."""
         return self._index.rows(np.asarray(points, dtype=np.int64).reshape(-1, self.d))
 
+    def _row(self, point) -> int:
+        """Row of one point, ``-1`` if it is absent or of another dimension."""
+        return int(self.rows_of([point])[0]) if len(point) == self.d else -1
+
     def __contains__(self, point) -> bool:
-        key = tuple(int(c) for c in point)
-        return len(key) == self.d and self.rows_of([key])[0] >= 0
+        return self._row(point) >= 0
 
     def index_of(self, point) -> int:
-        key = tuple(int(c) for c in point)
-        row = self.rows_of([key])[0] if len(key) == self.d else -1
-        if row < 0:
-            raise KeyError(f"{key} is not in the lattice set")
-        return int(row)
+        if (row := self._row(point)) < 0:
+            raise KeyError(f"{tuple(int(c) for c in point)} is not in the lattice set")
+        return row
 
 
 @functools.cache
@@ -358,24 +358,18 @@ def _transition_coo(lattice: LatticeSet):
     return rows, nbr[rows, steps]
 
 
-# points of a killed Green matrix, whose m x m array is formed
-MAX_POINTS = 20000
-# numpy inverses up to here; beyond, the scipy routes are faster and lighter
-# even with the scipy.linalg import (measured crossovers 1330-1480 points)
+MAX_BYTES = 1 << 30  # the one byte budget of the killed Green solves, read at call time
+# numpy inverses up to here; beyond, the scipy routes are faster and lighter even with the scipy.linalg
+# import (measured crossovers 1330-1480 points; in `potential._inverse` 1245-1565, a tie at 1465)
 DENSE_LIMIT = 1450
 SYMMETRY_TOL = 1e-10
 COLUMN_BLOCK = 256  # columns per block when a full matrix is scanned
-# a killed Green column (`killed_green_entries`) stops at CG_STOP and is certified to CG_TOL;
-# its box arrays, counted as _CG_ARRAYS float64 boxes, are capped at CG_BYTES
-CG_STOP, CG_TOL, CG_BYTES, _CG_ARRAYS = 1e-13, 1e-9, 1 << 30, 16
-
-
-class AsymmetricSolveError(RuntimeError):
-    """A killed Green solve came out asymmetric beyond `SYMMETRY_TOL`."""
+# a killed Green column (`killed_green_entries`) stops at CG_STOP and is certified to CG_TOL
+CG_STOP, CG_TOL, _CG_ARRAYS = 1e-13, 1e-9, 16
 
 
 class ResourceLimitError(RuntimeError):
-    """A request exceeded the configured storage limits."""
+    """A request exceeded a byte or step budget."""
 
 
 def killed_green_matrix(lattice: LatticeSet) -> KilledGreenMatrix:
@@ -397,19 +391,19 @@ def killed_green_matrix(lattice: LatticeSet) -> KilledGreenMatrix:
     Raises
     ------
     ResourceLimitError
-        If the set has more than `MAX_POINTS` points; checked before
-        anything is allocated.
-    AsymmetricSolveError
-        If ``G`` and its transpose differ by more than `SYMMETRY_TOL`
-        times its largest entry.
+        If the ``8 m^2`` bytes of ``G`` exceed `MAX_BYTES`; checked before
+        anything is allocated.  numpy's ``I - P`` (at most 16.8 MB below
+        `DENSE_LIMIT`) and the band are not counted.
     numpy.linalg.LinAlgError
-        If ``I - P`` is singular.
+        If ``I - P`` is singular, or ``G`` and its transpose differ by
+        more than `SYMMETRY_TOL` times its largest entry.
     """
     m = len(lattice)
     if m == 0:
         raise ValueError("lattice set is empty")
-    if m > MAX_POINTS:
-        raise ResourceLimitError(f"{m} grid points exceed the cap of {MAX_POINTS}")
+    if (need := 8 * m * m) > MAX_BYTES:
+        raise ResourceLimitError(f"a killed Green matrix of {m} points needs {need} bytes, "
+                                 f"over the budget of {MAX_BYTES}")
     rows, cols = _transition_coo(lattice)
     if m <= DENSE_LIMIT:
         a = np.eye(m)
@@ -438,7 +432,8 @@ def killed_green_matrix(lattice: LatticeSet) -> KilledGreenMatrix:
         upper[...] = part
         lower[...] = part
     if skew > SYMMETRY_TOL * scale:
-        raise AsymmetricSolveError(f"killed Green solve asymmetric beyond tolerance: {skew / scale:.3e}")
+        raise np.linalg.LinAlgError(
+            f"killed Green solve asymmetric beyond tolerance: {skew / scale:.3e}")
     return KilledGreenMatrix(lattice=lattice, entries=g)
 
 
@@ -498,15 +493,16 @@ def killed_green_entries(lattice: LatticeSet, x, ys) -> np.ndarray:
     ``|r|_2 <= CG_STOP lam |u|_2``, and one recomputed residual must certify ``|e_x - (I -
     P) u|_2 / lam <= CG_TOL |u|_2`` or this raises `LinAlgError`.  Off the component of `x`
     the column is exactly 0.  Sums are numpy sums, not BLAS dots, so values do not depend on
-    the thread count.  A box past `CG_BYTES` is a `ResourceLimitError` before allocating.
+    the thread count.  A box past `MAX_BYTES` is a `ResourceLimitError` before allocating.
     """
-    i = lattice.index_of(x)
-    rows = np.array([lattice.index_of(y) for y in ys], dtype=np.int64)
+    i, rows = lattice.index_of(x), lattice.rows_of(ys)
+    if (rows < 0).any():  # index_of's KeyError for the first absent target
+        lattice.index_of(np.reshape(ys, (-1, lattice.d))[np.argmax(rows < 0)])
     local = lattice.points - lattice.points.min(axis=0)
     sides = tuple(int(s) + 1 for s in local.max(axis=0))
-    if (need := _CG_ARRAYS * 8 * math.prod(s + 2 for s in sides)) > CG_BYTES:
-        raise ResourceLimitError(f"conjugate gradients on a {'x'.join(map(str, sides))} box need "
-                                 f"{need} bytes, over the budget of {CG_BYTES}")
+    if (need := _CG_ARRAYS * 8 * math.prod(s + 2 for s in sides)) > MAX_BYTES:
+        raise ResourceLimitError(f"a killed Green column on a {'x'.join(map(str, sides))} box needs "
+                                 f"{need} bytes, over the budget of {MAX_BYTES}")
     q, inside = 0.5 / lattice.d, _component(local, i, sides)
     # the box's eigenvalues 1 - (1/d) sum_i cos(pi j_i / (L_i + 1)), in sin^2 for small ones
     waves = [np.sin(np.pi * np.arange(1, s + 1) / (2 * s + 2)) ** 2 * (2.0 / lattice.d) for s in sides]

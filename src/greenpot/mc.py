@@ -29,6 +29,7 @@ from .domains import Ball, GridSpec, nonempty_grid_points, round_to_grid
 from .kernels import riesz_params
 from .lattice import (
     LatticeSet,
+    ResourceLimitError,
     _neighbours,
     potential_kernel_2d,
     potential_kernel_2d_array,
@@ -40,7 +41,6 @@ __all__ = [
     "generator",
     "RngStream",
     "McEstimate",
-    "StepBudgetError",
     "estimate_boundary_term",
     "sample_half_stable",
     "sample_stable_increment",
@@ -48,17 +48,13 @@ __all__ = [
     "RieszEstimate",
 ]
 
-STEP_BUDGET = 10**8
+STEP_BUDGET = 10**8  # steps of one walk block, read when the block runs
 TRIAL_CHUNK = 8192  # trials per block; a block's index keys its generator
 CHUNK_DRAWS = 1 << 12  # clock increments (or tail terms) one Riesz chunk holds at once
 CLOSED_FORM_LIMIT = 100.0  # the d = 3 ball chance is closed-form up to s = 100 r^2
 TAIL_NODES = 800  # log-uniform points of the Bochner tail table
 TAIL_STEP = 0.25  # trapezoid step in log s of each tail integral
 TAIL_RTOL = 1e-9  # relative accuracy of h(0), tested against the ball integral
-
-
-class StepBudgetError(RuntimeError):
-    """A walk exceeded its step budget before exiting."""
 
 
 def _block_sizes(trials: int):
@@ -123,12 +119,13 @@ def _estimate(total: float, total_sq: float, trials: int, seed: int) -> McEstima
 # ---------------------------------------------------------------- walks
 
 def _walk_block(lattice: LatticeSet, start: np.ndarray, trials: int, gen: np.random.Generator,
-                step_budget: int, nbr: np.ndarray) -> np.ndarray:
+                nbr: np.ndarray) -> np.ndarray:
     """Walk `trials` paths from `start` until each exits; returns exits.
 
     Walks move between rows of `lattice`: step ``k`` of `unit_steps` takes
     row ``i`` to ``nbr[i, k]``, the neighbour table of `lattice._neighbours`,
-    and leaves the set where that is ``-1``.
+    and leaves the set where that is ``-1``; `STEP_BUDGET` steps end the block
+    with `ResourceLimitError`.
     """
     steps = unit_steps(lattice.d)
     row = np.full(trials, lattice.index_of(start))
@@ -136,8 +133,8 @@ def _walk_block(lattice: LatticeSet, start: np.ndarray, trials: int, gen: np.ran
     active = np.arange(trials)
     spent = 0
     while len(active):
-        if spent >= step_budget:
-            raise StepBudgetError(f"{len(active)} walks still active at the step budget")
+        if spent >= STEP_BUDGET:
+            raise ResourceLimitError(f"{len(active)} walks still active at the step budget")
         choice = gen.integers(0, len(steps), size=len(active))
         nxt = nbr[row, choice]
         inside = nxt >= 0
@@ -150,8 +147,7 @@ def _walk_block(lattice: LatticeSet, start: np.ndarray, trials: int, gen: np.ran
     return exits
 
 
-def estimate_boundary_term(domain, grid: GridSpec, x, y, trials: int, rng: RngStream,
-                           step_budget: int = STEP_BUDGET) -> McEstimate:
+def estimate_boundary_term(domain, grid: GridSpec, x, y, trials: int, rng: RngStream) -> McEstimate:
     """Walk-exit estimate of the boundary term in the killed-kernel split.
 
     For ``d >= 3`` this is the mean of the scaled whole-space kernel at
@@ -175,7 +171,7 @@ def estimate_boundary_term(domain, grid: GridSpec, x, y, trials: int, rng: RngSt
     nbr = _neighbours(lattice)[1]
     total = total_sq = 0.0
     for b, size in enumerate(_block_sizes(trials)):
-        exits = _walk_block(lattice, u, size, generator(rng.seed, rng.stream, b), step_budget, nbr)
+        exits = _walk_block(lattice, u, size, generator(rng.seed, rng.stream, b), nbr)
         if d == 2:
             vals = 0.5 * (potential_kernel_2d_array(exits - v) - a_uv)
         else:

@@ -39,7 +39,6 @@ from .domains import (
 from .kernels import ball_integral_route, ball_kernel_integral, check_transform, disk_green_2d
 from .lattice import (
     LatticeSet,
-    ResourceLimitError,
     killed_green_entries,
     killed_green_matrix,
     whole_space_green,  # noqa: F401  unused; perfbench/selftest.py and tests pin this binding
@@ -51,7 +50,6 @@ __all__ = [
     "DiscreteOperator",
     "ConvergenceReport",
     "BallIndicator",
-    "ResourceLimitError",
     "assemble",
     "apply_operator",
     "free_operator_value",
@@ -100,8 +98,8 @@ def assemble(grid: GridSpec, transform, domain) -> DiscreteOperator:
 
     `transform` is ``("power", beta)`` with ``beta >= 1`` or ``("exp",
     alpha)`` with ``0 < alpha < 2*pi`` (plane only).  The operator holds its
-    m x m matrix, so more than `lattice.MAX_POINTS` points raise
-    ResourceLimitError.
+    m x m matrix: a killed Green matrix past `lattice.MAX_BYTES` raises
+    ResourceLimitError, but the weighted copy of it is not counted.
     """
     kind, param = check_transform(*transform, grid.d, False)
     lattice = nonempty_grid_points(domain, grid)

@@ -19,7 +19,7 @@ import pytest
 
 import greenpot
 from greenpot import Ball, GridSpec, RieszEstimate, grid_points, killed_green_entries, killed_green_matrix
-from greenpot import cli
+from greenpot import cli, mc
 from greenpot import lattice as lattice_module
 from greenpot.cli import canonical_json, csv_text, derived_seed, main
 from greenpot.potential import hadamard_exp, hadamard_power, is_inverse_m_matrix, random_potential
@@ -192,19 +192,30 @@ def test_singular_solve_is_numerical_failure_not_usage(capsys, monkeypatch):
 
 def test_oversized_killed_green_is_resource_stop(capsys, monkeypatch):
     def never(lattice):
-        raise AssertionError("solve reached past the size cap")
+        raise AssertionError("solve reached past the byte budget")
 
-    monkeypatch.setattr(lattice_module, "MAX_POINTS", 24)  # the n = 18 disk has 25 points
+    # the n = 18 disk has 25 points: its G takes 8 * 25**2 = 5000 bytes
+    monkeypatch.setattr(lattice_module, "MAX_BYTES", 4999)
     monkeypatch.setattr(lattice_module, "_transition_coo", never)  # the first array built
     rc, out, err = run_cli(capsys, ["killed-green", "--domain", DISK, "--n", "18"])
     assert rc == 1 and out == ""
-    assert err == "resource stop: 25 grid points exceed the cap of 24\n"
+    assert err == ("resource stop: a killed Green matrix of 25 points needs 5000 bytes, "
+                   "over the budget of 4999\n")
 
 
 def test_oversized_random_population_is_resource_stop(capsys, monkeypatch):
-    # the cap sits in killed_green_matrix, so random populations meet it too
-    monkeypatch.setattr(lattice_module, "MAX_POINTS", 4)
+    # the budget sits in killed_green_matrix, so random populations meet it too
+    monkeypatch.setattr(lattice_module, "MAX_BYTES", 8 * 4**2)
     rc, out, err = run_cli(capsys, ["hadamard-sweep", "--count", "1", "--sizes", "5,6"])
+    assert rc == 1 and out == ""
+    assert err.startswith("resource stop:") and "Traceback" not in err
+
+
+def test_step_budget_is_resource_stop(capsys, monkeypatch):
+    # mc reads STEP_BUDGET when a walk block runs; no walk from (1/9, 0) on the
+    # n = 162 disk exits within 3 steps
+    monkeypatch.setattr(mc, "STEP_BUDGET", 3)
+    rc, out, err = run_cli(capsys, ["exit-mc", "--domain", DISK, "--n", "162", "--trials", "10"])
     assert rc == 1 and out == ""
     assert err.startswith("resource stop:") and "Traceback" not in err
 

@@ -22,7 +22,6 @@ from scipy import integrate
 
 from greenpot import (
     POTENTIAL_KERNEL_CONSTANT,
-    AsymmetricSolveError,
     Ball,
     CubicSet,
     GridSpec,
@@ -579,11 +578,12 @@ def test_single_entry_matches_dense_matrix(n):
 
 
 def test_symmetry_check_raises_named_error(monkeypatch):
-    # the full matrix is checked for symmetry; a single column by its residual certificate
+    # the full matrix is checked for symmetry; a single column by its residual certificate;
+    # both fail as numerical failures, LinAlgError
     lat = _disk(18)
     x = tuple(lat.points[0])
     monkeypatch.setattr(lattice_module, "SYMMETRY_TOL", -1.0)
-    with pytest.raises(AsymmetricSolveError):
+    with pytest.raises(np.linalg.LinAlgError, match="asymmetric beyond tolerance"):
         killed_green_matrix(lat)
     assert killed_green_entries(lat, x, [x])[0] >= 1.0
     monkeypatch.setattr(lattice_module, "CG_TOL", -1.0)
@@ -685,22 +685,56 @@ def test_cg_box_over_budget_is_resource_stop_before_allocating(monkeypatch):
         raise AssertionError("allocated past the byte budget")
 
     # the n = 162 disk spans a 17 x 17 box, counted with a margin of one cell
-    monkeypatch.setattr(lattice_module, "CG_BYTES", lattice_module._CG_ARRAYS * 8 * 19**2 - 1)
+    need = lattice_module._CG_ARRAYS * 8 * 19**2
+    monkeypatch.setattr(lattice_module, "MAX_BYTES", need - 1)
     monkeypatch.setattr(lattice_module, "_component", never)  # the first box array
-    with pytest.raises(lattice_module.ResourceLimitError, match="over the budget"):
+    with pytest.raises(lattice_module.ResourceLimitError,
+                       match=f"a killed Green column on a 17x17 box needs {need} bytes, "
+                             f"over the budget of {need - 1}"):
         killed_green_entries(lat, x, [x])
-    monkeypatch.setattr(lattice_module, "CG_BYTES", lattice_module._CG_ARRAYS * 8 * 19**2)
+    monkeypatch.setattr(lattice_module, "MAX_BYTES", need)
     with pytest.raises(AssertionError, match="allocated"):
         killed_green_entries(lat, x, [x])
+
+
+@pytest.mark.parametrize("dense_limit", [None, 0], ids=["numpy", "banded"])
+def test_killed_green_matrix_budget_counts_g_before_allocating(monkeypatch, dense_limit):
+    lat = _disk(18)  # m = 25: G takes 8 * 25**2 bytes
+    if dense_limit is not None:
+        monkeypatch.setattr(lattice_module, "DENSE_LIMIT", dense_limit)
+    monkeypatch.setattr(lattice_module, "MAX_BYTES", 8 * 25**2)
+    assert killed_green_matrix(lat).entries.shape == (25, 25)
+
+    def never(lattice):
+        raise AssertionError("allocated past the byte budget")
+
+    monkeypatch.setattr(lattice_module, "MAX_BYTES", 8 * 25**2 - 1)
+    monkeypatch.setattr(lattice_module, "_transition_coo", never)  # the first array built
+    with pytest.raises(lattice_module.ResourceLimitError,
+                       match="a killed Green matrix of 25 points needs 5000 bytes, "
+                             "over the budget of 4999"):
+        killed_green_matrix(lat)
+
+
+def test_cg_column_reads_every_target_through_the_set_index():
+    lat = _disk(162)
+    dense = killed_green_matrix(lat).entries
+    targets = [tuple(p) for p in lat.points]
+    for i in (0, len(lat) // 2):
+        np.testing.assert_allclose(killed_green_entries(lat, targets[i], targets), dense[i], rtol=1e-12)
+    with pytest.raises(KeyError, match=r"\(100, 0\) is not in the lattice set"):
+        killed_green_entries(lat, targets[0], targets[:3] + [(100, 0)] + targets[3:])
 
 
 @pytest.mark.parametrize("domain, n", [(Ball((0.0, 0.0), 1.0), 13122),
                                        (Ball((0.0, 0.0, 0.0), 1.0), 2187)], ids=["disk", "ball"])
 def test_cg_column_stays_within_its_byte_budget(domain, n):
-    # the budget counts _CG_ARRAYS float64 arrays over the box widened by one cell per side
+    # the budget counts _CG_ARRAYS float64 arrays over the box widened by one cell per side,
+    # against the one byte budget MAX_BYTES
     lat = grid_points(domain, GridSpec(d=domain.d, n=n))
     x = tuple(lat.points[len(lat) // 2])
     box = 8 * math.prod(int(s) + 3 for s in lat.points.max(axis=0) - lat.points.min(axis=0))
+    assert lattice_module._CG_ARRAYS * box <= lattice_module.MAX_BYTES
     killed_green_entries(lat, x, [x])  # one-time imports are not the solve's memory
     tracemalloc.start()
     try:

@@ -24,7 +24,6 @@ from greenpot import (
     McEstimate,
     RieszEstimate,
     RngStream,
-    StepBudgetError,
     ball_kernel_integral,
     disk_green_2d,
     estimate_boundary_term,
@@ -39,7 +38,8 @@ from greenpot import (
     whole_space_green,
 )
 from greenpot import mc
-from greenpot.lattice import _neighbours, potential_kernel_2d, potential_kernel_2d_array
+from greenpot.lattice import (ResourceLimitError, _neighbours, potential_kernel_2d,
+                              potential_kernel_2d_array)
 
 TWO_POINT = LatticeSet.from_points(2, [(0, 0), (1, 0)])
 
@@ -71,7 +71,7 @@ def test_mc_estimate_validation_and_json():
 def test_walk_exit_law_matches_exit_distribution():
     trials = 20_000
     exits = mc._walk_block(TWO_POINT, np.array([0, 0]), trials, mc.generator(1, 0, 0),
-                           mc.STEP_BUDGET, _neighbours(TWO_POINT)[1])
+                           _neighbours(TWO_POINT)[1])
     points, counts = np.unique(exits, axis=0, return_counts=True)
     law = {tuple(int(c) for c in p): k / trials for p, k in zip(points, counts)}
     exact_law = exit_distribution(TWO_POINT, (0, 0))
@@ -102,17 +102,17 @@ def _loop_walk(lattice, start, trials, gen):
     return exits
 
 
-def test_vectorized_walk_matches_loop():
+def test_vectorized_walk_matches_loop(monkeypatch):
     # a 3-d ball, a planar disk and an L of three unit squares
     cases = [(Ball(center=(0.0, 0.0, 0.0), radius=1.0), 12, (0.2, -0.1, 0.0)),
              (Ball(center=(0.0, 0.0), radius=1.0), 162, (0.1, 0.05)),
              (CubicSet(2, [(0, 0), (1, 0), (1, 1)]), 18, (0.5, 0.0))]
+    monkeypatch.setattr(mc, "STEP_BUDGET", 10**6)  # read when each block runs
     for domain, n, x in cases:
         grid = GridSpec(d=domain.d, n=n)
         lat = grid_points(domain, grid)
         start = round_to_grid(x, grid)
-        exits = mc._walk_block(lat, start, 300, mc.generator(11, 0, 0), 10**6,
-                               _neighbours(lat)[1])
+        exits = mc._walk_block(lat, start, 300, mc.generator(11, 0, 0), _neighbours(lat)[1])
         ref_exits = _loop_walk(lat, tuple(start), 300, mc.generator(11, 0, 0))
         assert [tuple(int(c) for c in e) for e in exits] == ref_exits
 
@@ -129,18 +129,19 @@ def test_boundary_term_bit_reproducible():
     u, v = round_to_grid((1 / 3, 0.0), grid), round_to_grid((-1 / 3, 0.0), grid)
     total = 0.0
     for b, size in enumerate((mc.TRIAL_CHUNK, mc.TRIAL_CHUNK, 5)):
-        exits = mc._walk_block(lat, u, size, mc.generator(9, 2, b), mc.STEP_BUDGET,
-                               _neighbours(lat)[1])
+        exits = mc._walk_block(lat, u, size, mc.generator(9, 2, b), _neighbours(lat)[1])
         total += float((0.5 * (potential_kernel_2d_array(exits - v)
                                - potential_kernel_2d(u - v))).sum())
     assert first.mean == total / trials
 
 
-def test_step_budget_enforced():
-    # from the centre of the n = 162 disk no walk exits within 3 steps
-    with pytest.raises(StepBudgetError):
+def test_step_budget_enforced(monkeypatch):
+    # from the centre of the n = 162 disk no walk exits within 3 steps; the budget
+    # is read when the block runs, so patching the module constant reaches it
+    monkeypatch.setattr(mc, "STEP_BUDGET", 3)
+    with pytest.raises(ResourceLimitError, match="step budget"):
         estimate_boundary_term(Ball((0.0, 0.0), 1.0), GridSpec(d=2, n=162), (0.0, 0.0),
-                               (1 / 9, 0.0), 10, RngStream(3), step_budget=3)
+                               (1 / 9, 0.0), 10, RngStream(3))
 
 
 def test_boundary_term_matches_dense_solve_planar():

@@ -175,15 +175,16 @@ def test_kernel_spec_and_assemble_accept_the_same_transforms():
 
 
 def test_assemble_respects_point_cap(monkeypatch):
-    monkeypatch.setattr(lattice_module, "MAX_POINTS", 3)
+    # the byte budget of a 3-point killed Green matrix; the n = 8 disk has more
+    monkeypatch.setattr(lattice_module, "MAX_BYTES", 8 * 3**2)
     with pytest.raises(ResourceLimitError):
         assemble(GridSpec(d=2, n=8), ("power", 1.0), domain=Ball((0.0, 0.0), 1.0))
 
 
 def test_free_rows_take_no_point_cap_but_the_matrix_does(monkeypatch):
-    # the cap guards the m x m matrix of a killed operator; the free sum
+    # the byte budget guards the m x m matrix of a killed operator; the free sum
     # holds one block of its row at a time
-    monkeypatch.setattr(lattice_module, "MAX_POINTS", 3)
+    monkeypatch.setattr(lattice_module, "MAX_BYTES", 8 * 3**2)
     grid = GridSpec(d=3, n=12)
     region = BallIndicator(ORIGIN3, 0.8)
     assert len(grid_points(region, grid)) > 3

@@ -14,6 +14,9 @@ on ``PYTHONPATH``) in a fresh interpreter with one BLAS/OpenMP thread:
 - ``riesz-mc --beta 1.5 --trials 20000``;
 - ``killed-green --n 1458`` (m = 2285) and, on the unit ball in d = 3,
   ``killed-green --n 162`` (m = 1647), both above ``lattice.DENSE_LIMIT``;
+- ``killed-green --n 20000`` (m = 31397), whose killed Green matrix is past
+  the byte budget ``lattice.MAX_BYTES``: a resource stop, exit 1, before any
+  m x m array exists;
 - ``killed-green --n 162 --dump-limit 300`` on the disk (m = 249, its
   matrix dumped), then ``check-potential --matrix @`` that report at its
   default 10000 trials, whose normals the CMP probes score in 40 row blocks;
@@ -27,10 +30,11 @@ on ``PYTHONPATH``) in a fresh interpreter with one BLAS/OpenMP thread:
 - ``--help`` of every subcommand and of ``greenpot`` itself.
 
 ``OUT_DIR`` receives each run's ``.json`` and ``.csv`` (not the
-``.meta.json`` sidecar, which holds a timestamp), each ``--help`` text as
-``<subcommand>.help.txt`` (``greenpot.help.txt`` for the top level) and
-every exit code in ``exit_codes.txt``.  Two captures agree when ``diff -r``
-of their directories prints nothing.
+``.meta.json`` sidecar, which holds a timestamp), the stderr of each run
+that wrote any as ``<label>.stderr.txt`` (so failures are compared too),
+each ``--help`` text as ``<subcommand>.help.txt`` (``greenpot.help.txt``
+for the top level) and every exit code in ``exit_codes.txt``.  Two
+captures agree when ``diff -r`` of their directories prints nothing.
 Standard library only; greenpot is never imported here.
 """
 
@@ -61,6 +65,8 @@ EXTRA = {
     "riesz-mc.beta1.5.trials20000": ["riesz-mc", "--beta", "1.5", "--trials", "20000"],
     "killed-green.n1458": ["killed-green", "--n", "1458"],
     "killed-green.ball3.n162": ["killed-green", "--domain", BALL3, "--n", "162"],
+    # past the byte budget: a resource stop before any m x m array
+    "killed-green.n20000": ["killed-green", "--n", "20000"],
     "killed-green.n162.dump300": ["killed-green", "--n", "162", "--dump-limit", "300"],
     # "{out}" is the output directory, where the run above left its report
     "check-potential.n162": ["check-potential", "--matrix", "@{out}/killed-green.n162.dump300.json"],
@@ -109,6 +115,8 @@ def capture(src_root: Path, out_dir: Path) -> None:
                 (out_dir / f"{label}.txt").write_text(proc.stdout)
             else:
                 (out_dir / f"{label}.meta.json").unlink(missing_ok=True)
+                if proc.stderr:
+                    (out_dir / f"{label}.stderr.txt").write_text(proc.stderr)
             codes.append(f"{label} {proc.returncode}\n")
             print(f"{label}: exit {proc.returncode}", file=sys.stderr)
     (out_dir / "exit_codes.txt").write_text("".join(codes))
