@@ -57,7 +57,7 @@ from .lattice import (ResourceLimitError, far_field, killed_green_matrix, potent
 from .mc import RngStream, estimate_boundary_term, estimate_riesz_potential
 from .operators import BallIndicator, assemble, cmp_functional, converge, is_origin_disk
 from .potential import (classify, hadamard_exp, hadamard_power, is_inverse_m_matrix, killed_green_check,
-                        random_potential)
+                        random_potential, sample_cmp)
 
 STREAMS = {"matrices": 0, "probes": 1, "functions": 2, "walks": 3, "riesz": 4}
 
@@ -122,28 +122,32 @@ def load_domain(cfg):
     return domain_from_json(_document(cfg, "domain"))
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
 def load_matrix(cfg) -> np.ndarray:
     """The --matrix document: a JSON array of rows, or a killed-green report
     or its ``matrix`` object, whose flat ``entries`` are read as m x m with
     m the number of its ``points``.  Anything else is a ValueError."""
-    rows = json.loads(_document(cfg, "matrix"))
-    if isinstance(rows, dict):
-        obj = rows.get("matrix", rows)
+    doc = json.loads(_document(cfg, "matrix"))
+    flat = None
+    if isinstance(doc, dict):
+        obj = doc.get("matrix", doc)
         if not (isinstance(obj, dict) and isinstance(obj.get("points"), list)
                 and isinstance(obj.get("entries"), list)):
             raise ValueError("a matrix object holds 'points' and flat 'entries' arrays")
-        m, entries = len(obj["points"]), obj["entries"]
-        if len(entries) != m * m:
-            raise ValueError(f"{len(entries)} entries do not fill a {m} x {m} matrix")
-        rows = [entries[i * m:(i + 1) * m] for i in range(m)]
-    if not (isinstance(rows, list) and all(isinstance(row, list) and len(row) == len(rows)
-                                           and all(map(_is_number, row)) for row in rows)):
-        raise ValueError("a matrix is a square array of rows of finite numbers")
-    return np.asarray(rows, dtype=float)
+        m, flat = len(obj["points"]), obj["entries"]
+        if len(flat) != m * m:
+            raise ValueError(f"{len(flat)} entries do not fill a {m} x {m} matrix")
+    elif isinstance(doc, list) and all(isinstance(row, list) and len(row) == len(doc) for row in doc):
+        m, flat = len(doc), [v for row in doc for v in row]
+    bad = "a matrix is a square array of rows of finite numbers"
+    if flat is None or not set(map(type, flat)) <= {int, float}:  # bool, str, None, list: not numbers
+        raise ValueError(bad)
+    try:
+        a = np.array(flat, dtype=float)
+    except OverflowError:  # an integer past the largest float
+        raise ValueError(bad) from None
+    if not np.isfinite(a).all():
+        raise ValueError(bad)
+    return a.reshape(m, m)
 
 
 def _jsonable(v):
@@ -247,8 +251,6 @@ run_exp_sweep = _sweep_runner("exp-sweep", "alpha", hadamard_exp)
 
 
 def run_cmp_random(cfg):
-    from .potential import sample_cmp
-
     rows = []
     worst = math.inf
     for i, green in enumerate(_matrix_population(cfg)):

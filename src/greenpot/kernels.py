@@ -109,24 +109,25 @@ def disk_green_2d(radius: float, x, y) -> float:
 def check_transform(kind: str, param: float, d: int, free: bool) -> tuple:
     """Validate a transform against the paper's range; returns ``(kind, float(param))``.
 
-    Powers need ``param >= 1``, and on the free-space kernel (``free``,
-    which needs ``d >= 3``) also ``param < d/(d-2)``.  The exponential is
-    defined in the plane only, with ``0 < param < 2*pi``.
+    ``param`` must be finite.  Powers need ``param >= 1``, and on the free-space
+    kernel (``free``, which needs ``d >= 3``) also ``param < d/(d-2)``.  The
+    exponential is defined in the plane only, with ``0 < param < 2*pi``.
     """
     if free and d < 3:
         raise ValueError("free-space kernels require d >= 3")
+    if kind not in ("power", "exp"):
+        raise ValueError(f"unknown transform {kind!r}")
+    if not math.isfinite(param):
+        raise ValueError(f"{kind} transform requires a finite param")
     if kind == "power":
         if not param >= 1:
             raise ValueError("power transform requires param >= 1")
         if free and not param < d / (d - 2):
             raise ValueError("power transform of the free-space kernel requires param < d/(d-2)")
-    elif kind == "exp":
-        if d != 2:
-            raise ValueError("exp transform is only defined in the plane")
-        if not 0 < param < 2 * math.pi:
-            raise ValueError("exp transform requires 0 < param < 2*pi")
-    else:
-        raise ValueError(f"unknown transform {kind!r}")
+    elif d != 2:
+        raise ValueError("exp transform is only defined in the plane")
+    elif not 0 < param < 2 * math.pi:
+        raise ValueError("exp transform requires 0 < param < 2*pi")
     return kind, float(param)
 
 

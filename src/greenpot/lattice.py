@@ -359,8 +359,8 @@ def _transition_coo(lattice: LatticeSet):
 
 
 MAX_BYTES = 1 << 30  # the one byte budget of the killed Green solves, read at call time
-# numpy inverses up to here; beyond, the scipy routes are faster and lighter even with the scipy.linalg
-# import (measured crossovers 1330-1480 points; in `potential._inverse` 1245-1565, a tie at 1465)
+# `killed_green_matrix` inverts with numpy up to here; beyond, the banded solve is faster and lighter
+# even with the scipy.linalg import (measured crossovers 1330-1480 points)
 DENSE_LIMIT = 1450
 SYMMETRY_TOL = 1e-10
 COLUMN_BLOCK = 256  # columns per block when a full matrix is scanned

@@ -70,41 +70,6 @@ def _check_square_nonneg(u) -> np.ndarray:
     return a
 
 
-def _is_symmetric(a: np.ndarray) -> bool:
-    """``a == a.T`` exactly, compared one block row at a time."""
-    step = lattice.COLUMN_BLOCK
-    return all(np.array_equal(a[lo:lo + step, lo:], a[lo:, lo:lo + step].T)
-               for lo in range(0, len(a), step))
-
-
-def _mirror_lower(a: np.ndarray) -> None:
-    """Copy the strict lower triangle of square `a` onto the upper one, row by row."""
-    for i in range(len(a)):
-        a[i, i + 1:] = a[i + 1:, i]
-
-
-def _inverse(a: np.ndarray) -> np.ndarray:
-    """``a^-1``: LAPACK's Cholesky (``potrf``/``potri``, half the flops of LU)
-    on a copy of an exactly symmetric `a` beyond `lattice.DENSE_LIMIT` rows;
-    numpy's LU for everything else, or where ``potrf`` fails.  `a` is left
-    as it was."""
-    # not scipy.linalg.inv: with scipy 1.17.1 its overwrite_a=True crashes (SIGSEGV) on some
-    # symmetric indefinite inputs, and assume_a="gen", which avoids that, needs scipy >= 1.17
-    if len(a) <= lattice.DENSE_LIMIT or not _is_symmetric(a):
-        return np.linalg.inv(a)
-    from scipy.linalg import lapack
-
-    # a.T of a C-ordered a is F-contiguous, LAPACK's layout, and equal to the symmetric a
-    c, info = lapack.dpotrf(a if a.flags.f_contiguous else a.T, lower=1, clean=0)
-    if info != 0:
-        return np.linalg.inv(a)
-    c, info = lapack.dpotri(c, lower=1, overwrite_c=1)
-    if info != 0:
-        raise np.linalg.LinAlgError("Singular matrix")
-    _mirror_lower(c)
-    return c
-
-
 @np.errstate(over="ignore")  # a column sum past the largest float is the intended inf
 def _norm_1(a: np.ndarray) -> float:
     """``numpy.linalg.norm(a, 1)`` of a square `a`, one column block at a time."""
@@ -121,13 +86,11 @@ def is_inverse_m_matrix(u, tol: float = DEFAULT_TOL) -> PotentialReport:
     within ``tol * scale`` of 0 is reported as 0.0, so roundoff does not
     reach the report.  The reported ``condition`` is the 1-norm condition
     number ``|u|_1 |u^-1|_1``, taken from the inverse already in hand and
-    reported to 12 significant digits (the last ones move with the LAPACK
-    route and the BLAS threads); beyond 1e12 it marks the report unreliable
-    instead of deciding.
+    reported to 12 significant digits (the last ones move with the BLAS
+    threads); beyond 1e12 it marks the report unreliable instead of deciding.
 
-    Beyond `lattice.DENSE_LIMIT` rows an exactly symmetric ``u`` is inverted
-    by LAPACK's Cholesky on one copy; any other ``u`` goes to numpy's LU.
-    ``u`` is left as it was, and the checks make no ``m x m`` temporary.
+    ``u`` is inverted by numpy's LU at every size and left as it was; the
+    checks make no ``m x m`` temporary.
     `killed_green_check` decides a killed Green matrix without inverting it.
     """
     return _inverse_m_test(_check_square_nonneg(u), tol)[0]
@@ -137,7 +100,7 @@ def _inverse_m_test(a: np.ndarray, tol: float) -> tuple[PotentialReport, np.ndar
     """`is_inverse_m_matrix` of a checked `a`, and the inverse it formed (``None`` if singular)."""
     norm = _norm_1(a)
     try:
-        inv = _inverse(a)
+        inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         return PotentialReport(False, math.nan, math.nan, False), None
     cond = norm * _norm_1(inv)
@@ -270,14 +233,18 @@ def classify(u, trials: int = 0, seed: int = 0, tol: float = DEFAULT_TOL) -> Pot
 
 
 def hadamard_power(u, beta: float) -> np.ndarray:
-    """Entrywise power ``u ** beta`` for ``beta >= 1``."""
+    """Entrywise power ``u ** beta`` for a finite ``beta >= 1``."""
+    if not math.isfinite(beta):
+        raise ValueError("power transform requires a finite param")
     if beta < 1:
         raise ValueError("entrywise powers below 1 are not potential-preserving")
     return _check_square_nonneg(u) ** beta
 
 
 def hadamard_exp(u, alpha: float) -> np.ndarray:
-    """Entrywise exponential ``exp(alpha * u)`` for ``alpha > 0``."""
+    """Entrywise exponential ``exp(alpha * u)`` for a finite ``alpha > 0``."""
+    if not math.isfinite(alpha):
+        raise ValueError("exp transform requires a finite param")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     return np.exp(alpha * _check_square_nonneg(u))

@@ -93,8 +93,7 @@ LAPACK_CASES = {
     "power3.7": lambda: hadamard_power(_disk18(), 3.7),
     "exp0.5": lambda: hadamard_exp(_disk18(), 0.5),
     "not_potential": lambda: np.array(NOT_POTENTIAL),
-    # ones + I with its last diagonal entry 0.5: symmetric, Cholesky fails only at the last row
-    "indefinite": lambda: np.ones((40, 40)) + np.diag(np.r_[np.ones(39), -0.5]),
+    "indefinite": lambda: np.ones((40, 40)) + np.diag(np.r_[np.ones(39), -0.5]),  # symmetric
     "singular": lambda: np.ones((3, 3)),
     "unreliable": lambda: np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]),
     "scalar": lambda: np.array([[2.5]]),
@@ -102,74 +101,49 @@ LAPACK_CASES = {
 }
 
 
-# exactly symmetric and positive definite: Cholesky above DENSE_LIMIT; the rest take numpy's LU
-CHOLESKY_CASES = {"disk", "power3.7", "exp0.5", "unreliable", "scalar"}
-
-
 @pytest.mark.parametrize("case", LAPACK_CASES)
 def test_lapack_inverse_route_matches_numpy_inverse(case, monkeypatch):
+    # one numpy LU of u itself per report, in either memory order and any column
+    # blocking; u is left as it was
     u = LAPACK_CASES[case]()
     dense = asdict(is_inverse_m_matrix(u))
     inv, calls = np.linalg.inv, []
 
     def numpy_inverse(a):
-        if case in CHOLESKY_CASES:
-            raise AssertionError("numpy inverse used on a Cholesky case above DENSE_LIMIT")
-        calls.append(len(a))
+        calls.append(a)
         return inv(a)
 
-    monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
     monkeypatch.setattr(lattice_module, "COLUMN_BLOCK", 7)  # several blocks in each blockwise pass
     monkeypatch.setattr(np.linalg, "inv", numpy_inverse)
-    kept = u.copy()
-    # a C-ordered u (inverted as its transpose) and an F-ordered copy
-    routes = [is_inverse_m_matrix(u), is_inverse_m_matrix(u.copy(order="F"))]
+    kept, f_order = u.copy(), u.copy(order="F")
+    reports = [is_inverse_m_matrix(u), is_inverse_m_matrix(f_order)]
     monkeypatch.undo()
-    assert np.array_equal(u, kept)
-    assert calls == ([] if case in CHOLESKY_CASES else [len(u)] * 2)
-    for lapack in map(asdict, routes):
+    assert np.array_equal(u, kept) and np.array_equal(f_order, kept)
+    assert len(calls) == 2 and calls[0] is u and calls[1] is f_order
+    for report in map(asdict, reports):
         if case == "singular":
-            assert lapack["nonsingular"] is False
+            assert report["nonsingular"] is False
         if case == "unreliable":
-            assert lapack["unreliable"] is True
-        # verdicts exactly; values of the two inverses to 1e-12 (roundoff-level extremes read 0.0)
-        assert {k: v for k, v in lapack.items() if not isinstance(v, float)} == \
+            assert report["unreliable"] is True
+        # verdicts exactly; values to 1e-12 (roundoff-level extremes read 0.0)
+        assert {k: v for k, v in report.items() if not isinstance(v, float)} == \
             {k: v for k, v in dense.items() if not isinstance(v, float)}
-        assert lapack == pytest.approx(dense, rel=1e-12, abs=0.0, nan_ok=True)
-
-
-@pytest.mark.parametrize("case, unused",
-                         [("disk", "dgetrf"), ("disk", "inv"), ("nonsymmetric", "dpotrf")])
-def test_lapack_route_follows_symmetry(case, unused, monkeypatch):
-    # exactly symmetric positive definite: Cholesky alone, neither LAPACK's nor numpy's LU;
-    # nonsymmetric: numpy's LU alone
-    from scipy.linalg import lapack
-
-    u = LAPACK_CASES[case]()
-    dense = is_inverse_m_matrix(u)
-
-    def unused_route(*args, **kwargs):
-        raise AssertionError(f"{unused} called")
-
-    monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
-    monkeypatch.setattr(np.linalg if unused == "inv" else lapack, unused, unused_route)
-    for order in "CF":
-        report = asdict(is_inverse_m_matrix(u.copy(order=order)))
-        assert report == pytest.approx(asdict(dense), rel=1e-12, abs=0.0, nan_ok=True)
+        assert report == pytest.approx(dense, rel=1e-12, abs=0.0, nan_ok=True)
 
 
 def test_every_case_classifies_without_lapack_lu(monkeypatch):
+    # scipy's LAPACK is never called, not even past lattice.DENSE_LIMIT
     from scipy.linalg import lapack
 
-    def lu(*args, **kwargs):
-        raise AssertionError("LAPACK LU called")
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy LAPACK called")
 
     for case, make in LAPACK_CASES.items():
         u = make()
-        dense = asdict(classify(u))
+        dense = asdict(is_inverse_m_matrix(u))
         monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
-        monkeypatch.setattr(lapack, "dgetrf", lu)
-        monkeypatch.setattr(lapack, "dgetri", lu)
+        for name in ("dgetrf", "dgetri", "dpotrf", "dpotri"):
+            monkeypatch.setattr(lapack, name, refuse)
         reports = [classify(u), is_inverse_m_matrix(u.copy(order="F"))]
         monkeypatch.undo()
         for report in map(asdict, reports):
@@ -177,42 +151,15 @@ def test_every_case_classifies_without_lapack_lu(monkeypatch):
 
 
 @pytest.mark.parametrize("order", "CF")
-def test_nonsymmetric_input_is_not_overwritten(order, monkeypatch):
+def test_nonsymmetric_input_is_not_overwritten(order):
     # one entry off symmetric in the last row: numpy's LU on u itself, which it leaves as it was
     u = _disk18()
     u[-1, 0] *= 1.5
     u = u.copy(order=order)
     kept = u.copy()
-    monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
     report = is_inverse_m_matrix(u)
     assert report.nonsingular is True
     assert np.array_equal(u, kept)
-
-
-@pytest.mark.parametrize("case", ["not_potential", "indefinite", "singular"])
-def test_failed_in_place_cholesky_reports_as_copy_route(case, monkeypatch):
-    # potrf fails on these symmetric inputs, which then go to numpy's LU,
-    # in either memory order, and are left as they were
-    from scipy.linalg import lapack
-
-    u = LAPACK_CASES[case]()
-    potrf, infos = lapack.dpotrf, []
-
-    def recorded(*args, **kwargs):
-        c, info = potrf(*args, **kwargs)
-        infos.append(info)
-        return c, info
-
-    monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
-    monkeypatch.setattr(lapack, "dpotrf", recorded)
-    kept = u.copy()
-    reports = [is_inverse_m_matrix(u), is_inverse_m_matrix(u.copy(order="F"))]
-    assert len(infos) == 2 and all(info > 0 for info in infos)
-    assert np.array_equal(u, kept)
-    texts = {canonical_json(_jsonable(asdict(report))) for report in reports}
-    assert len(texts) == 1
-    if case != "singular":  # the same LU on the same matrix: bit-identical inverses
-        assert np.array_equal(potential_module._inverse(u.copy(order="F")), np.linalg.inv(kept))
 
 
 def _agree(residual, inverse):
@@ -266,15 +213,12 @@ def test_killed_green_check_raises_when_the_residual_certifies_nothing():
 
 
 def test_killed_green_check_inverts_nothing(monkeypatch):
-    from scipy.linalg import lapack
-
     green = killed_green_matrix(grid_points(Ball((0.0, 0.0), 1.0), GridSpec(d=2, n=930)))
 
     def refuse(*args, **kwargs):
         raise AssertionError("inverted")
 
-    for module, name in [(np.linalg, "inv"), (lapack, "dpotrf"), (lapack, "dpotri")]:
-        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
     assert killed_green_check(green).is_potential is True
 
 
@@ -420,23 +364,21 @@ def test_sample_cmp_probes_stay_within_traced_memory():
 
 @pytest.mark.parametrize("dense_limit", [None, 0])
 def test_classify_inverts_once(dense_limit, monkeypatch):
-    # the probes take the inverse-M test's inverse; numpy's inverse only below DENSE_LIMIT
-    u, calls = _disk18(), {"_inverse": 0, "numpy": 0}
+    # the probes take the inverse-M test's inverse: one numpy inverse per classify,
+    # whichever side of lattice.DENSE_LIMIT the matrix lies on
+    u, calls = _disk18(), []
+    inverse = np.linalg.inv
 
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted(a):
+        calls.append(len(a))
+        return inverse(a)
 
     if dense_limit is not None:
         monkeypatch.setattr(lattice_module, "DENSE_LIMIT", dense_limit)
-    inverse = potential_module._inverse
-    monkeypatch.setattr(potential_module, "_inverse", counted("_inverse", inverse))
-    monkeypatch.setattr(np.linalg, "inv", counted("numpy", np.linalg.inv))
+    monkeypatch.setattr(np.linalg, "inv", counted)
     report = classify(u, trials=100, seed=3)
     assert report.is_potential is True and report.cmp_inequality_min == 0.0
-    assert calls == {"_inverse": 1, "numpy": 1 if dense_limit is None else 0}
+    assert calls == [len(u)]
 
 
 def test_classify_shares_the_inverse_when_unreliable():

@@ -21,12 +21,14 @@ on ``PYTHONPATH``) in a fresh interpreter with one BLAS/OpenMP thread:
   matrix dumped), then ``check-potential --matrix @`` that report at its
   default 10000 trials, whose normals the CMP probes score in 40 row blocks;
 - ``killed-green --n 930 --dump-limit 1500`` on the disk (m = 1465, just
-  above ``lattice.DENSE_LIMIT``), then ``check-potential --matrix @`` that
-  report at ``--trials 0``: Cholesky on a copy in both;
+  above ``lattice.DENSE_LIMIT``: the banded solve), then ``check-potential
+  --matrix @`` that report at ``--trials 0``: numpy's LU, as at every size;
 - ``lattice-green --d 4 --max 31`` and ``--d 2 --max 300``, whose tables
   reach past the exact ranges 16 and 256;
 - ``check-potential --matrix [[1e308,1e308],[0,1e308]] --trials 0``, whose
   condition estimate overflows;
+- ``hadamard-sweep --betas nan --count 2`` and ``converge-disk --transform
+  power:inf --levels 2``, non-finite transform parameters;
 - ``--help`` of every subcommand and of ``greenpot`` itself.
 
 ``OUT_DIR`` receives each run's ``.json`` and ``.csv`` (not the
@@ -79,6 +81,9 @@ EXTRA = {
     # the 1-norm condition estimate overflows to inf
     "check-potential.overflow": ["check-potential", "--matrix", "[[1e308,1e308],[0,1e308]]",
                                  "--trials", "0"],
+    # non-finite transform parameters
+    "hadamard-sweep.betas-nan": ["hadamard-sweep", "--betas", "nan", "--count", "2"],
+    "converge-disk.power-inf": ["converge-disk", "--transform", "power:inf", "--levels", "2"],
 }
 THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
