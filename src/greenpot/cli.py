@@ -24,7 +24,8 @@ walks, 4 occupation-integral sampling.
 
 Exit codes: 0 pass, 1 assertion failure, resource stop (`ResourceLimitError`: a
 byte or step budget; `QuadratureError`) or numerical failure (`LinAlgError`: a
-singular, asymmetric or uncertified solve), 2 usage error.
+singular, asymmetric or uncertified solve, or a transform that takes a kernel
+value to 0 or past the largest float), 2 usage error.
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ from .domains import (
     nonempty_grid_points,
 )
 from .kernels import QuadratureError, ball_kernel_integral, disk_green_2d
-from .lattice import (ResourceLimitError, far_field, killed_green_matrix, potential_kernel_2d_array,
-                      whole_space_green_array)
+from .lattice import ResourceLimitError, far_field, killed_green_matrix, lattice_kernel
 from .mc import RngStream, estimate_boundary_term, estimate_riesz_potential
 from .operators import BallIndicator, assemble, cmp_functional, converge, is_origin_disk
 from .potential import (classify, hadamard_exp, hadamard_power, is_inverse_m_matrix, killed_green_check,
@@ -173,8 +173,7 @@ def run_lattice_green(cfg):
     d, top = cfg["d"], cfg["max"]
     points = [(0,) * d] + [(k,) + (0,) * (d - 1) for k in range(1, top + 1)]
     points += [(k, k) + (0,) * (d - 2) for k in range(1, top + 1) if k * math.sqrt(2) <= top]
-    # the kernel before the asymptote: it rejects d < 2 with its own message
-    values = potential_kernel_2d_array(points) if d == 2 else whole_space_green_array(d, points)
+    values = lattice_kernel(d, points)  # before the asymptote: it rejects d < 2 with its own message
     rows = [[p, v, a, v / a] for p, v, a in
             zip(points[1:], values[1:].tolist(), far_field(d, points[1:]).tolist())]
     report = {

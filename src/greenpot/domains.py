@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeSet
+from . import lattice
+from .lattice import LatticeSet, ResourceLimitError
 
 __all__ = [
     "Ball",
@@ -317,7 +318,7 @@ def domain_from_json(text: str):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Lattice ``sqrt(d/n) Z^d``; `refine` divides the spacing by 3."""
+    """Lattice ``sqrt(d/n) Z^d``; each step of `level_sequence` divides the spacing by 3."""
 
     d: int
     n: int
@@ -334,11 +335,6 @@ class GridSpec:
     def green_scale(self) -> float:
         """Factor taking walk Green values to the continuum kernel's scale."""
         return self.n ** (self.d / 2.0 - 1.0) / self.d ** (self.d / 2.0)
-
-    def refine(self, levels: int = 1) -> "GridSpec":
-        if levels < 0:
-            raise ValueError("levels must be nonnegative")
-        return GridSpec(d=self.d, n=self.n * 9**levels)
 
     @classmethod
     def level_sequence(cls, d: int, base: int, count: int) -> list["GridSpec"]:
@@ -361,8 +357,14 @@ def _bbox_blocks(region, grid: GridSpec, pad: float = 0.0):
 
 def _grid_where(domain, grid: GridSpec, keep, pad: float = 0.0) -> LatticeSet:
     """Indices of the bounding box widened by `pad` whose scaled points
-    satisfy `keep`, evaluated on one block at a time."""
-    kept = [cand[keep(cand * grid.h)] for cand in _bbox_blocks(domain, grid, pad)]
+    satisfy `keep`, evaluated on one block at a time.  Kept int64 points past
+    `lattice.MAX_BYTES` are a `ResourceLimitError` before they are joined."""
+    kept, need = [], 0
+    for cand in _bbox_blocks(domain, grid, pad):
+        kept.append(cand[keep(cand * grid.h)])
+        if (need := need + kept[-1].nbytes) > lattice.MAX_BYTES:
+            raise ResourceLimitError(f"the grid's kept points pass {need} bytes, "
+                                     f"over the budget of {lattice.MAX_BYTES}")
     return LatticeSet(d=grid.d, points=np.concatenate(kept))
 
 

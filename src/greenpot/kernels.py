@@ -25,6 +25,7 @@ __all__ = [
     "ball_integral_route",
     "volume_bound",
     "check_transform",
+    "transformed",
 ]
 
 
@@ -131,6 +132,23 @@ def check_transform(kind: str, param: float, d: int, free: bool) -> tuple:
     return kind, float(param)
 
 
+def transformed(kind: str, param: float, u):
+    """``u**param`` or ``exp(param u)`` of a kernel value or array ``u >= 0``; a numerical
+    failure (`numpy.linalg.LinAlgError`) if it takes the largest entry, which bounds the
+    rest, to 0 or past the largest float.  Only that entry is checked, before the array."""
+    top = float(np.max(u, initial=-math.inf))
+    try:
+        peak = top**param if kind == "power" else math.exp(param * top)
+    except OverflowError:
+        peak = math.inf
+    if top > 0 and not 0 < peak < math.inf:
+        raise np.linalg.LinAlgError(f"{kind}:{param:g} takes the kernel value {top:.6g} "
+                                    "out of the float range")
+    if np.ndim(u) == 0:
+        return peak
+    return u**param if kind == "power" else np.exp(param * u)
+
+
 def riesz_params(d: int, beta: float) -> tuple:
     """Riesz index and subordination coefficient ``(alpha, coefficient)``
     of the beta-power kernel.
@@ -231,7 +249,7 @@ def _ball_power_integral(d: int, s: float, a: float, r: float, tol: float) -> fl
     return volume * a**-s * hyp2f1(s / 2.0, (s - d) / 2.0 + 1.0, d / 2.0 + 1.0, (r / a) ** 2)
 
 
-def ball_kernel_integral(d: int, beta: float, x, center, r: float, tol: float = 1e-8) -> float:
+def ball_kernel_integral(d: int, beta: float, x, center, r: float) -> float:
     """Integral of ``y -> free_green(d, x, y)**beta`` over ``B(center, r)``.
 
     `beta` must lie in the free-space range ``1 <= beta < d/(d-2)``,
@@ -239,13 +257,13 @@ def ball_kernel_integral(d: int, beta: float, x, center, r: float, tol: float = 
     ball; `r` must be positive.  The integral is in closed form (within
     1e-15 relative) for a source at the center and for a source at
     distance at least ``2r`` from it; otherwise it is a polar quadrature
-    and `tol` is its relative tolerance.
+    to relative tolerance 1e-8.
     """
     _, beta = check_transform("power", beta, d, True)
     if r <= 0:
         raise ValueError("ball radius must be positive")
     a = float(np.linalg.norm(_as_point(x, d) - _as_point(center, d)))
-    return green_constant(d) ** beta * _ball_power_integral(d, beta * (d - 2), a, r, tol)
+    return green_constant(d) ** beta * _ball_power_integral(d, beta * (d - 2), a, r, 1e-8)
 
 
 def volume_bound(d: int, beta: float, diameter: float) -> float:

@@ -1,7 +1,7 @@
 """Green functions of the simple random walk on Z^d.
 
-Whole-space values for ``d >= 3`` and the planar potential kernel are
-computed from the continuous-time representation
+Whole-space values for ``d >= 3`` and the planar potential kernel, both
+read through `lattice_kernel`, come from the continuous-time representation
 
     g(0, x) = int_0^inf prod_j e^(-t/d) I_{x_j}(t/d) dt,
 
@@ -54,10 +54,9 @@ from .kernels import green_constant
 __all__ = [
     "LatticeSet",
     "KilledGreenMatrix",
+    "lattice_kernel",
     "whole_space_green",
-    "whole_space_green_array",
     "potential_kernel_2d",
-    "potential_kernel_2d_array",
     "POTENTIAL_KERNEL_CONSTANT",
     "killed_green_matrix",
     "killed_green_entries",
@@ -69,8 +68,9 @@ __all__ = [
     "EXACT_RANGE",
 ]
 
-# lattice vectors with sup-norm beyond this use the continuum asymptote
+# lattice vectors with sup-norm beyond these use the continuum asymptote: d >= 3, then the plane
 EXACT_RANGE = 16
+POTENTIAL_EXACT_RANGE = 256
 
 # additive constant of the planar potential-kernel asymptote
 POTENTIAL_KERNEL_CONSTANT = (2.0 * np.euler_gamma + math.log(8.0)) / math.pi
@@ -267,63 +267,46 @@ def _lattice_kernel(d: int, points, exact_range: int) -> np.ndarray:
     return out
 
 
-def whole_space_green_array(d: int, points, exact_range: int = EXACT_RANGE) -> np.ndarray:
-    """`whole_space_green` at every row of a ``(k, d)`` integer array."""
-    if d < 3:
-        raise ValueError("whole-space Green function requires d >= 3 (transience)")
-    return _lattice_kernel(d, points, exact_range)
+def lattice_kernel(d: int, points) -> np.ndarray:
+    """The planar potential kernel (``d = 2``) or the whole-space Green function
+    (``d >= 3``) at every row of a ``(k, d)`` integer array: the Bessel key sum to
+    sup norm `POTENTIAL_EXACT_RANGE` or `EXACT_RANGE`, `far_field` beyond."""
+    if d < 2:
+        raise ValueError("lattice kernels require d >= 2 (the potential kernel in the plane)")
+    return _lattice_kernel(d, points, POTENTIAL_EXACT_RANGE if d == 2 else EXACT_RANGE)
 
 
 def whole_space_green(d: int, x, exact_range: int = EXACT_RANGE) -> float:
-    """Expected visits to ``x`` by the walk started at 0, for ``d >= 3``.
+    """Expected visits to the lattice point ``x`` by the walk started at 0, for ``d >= 3``.
 
     Values with ``|x|_inf <= exact_range`` are the Bessel key sum of the
     module docstring, checked against adaptive quadrature to 1e-11
     relative; beyond it `far_field`'s asymptote ``d C(d) |x|^(2-d)``.
     Values depend only on the sorted absolute coordinates, so coordinate
-    permutations and sign flips leave them bit for bit unchanged.
-
-    Parameters
-    ----------
-    d : int
-        Dimension, at least 3.
-    x : array_like of int
-        Lattice point.
-    exact_range : int
-        Sup-norm radius of the Bessel key sum.
-
-    Returns
-    -------
-    float
+    permutations and sign flips leave them bit for bit unchanged.  At the
+    default range this is one row of `lattice_kernel`.
     """
+    if d < 3:
+        raise ValueError("whole-space Green function requires d >= 3 (transience)")
     point = np.asarray(x, dtype=np.int64)
     if point.shape != (d,):
         raise ValueError(f"expected a lattice point of dimension {d}")
-    return float(whole_space_green_array(d, point, exact_range)[0])
+    return float(_lattice_kernel(d, point, exact_range)[0])
 
 
-# beyond this sup-norm radius the planar kernel uses its log asymptote
-POTENTIAL_EXACT_RANGE = 256
-
-
-def potential_kernel_2d_array(points, exact_range: int = POTENTIAL_EXACT_RANGE) -> np.ndarray:
-    """`potential_kernel_2d` at every row of a ``(k, 2)`` integer array."""
-    return _lattice_kernel(2, points, exact_range)
-
-
-def potential_kernel_2d(x, exact_range: int = POTENTIAL_EXACT_RANGE) -> float:
+def potential_kernel_2d(x) -> float:
     """Potential kernel ``a(x)`` of the planar simple random walk.
 
     ``a(0) = 0``; elsewhere the compensated Bessel integral
     ``int_0^inf (e^-t I_0(t/2)^2 - e^-t I_{x_1}(t/2) I_{x_2}(t/2)) dt`` on
     the shared rule of the module docstring.  Points with
-    ``|x|_inf > exact_range`` use the asymptote
+    ``|x|_inf > POTENTIAL_EXACT_RANGE`` use the asymptote
     ``(2/pi) log|x| + (2 gamma + log 8)/pi`` of `far_field`.
     """
     point = np.asarray(x, dtype=np.int64)
     if point.shape != (2,):
         raise ValueError("potential kernel is defined on Z^2")
-    return float(potential_kernel_2d_array(point, exact_range)[0])
+    return float(lattice_kernel(2, point)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +567,6 @@ def killed_green_via_kernel(lattice: LatticeSet, x, y, exit_law: dict) -> float:
         raise ValueError("exit law weights exceed 1")
     # x - y, then each exit point minus y, in one kernel call
     points = np.array([x, *exit_law], dtype=np.int64) - np.asarray(y, dtype=np.int64)
-    if d == 2:
-        a = potential_kernel_2d_array(points)
-        return float(probs @ a[1:] - a[0])
-    g = whole_space_green_array(d, points)
-    return float(g[0] - probs @ g[1:])
+    g = lattice_kernel(d, points)
+    value = float(g[0] - probs @ g[1:])
+    return -value if d == 2 else value

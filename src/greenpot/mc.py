@@ -31,10 +31,9 @@ from .lattice import (
     LatticeSet,
     ResourceLimitError,
     _neighbours,
+    lattice_kernel,
     potential_kernel_2d,
-    potential_kernel_2d_array,
     unit_steps,
-    whole_space_green_array,
 )
 
 __all__ = [
@@ -166,16 +165,12 @@ def estimate_boundary_term(domain, grid: GridSpec, x, y, trials: int, rng: RngSt
     if np.array_equal(u, v):
         raise ValueError("x and y round to the same grid point")
     d = grid.d
-    scale = grid.green_scale
-    a_uv = potential_kernel_2d(u - v) if d == 2 else None
+    offset = potential_kernel_2d(u - v) if d == 2 else 0.0
     nbr = _neighbours(lattice)[1]
     total = total_sq = 0.0
     for b, size in enumerate(_block_sizes(trials)):
         exits = _walk_block(lattice, u, size, generator(rng.seed, rng.stream, b), nbr)
-        if d == 2:
-            vals = 0.5 * (potential_kernel_2d_array(exits - v) - a_uv)
-        else:
-            vals = scale * whole_space_green_array(d, exits - v)
+        vals = grid.green_scale * (lattice_kernel(d, exits - v) - offset)
         total += float(vals.sum())
         total_sq += float((vals**2).sum())
     return _estimate(total, total_sq, trials, rng.seed)

@@ -36,13 +36,13 @@ from .domains import (
     round_to_grid,
     split_ties,
 )
-from .kernels import ball_integral_route, ball_kernel_integral, check_transform, disk_green_2d
+from .kernels import ball_integral_route, ball_kernel_integral, check_transform, disk_green_2d, transformed
 from .lattice import (
     LatticeSet,
     killed_green_entries,
     killed_green_matrix,
+    lattice_kernel,
     whole_space_green,  # noqa: F401  unused; perfbench/selftest.py and tests pin this binding
-    whole_space_green_array,
 )
 from .potential import cmp_inequality
 
@@ -76,21 +76,16 @@ def is_origin_disk(domain) -> bool:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Killed grid Green operator: index set, entry transform and entry matrix."""
+    """Killed grid Green operator: its grid, index set and entry matrix."""
 
     grid: GridSpec
     lattice: LatticeSet
-    transform: tuple
     matrix: np.ndarray
 
 
 def _weighted(green: np.ndarray, grid: GridSpec, kind: str, param: float) -> np.ndarray:
     """Operator entries ``h^d T(scale * green)`` of Green values."""
-    scaled = green * grid.green_scale
-    weight = grid.h**grid.d
-    if kind == "power":
-        return weight * scaled**param
-    return weight * np.exp(param * scaled)
+    return grid.h**grid.d * transformed(kind, param, green * grid.green_scale)
 
 
 def assemble(grid: GridSpec, transform, domain) -> DiscreteOperator:
@@ -104,7 +99,7 @@ def assemble(grid: GridSpec, transform, domain) -> DiscreteOperator:
     kind, param = check_transform(*transform, grid.d, False)
     lattice = nonempty_grid_points(domain, grid)
     entries = _weighted(killed_green_matrix(lattice).entries, grid, kind, param)
-    return DiscreteOperator(grid=grid, lattice=lattice, transform=(kind, param), matrix=entries)
+    return DiscreteOperator(grid=grid, lattice=lattice, matrix=entries)
 
 
 def _eval_on_points(f, pts: np.ndarray) -> np.ndarray:
@@ -148,7 +143,7 @@ def free_operator_value(grid: GridSpec, transform, f, x) -> float:
     for k in _bbox_blocks(f, grid, pad=2.0 * grid.h):
         samples = _eval_on_points(f, k * grid.h + shift)
         support = samples != 0
-        weights = _weighted(whole_space_green_array(grid.d, k[support] - z), grid, kind, param)
+        weights = _weighted(lattice_kernel(grid.d, k[support] - z), grid, kind, param)
         total += float(np.sum(weights * samples[support]))
     return total
 
@@ -216,11 +211,6 @@ def _split_cells(t: np.ndarray):
     return cell, np.where(tie, 0.0, t - cell)
 
 
-def _transformed(value: float, kind: str, param: float) -> float:
-    """One kernel value under the transform ``(kind, param)``."""
-    return value**param if kind == "power" else math.exp(param * value)
-
-
 def _disk_point_value(domain, transform, x, y, grid: GridSpec) -> float:
     """Transformed, scaled killed Green value at continuum points (x, y).
 
@@ -242,7 +232,7 @@ def _disk_point_value(domain, transform, x, y, grid: GridSpec) -> float:
             corners.append(ky + bits)
             weights.append(w)
     green = float(np.dot(weights, killed_green_entries(lattice, kx, corners)))
-    return _transformed(green * grid.green_scale, *transform)
+    return transformed(*transform, green * grid.green_scale)
 
 
 def converge(domain, transform, x, target, levels: int, base: int) -> ConvergenceReport:
@@ -286,7 +276,7 @@ def converge(domain, transform, x, target, levels: int, base: int) -> Convergenc
         kind, param = check_transform(*transform, d, False)
         if np.array_equal(np.asarray(x, dtype=float), np.asarray(target, dtype=float)):
             raise ValueError("x and y coincide, at the pole of the disk kernel")
-        reference = _transformed(disk_green_2d(domain.radius, x, target), kind, param)
+        reference = transformed(kind, param, disk_green_2d(domain.radius, x, target))
         provenance = "disk kernel, reflected-point formula"
 
         def value(grid):

@@ -164,6 +164,20 @@ def test_non_finite_transform_parameters_are_usage_errors(capsys, argv):
     assert err.startswith("error:") and "finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["hadamard-sweep", "--betas", "1e308", "--count", "2"],
+    ["exp-sweep", "--alphas", "1000", "--count", "2"],
+    ["cmp-functional", "--domain", DISK, "--transform", "power:1e308", "--functions", "2"],
+    ["converge-disk", "--transform", "power:1e308", "--levels", "2"],  # the reference underflows
+], ids=lambda argv: " ".join("DISK" if a == DISK else a for a in argv))
+def test_transforms_past_the_float_range_are_numerical_failures(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(capsys, argv)
+    assert rc == 1 and out == "" and caught == []
+    assert err.startswith("numerical failure:") and "float range" in err and "Traceback" not in err
+
+
 def test_converge_disk_at_the_pole_is_usage_error(capsys):
     rc, out, err = run_cli(capsys, ["converge-disk", "--x", "0.2,0", "--y", "0.2,0"])
     assert rc == 2 and out == ""
@@ -225,6 +239,16 @@ def test_oversized_random_population_is_resource_stop(capsys, monkeypatch):
     # the budget sits in killed_green_matrix, so random populations meet it too
     monkeypatch.setattr(lattice_module, "MAX_BYTES", 8 * 4**2)
     rc, out, err = run_cli(capsys, ["hadamard-sweep", "--count", "1", "--sizes", "5,6"])
+    assert rc == 1 and out == ""
+    assert err.startswith("resource stop:") and "Traceback" not in err
+
+
+def test_oversized_grid_is_resource_stop(capsys, monkeypatch):
+    # the n = 18 disk keeps 25 points, 400 int64 bytes, before any consumer's budget
+    monkeypatch.setattr(lattice_module, "MAX_BYTES", 399)
+    with pytest.raises(lattice_module.ResourceLimitError, match="400 bytes"):
+        grid_points(Ball((0.0, 0.0), 1.0), GridSpec(d=2, n=18))
+    rc, out, err = run_cli(capsys, ["domain-grid", "--domain", DISK, "--n", "18"])
     assert rc == 1 and out == ""
     assert err.startswith("resource stop:") and "Traceback" not in err
 

@@ -35,14 +35,10 @@ def test_grid_spec_spacing():
     assert GridSpec(d=2, n=2).h == pytest.approx(1.0, rel=1e-15)
     assert GridSpec(d=3, n=3).h == pytest.approx(1.0, rel=1e-15)
     assert GridSpec(d=2, n=8).h == pytest.approx(0.5, rel=1e-15)
-    assert GridSpec(d=2, n=2).refine().n == 18
-    assert GridSpec(d=2, n=2).refine().h == pytest.approx(1.0 / 3.0, rel=1e-15)
     seq = GridSpec.level_sequence(2, 2, 4)
     assert [g.n for g in seq] == [2, 18, 162, 1458]
     with pytest.raises(ValueError):
         GridSpec(d=0, n=1)
-    with pytest.raises(ValueError):
-        GridSpec(d=2, n=2).refine(-1)
 
 
 def test_unit_ball_coarse_grid_is_origin_only():
@@ -210,7 +206,7 @@ def test_exterior_grid_of_coarse_ball():
 def test_refinement_nests_scaled_points():
     ball = Ball((0.0, 0.0), 1.0)
     g = GridSpec(d=2, n=18)
-    fine = {tuple(p) for p in grid_points(ball, g.refine()).points}
+    fine = {tuple(p) for p in grid_points(ball, GridSpec(d=2, n=9 * 18)).points}
     for p in grid_points(ball, g).points:
         assert tuple(3 * p) in fine
 

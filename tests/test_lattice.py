@@ -38,7 +38,7 @@ from greenpot import (
     whole_space_green,
 )
 from greenpot import lattice as lattice_module
-from greenpot.lattice import EXACT_RANGE, whole_space_green_array
+from greenpot.lattice import EXACT_RANGE, POTENTIAL_EXACT_RANGE, lattice_kernel
 
 
 def _fourier_green_3d(x):
@@ -180,7 +180,7 @@ def test_bessel_table_matches_scalar_quadrature(d, top, ranges):
     oracle = np.array([_quad_green(d, k) for k in keys])
     for exact_range in ranges:
         near = keys[:, -1] <= exact_range
-        table = whole_space_green_array(d, keys[near], exact_range=exact_range)
+        table = lattice_module._lattice_kernel(d, keys[near], exact_range)
         np.testing.assert_allclose(table, oracle[near], rtol=1e-11, atol=0)
 
 
@@ -205,10 +205,10 @@ def test_whole_space_green_exact_under_permutations_and_sign_flips():
     rng = np.random.default_rng(11)
     for d, top in [(3, 20), (4, 18)]:
         pts = rng.integers(-top, top + 1, size=(300, d))
-        base = whole_space_green_array(d, pts)
+        base = lattice_kernel(d, pts)
         for perm in itertools.permutations(range(d)):
             flipped = rng.choice([-1, 1], size=pts.shape) * pts[:, list(perm)]
-            np.testing.assert_array_equal(whole_space_green_array(d, flipped), base)
+            np.testing.assert_array_equal(lattice_kernel(d, flipped), base)
         assert [whole_space_green(d, p) for p in pts[:30]] == base[:30].tolist()
 
 
@@ -259,8 +259,7 @@ def test_potential_kernel_matches_scalar_quadrature():
     keys = [(i, j) for j in range(50) for i in range(j + 1) if 0 < i * i + j * j < 2500]
     assert len(keys) == 1020
     oracle = np.array([_quad_potential_kernel(k) for k in keys])
-    np.testing.assert_allclose(lattice_module.potential_kernel_2d_array(keys), oracle,
-                               rtol=1e-13, atol=0)
+    np.testing.assert_allclose(lattice_kernel(2, keys), oracle, rtol=1e-13, atol=0)
 
 
 def test_potential_kernel_finite_past_quadrature_and_near_expansion():
@@ -273,19 +272,24 @@ def test_potential_kernel_finite_past_quadrature_and_near_expansion():
 def test_potential_kernel_array_matches_scalar_under_symmetries():
     rng = np.random.default_rng(5)
     pts = rng.integers(-300, 301, size=(400, 2))
-    base = lattice_module.potential_kernel_2d_array(pts)
+    base = lattice_kernel(2, pts)
     flipped = rng.choice([-1, 1], size=pts.shape) * pts[:, ::-1]
-    np.testing.assert_array_equal(lattice_module.potential_kernel_2d_array(flipped), base)
+    np.testing.assert_array_equal(lattice_kernel(2, flipped), base)
     assert [potential_kernel_2d(p) for p in pts[:40]] == base[:40].tolist()
-    assert lattice_module.potential_kernel_2d_array(np.zeros((0, 2), dtype=int)).shape == (0,)
+    assert lattice_kernel(2, np.zeros((0, 2), dtype=int)).shape == (0,)
 
 
-def _kernel_pair(d):
-    """The array and scalar evaluators of the walk kernel in dimension `d`."""
-    if d == 2:
-        return lattice_module.potential_kernel_2d_array, potential_kernel_2d
-    return (lambda pts, r: whole_space_green_array(d, pts, r),
-            lambda p, r: whole_space_green(d, p, r))
+@pytest.mark.parametrize("d,top", [(2, POTENTIAL_EXACT_RANGE), (3, EXACT_RANGE), (4, EXACT_RANGE)])
+def test_lattice_kernel_rows_are_the_scalar_kernels(d, top):
+    # half the rows inside the exact range, half past it; bit for bit
+    gen = np.random.default_rng(d)
+    pts = gen.integers(-top, top + 1, size=(60, d))
+    pts[::2, 0] = gen.choice([-1, 1], size=30) * gen.integers(top + 1, 3 * top, size=30)
+    scalar = potential_kernel_2d if d == 2 else (lambda p: whole_space_green(d, p))
+    assert lattice_kernel(d, pts).tolist() == [scalar(p) for p in pts]
+    for low in (1, 0):
+        with pytest.raises(ValueError, match="d >= 2"):
+            lattice_kernel(low, [[0]])
 
 
 def test_far_rows_stay_within_traced_memory():
@@ -293,10 +297,10 @@ def test_far_rows_stay_within_traced_memory():
     gen = np.random.default_rng(3)
     pts = gen.integers(-400, 400, size=(200_000, 3))
     pts[:, 0] = gen.integers(EXACT_RANGE + 1, 400, size=len(pts))
-    whole_space_green_array(3, pts[:10])  # its one-time imports are not the row's memory
+    lattice_kernel(3, pts[:10])  # its one-time imports are not the row's memory
     tracemalloc.start()
     try:
-        values = whole_space_green_array(3, pts)
+        values = lattice_kernel(3, pts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -310,10 +314,11 @@ def test_key_sum_independent_of_batch(d, top):
     # not depend on the other keys of the batch or on their order
     keys = np.array(list(itertools.combinations_with_replacement(range(top + 1), d)))
     assert len(keys) > lattice_module._KEY_CHUNK
-    batch, scalar = _kernel_pair(d)
-    values = batch(keys, top)
-    np.testing.assert_array_equal(batch(keys[::-1], top), values[::-1])
-    assert [scalar(k, top) for k in keys] == values.tolist()
+    values = lattice_module._lattice_kernel(d, keys, top)
+    np.testing.assert_array_equal(lattice_module._lattice_kernel(d, keys[::-1], top), values[::-1])
+    # the plane's exact range 256 is past every key here
+    scalar = potential_kernel_2d if d == 2 else (lambda k: whole_space_green(d, k, top))
+    assert [scalar(k) for k in keys] == values.tolist()
 
 
 def test_bessel_rows_cached_per_dimension(monkeypatch):
@@ -322,10 +327,10 @@ def test_bessel_rows_cached_per_dimension(monkeypatch):
     pts3 = np.array([(i, j, k) for i in range(4) for j in range(4) for k in range(4)])
 
     def planar():
-        return lattice_module.potential_kernel_2d_array(pts2)
+        return lattice_kernel(2, pts2)
 
     def spatial():
-        return whole_space_green_array(3, pts3)
+        return lattice_kernel(3, pts3)
 
     runs = []
     for order in ((planar, spatial), (spatial, planar)):
@@ -534,12 +539,10 @@ def test_membership_far_outside_and_wrong_dimension():
 
 def test_far_field_is_the_kernel_past_the_exact_range():
     gen = np.random.default_rng(5)
-    for d, kernel, top in [(2, lattice_module.potential_kernel_2d_array, 256),
-                           (3, lambda p: whole_space_green_array(3, p), EXACT_RANGE),
-                           (5, lambda p: whole_space_green_array(5, p), EXACT_RANGE)]:
+    for d, top in [(2, POTENTIAL_EXACT_RANGE), (3, EXACT_RANGE), (5, EXACT_RANGE)]:
         pts = gen.integers(-3 * top, 3 * top, size=(200, d))
         pts[:, 0] = gen.choice([-1, 1], size=200) * gen.integers(top + 1, 3 * top, size=200)
-        np.testing.assert_array_equal(kernel(pts), lattice_module.far_field(d, pts))
+        np.testing.assert_array_equal(lattice_kernel(d, pts), lattice_module.far_field(d, pts))
     r = math.hypot(3, 4)
     assert lattice_module.far_field(2, [(3, 4)])[0] == pytest.approx(
         2 / math.pi * math.log(r) + POTENTIAL_KERNEL_CONSTANT, rel=1e-15)

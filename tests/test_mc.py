@@ -38,8 +38,7 @@ from greenpot import (
     whole_space_green,
 )
 from greenpot import mc
-from greenpot.lattice import (ResourceLimitError, _neighbours, potential_kernel_2d,
-                              potential_kernel_2d_array)
+from greenpot.lattice import ResourceLimitError, _neighbours, lattice_kernel, potential_kernel_2d
 
 TWO_POINT = LatticeSet.from_points(2, [(0, 0), (1, 0)])
 
@@ -130,7 +129,7 @@ def test_boundary_term_bit_reproducible():
     total = 0.0
     for b, size in enumerate((mc.TRIAL_CHUNK, mc.TRIAL_CHUNK, 5)):
         exits = mc._walk_block(lat, u, size, mc.generator(9, 2, b), _neighbours(lat)[1])
-        total += float((0.5 * (potential_kernel_2d_array(exits - v)
+        total += float((0.5 * (lattice_kernel(2, exits - v)
                                - potential_kernel_2d(u - v))).sum())
     assert first.mean == total / trials
 

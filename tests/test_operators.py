@@ -184,10 +184,11 @@ def test_assemble_respects_point_cap(monkeypatch):
 def test_free_rows_take_no_point_cap_but_the_matrix_does(monkeypatch):
     # the byte budget guards the m x m matrix of a killed operator; the free sum
     # holds one block of its row at a time
-    monkeypatch.setattr(lattice_module, "MAX_BYTES", 8 * 3**2)
     grid = GridSpec(d=3, n=12)
     region = BallIndicator(ORIGIN3, 0.8)
-    assert len(grid_points(region, grid)) > 3
+    m = len(grid_points(region, grid))
+    assert m > 3  # so the 24 m bytes of the grid's points stay within the budget
+    monkeypatch.setattr(lattice_module, "MAX_BYTES", 8 * m**2 - 1)
     assert free_operator_value(grid, ("power", 1.0), region, ORIGIN3) > 0
     with pytest.raises(ResourceLimitError):
         assemble(grid, ("power", 1.0), domain=region)
@@ -324,7 +325,6 @@ def test_cmp_functional_detects_synthetic_violation():
         grid=grid,
         lattice=lattice,
         matrix=np.array([[1.0, 2.0], [2.0, 1.0]]),
-        transform=("power", 1.0),
     )
     assert cmp_functional(op, np.array([-0.2, 0.7])) == pytest.approx(-0.04, rel=1e-12)
 

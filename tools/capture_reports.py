@@ -29,6 +29,11 @@ on ``PYTHONPATH``) in a fresh interpreter with one BLAS/OpenMP thread:
   condition estimate overflows;
 - ``hadamard-sweep --betas nan --count 2`` and ``converge-disk --transform
   power:inf --levels 2``, non-finite transform parameters;
+- ``hadamard-sweep --betas 1e308 --count 2``, ``exp-sweep --alphas 1000
+  --count 2``, ``cmp-functional --transform power:1e308 --functions 2`` and
+  ``converge-disk --transform power:1e308 --levels 2``, finite transforms
+  that take a kernel value out of the float range: numerical failures;
+- ``lattice-green --d 1``, below the lattice kernels' dimensions;
 - ``--help`` of every subcommand and of ``greenpot`` itself.
 
 ``OUT_DIR`` receives each run's ``.json`` and ``.csv`` (not the
@@ -84,6 +89,12 @@ EXTRA = {
     # non-finite transform parameters
     "hadamard-sweep.betas-nan": ["hadamard-sweep", "--betas", "nan", "--count", "2"],
     "converge-disk.power-inf": ["converge-disk", "--transform", "power:inf", "--levels", "2"],
+    # finite transforms past the float range: numerical failures, not verdicts
+    "hadamard-sweep.betas-1e308": ["hadamard-sweep", "--betas", "1e308", "--count", "2"],
+    "exp-sweep.alphas-1000": ["exp-sweep", "--alphas", "1000", "--count", "2"],
+    "cmp-functional.power-1e308": ["cmp-functional", "--transform", "power:1e308", "--functions", "2"],
+    "converge-disk.power-1e308": ["converge-disk", "--transform", "power:1e308", "--levels", "2"],
+    "lattice-green.d1": ["lattice-green", "--d", "1"],
 }
 THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
