@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
-from .lattice import LatticeSet, ResourceLimitError
 
 __all__ = [
     "Ball",
@@ -179,7 +178,7 @@ class CubicSet:
         if any(abs(c) >= 2**53 for k in basis for c in k):
             raise ValueError("basis indices must have magnitude below 2^53")
         object.__setattr__(self, "basis", basis)
-        cells = LatticeSet.from_points(len(basis[0]), basis)
+        cells = lattice.LatticeSet.from_points(len(basis[0]), basis)
         # the cells outside the basis that touch it, where every interior
         # point's nearest complement point lies
         near = cells.points[:, None, :] - 1 + np.indices((3,) * cells.d).reshape(cells.d, -1).T
@@ -355,7 +354,7 @@ def _bbox_blocks(region, grid: GridSpec, pad: float = 0.0):
         yield first + np.stack(np.unravel_index(flat, shape), axis=1)
 
 
-def _grid_where(domain, grid: GridSpec, keep, pad: float = 0.0) -> LatticeSet:
+def _grid_where(domain, grid: GridSpec, keep, pad: float = 0.0) -> lattice.LatticeSet:
     """Indices of the bounding box widened by `pad` whose scaled points
     satisfy `keep`, evaluated on one block at a time.  Kept int64 points past
     `lattice.MAX_BYTES` are a `ResourceLimitError` before they are joined."""
@@ -363,12 +362,12 @@ def _grid_where(domain, grid: GridSpec, keep, pad: float = 0.0) -> LatticeSet:
     for cand in _bbox_blocks(domain, grid, pad):
         kept.append(cand[keep(cand * grid.h)])
         if (need := need + kept[-1].nbytes) > lattice.MAX_BYTES:
-            raise ResourceLimitError(f"the grid's kept points pass {need} bytes, "
+            raise lattice.ResourceLimitError(f"the grid's kept points pass {need} bytes, "
                                      f"over the budget of {lattice.MAX_BYTES}")
-    return LatticeSet(d=grid.d, points=np.concatenate(kept))
+    return lattice.LatticeSet(d=grid.d, points=np.concatenate(kept))
 
 
-def grid_points(domain, grid: GridSpec) -> LatticeSet:
+def grid_points(domain, grid: GridSpec) -> lattice.LatticeSet:
     """Integer points whose scaled positions lie strictly inside the domain.
 
     Boundary points are excluded (open-set membership).  The result may
@@ -377,7 +376,7 @@ def grid_points(domain, grid: GridSpec) -> LatticeSet:
     return _grid_where(domain, grid, domain.contains)
 
 
-def nonempty_grid_points(domain, grid: GridSpec) -> LatticeSet:
+def nonempty_grid_points(domain, grid: GridSpec) -> lattice.LatticeSet:
     """`grid_points` for a caller that needs at least one point: an empty
     grid is a ValueError."""
     pts = grid_points(domain, grid)
@@ -386,13 +385,13 @@ def nonempty_grid_points(domain, grid: GridSpec) -> LatticeSet:
     return pts
 
 
-def interior_grid(domain, grid: GridSpec) -> LatticeSet:
+def interior_grid(domain, grid: GridSpec) -> lattice.LatticeSet:
     """Points further than one spacing from the complement (in sup norm);
     a distance within ``TIE_TOL`` of one spacing is a tie, left out."""
     return _grid_where(domain, grid, lambda x: domain.dist_inf_to_complement(x) / grid.h > 1 + TIE_TOL)
 
 
-def exterior_grid(domain, grid: GridSpec) -> LatticeSet:
+def exterior_grid(domain, grid: GridSpec) -> lattice.LatticeSet:
     """Points within one spacing of the domain (in sup norm); a distance
     within ``TIE_TOL`` of one spacing is a tie, left out."""
     return _grid_where(domain, grid, lambda x: domain.dist_inf_to_set(x) / grid.h < 1 - TIE_TOL,

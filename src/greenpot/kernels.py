@@ -134,18 +134,21 @@ def check_transform(kind: str, param: float, d: int, free: bool) -> tuple:
 
 def transformed(kind: str, param: float, u):
     """``u**param`` or ``exp(param u)`` of a kernel value or array ``u >= 0``; a numerical
-    failure (`numpy.linalg.LinAlgError`) if it takes the largest entry, which bounds the
-    rest, to 0 or past the largest float.  Only that entry is checked, before the array."""
+    failure (`numpy.linalg.LinAlgError`) if it takes a positive entry to 0 or past the
+    largest float.  Only the extremes are checked, before the array: the largest entry
+    bounds the rest from above, and for a power the smallest positive one from below."""
     top = float(np.max(u, initial=-math.inf))
-    try:
-        peak = top**param if kind == "power" else math.exp(param * top)
-    except OverflowError:
-        peak = math.inf
-    if top > 0 and not 0 < peak < math.inf:
-        raise np.linalg.LinAlgError(f"{kind}:{param:g} takes the kernel value {top:.6g} "
-                                    "out of the float range")
+    low = float(np.min(u, where=np.greater(u, 0), initial=top)) if kind == "power" else top
+    for value in (top, low):
+        try:
+            image = value**param if kind == "power" else math.exp(param * value)
+        except OverflowError:
+            image = math.inf
+        if value > 0 and not 0 < image < math.inf:
+            raise np.linalg.LinAlgError(f"{kind}:{param:g} takes the kernel value "
+                                        f"{value:.6g} out of the float range")
     if np.ndim(u) == 0:
-        return peak
+        return image  # a single value is its own smallest positive entry
     return u**param if kind == "power" else np.exp(param * u)
 
 

@@ -166,6 +166,7 @@ def test_non_finite_transform_parameters_are_usage_errors(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["hadamard-sweep", "--betas", "1e308", "--count", "2"],
+    ["hadamard-sweep", "--betas", "50", "--count", "2"],  # only the smallest entries underflow
     ["exp-sweep", "--alphas", "1000", "--count", "2"],
     ["cmp-functional", "--domain", DISK, "--transform", "power:1e308", "--functions", "2"],
     ["converge-disk", "--transform", "power:1e308", "--levels", "2"],  # the reference underflows

@@ -175,9 +175,10 @@ def test_kernel_spec_and_assemble_accept_the_same_transforms():
 
 
 def test_assemble_respects_point_cap(monkeypatch):
-    # the byte budget of a 3-point killed Green matrix; the n = 8 disk has more
-    monkeypatch.setattr(lattice_module, "MAX_BYTES", 8 * 3**2)
-    with pytest.raises(ResourceLimitError):
+    # one byte short of the n = 8 disk's 9-point killed Green matrix; its grid's
+    # 144 bytes of points fit, so the raise is the matrix's
+    monkeypatch.setattr(lattice_module, "MAX_BYTES", 8 * 9**2 - 1)
+    with pytest.raises(ResourceLimitError, match="killed Green matrix of 9 points"):
         assemble(GridSpec(d=2, n=8), ("power", 1.0), domain=Ball((0.0, 0.0), 1.0))
 
 
@@ -187,10 +188,13 @@ def test_free_rows_take_no_point_cap_but_the_matrix_does(monkeypatch):
     grid = GridSpec(d=3, n=12)
     region = BallIndicator(ORIGIN3, 0.8)
     m = len(grid_points(region, grid))
-    assert m > 3  # so the 24 m bytes of the grid's points stay within the budget
-    monkeypatch.setattr(lattice_module, "MAX_BYTES", 8 * m**2 - 1)
+    # 72 bytes is less than the 24 m bytes of the region's grid points
+    monkeypatch.setattr(lattice_module, "MAX_BYTES", 8 * 3**2)
+    assert 24 * m > lattice_module.MAX_BYTES
     assert free_operator_value(grid, ("power", 1.0), region, ORIGIN3) > 0
-    with pytest.raises(ResourceLimitError):
+    # the grid fits one byte short of the matrix, so the raise is the matrix's
+    monkeypatch.setattr(lattice_module, "MAX_BYTES", 8 * m**2 - 1)
+    with pytest.raises(ResourceLimitError, match=f"killed Green matrix of {m} points"):
         assemble(grid, ("power", 1.0), domain=region)
 
 
