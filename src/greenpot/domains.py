@@ -72,8 +72,8 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not (0 < self.radius < math.inf and all(map(math.isfinite, self.center))):
+            raise ValueError("a ball needs a finite center and a radius in (0, inf)")
 
     @property
     def d(self) -> int:
@@ -128,8 +128,8 @@ class Box:
     def __post_init__(self):
         lo = tuple(float(c) for c in self.lo)
         hi = tuple(float(c) for c in self.hi)
-        if len(lo) != len(hi) or any(a >= b for a, b in zip(lo, hi)):
-            raise ValueError("box corners must satisfy lo < hi coordinatewise")
+        if len(lo) != len(hi) or not all(-math.inf < a < b < math.inf for a, b in zip(lo, hi)):
+            raise ValueError("box corners must be finite and satisfy lo < hi coordinatewise")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 

@@ -107,12 +107,12 @@ def disk_green_2d(radius: float, x, y) -> float:
     ) / math.pi
 
 
-def check_transform(kind: str, param: float, d: int, free: bool) -> tuple:
+def check_transform(kind: str, param: float, d: int | None, free: bool) -> tuple:
     """Validate a transform against the paper's range; returns ``(kind, float(param))``.
 
-    ``param`` must be finite.  Powers need ``param >= 1``, and on the free-space
-    kernel (``free``, which needs ``d >= 3``) also ``param < d/(d-2)``.  The
-    exponential is defined in the plane only, with ``0 < param < 2*pi``.
+    ``param`` must be finite.  Powers need ``param >= 1``, and on the free-space kernel
+    (``free``, which needs ``d >= 3``) also ``param < d/(d-2)``.  Exponentials need
+    ``0 < param < 2*pi`` in the plane, ``0 < param`` on a potential matrix (``d = None``).
     """
     if free and d < 3:
         raise ValueError("free-space kernels require d >= 3")
@@ -125,10 +125,12 @@ def check_transform(kind: str, param: float, d: int, free: bool) -> tuple:
             raise ValueError("power transform requires param >= 1")
         if free and not param < d / (d - 2):
             raise ValueError("power transform of the free-space kernel requires param < d/(d-2)")
-    elif d != 2:
+    elif d not in (None, 2):
         raise ValueError("exp transform is only defined in the plane")
-    elif not 0 < param < 2 * math.pi:
-        raise ValueError("exp transform requires 0 < param < 2*pi")
+    elif not param > 0:
+        raise ValueError("exp transform requires param > 0")
+    elif d == 2 and not param < 2 * math.pi:
+        raise ValueError("exp transform of the planar kernel requires param < 2*pi")
     return kind, float(param)
 
 

@@ -98,12 +98,8 @@ class _PackedIndex:
         self.keys = self._pack(points)
 
     def _pack(self, points: np.ndarray) -> np.ndarray:
-        shifted = np.maximum(points - self.lo, 0)
-        np.minimum(shifted, self.width - 1, out=shifted)
-        keys = shifted[:, 0].astype(np.int64)
-        for k in range(1, shifted.shape[1]):
-            keys = keys * self.width + shifted[:, k]
-        return keys
+        shape = (self.width,) * points.shape[1]
+        return np.ravel_multi_index(tuple((points - self.lo).T), shape, mode="clip")
 
     def rows(self, points: np.ndarray) -> np.ndarray:
         key = self._pack(points)

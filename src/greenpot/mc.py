@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import lattice
 from .domains import Ball, GridSpec, nonempty_grid_points, round_to_grid
 from .kernels import riesz_params
 from .lattice import (
@@ -50,6 +51,7 @@ __all__ = [
 STEP_BUDGET = 10**8  # steps of one walk block, read when the block runs
 TRIAL_CHUNK = 8192  # trials per block; a block's index keys its generator
 CHUNK_DRAWS = 1 << 12  # clock increments (or tail terms) one Riesz chunk holds at once
+_CHUNK_ARRAYS = 8  # float64 arrays of a Riesz chunk's shape alive at its peak (7.05 by tracemalloc)
 CLOSED_FORM_LIMIT = 100.0  # the d = 3 ball chance is closed-form up to s = 100 r^2
 TAIL_NODES = 800  # log-uniform points of the Bochner tail table
 TAIL_STEP = 0.25  # trapezoid step in log s of each tail integral
@@ -311,18 +313,23 @@ def estimate_riesz_potential(d: int, beta: float, ball: Ball, x, time_step: floa
     clock the window is exactly ``h(0) - h(T)``, so `step_error` is the
     trapezoid's error against it, plus `TAIL_RTOL` of ``D h(0)`` for the
     table itself.  Each 8192-trial block runs in chunks of at most
-    `CHUNK_DRAWS` increments, each from its own generator ``generator(seed,
-    stream, block, chunk)``, so memory does not grow with N and the blocks
-    and chunks, not the order of evaluation, fix the draws.
+    `CHUNK_DRAWS` increments, or of one row of N, each from its own generator
+    ``generator(seed, stream, block, chunk)`` (they, not the evaluation order,
+    fix the draws); a chunk past `lattice.MAX_BYTES` is a `ResourceLimitError`.
     """
     if not isinstance(ball, Ball) or ball.d != d:
         raise ValueError(f"need a Ball in R^{d}")
     alpha, coefficient = riesz_params(d, beta)
-    nsteps = int(round(horizon / time_step)) if time_step > 0 else 0
+    ratio = horizon / time_step if time_step > 0 else 0.0
+    nsteps = int(round(ratio)) if math.isfinite(ratio) else 0
     if nsteps < 2:
         raise ValueError("need 0 < 2 time_step <= horizon")
     if trials < 2:
         raise ValueError("need at least 2 trials")
+    rows = min(TRIAL_CHUNK, trials, max(1, CHUNK_DRAWS // nsteps))
+    if (need := _CHUNK_ARRAYS * 8 * rows * nsteps) > lattice.MAX_BYTES:
+        raise ResourceLimitError(f"a Riesz chunk of {rows} x {nsteps} draws needs {need} bytes, "
+                                 f"over the budget of {lattice.MAX_BYTES}")
     offset = np.asarray(x, dtype=float) - np.asarray(ball.center)
     m, r = math.sqrt(offset @ offset), ball.radius
     h0, tail = _tail_table(d, alpha, m, r)
@@ -347,7 +354,6 @@ def estimate_riesz_potential(d: int, beta: float, ball: Ball, x, time_step: floa
         window = coefficient * (h0 - tail(clock[:, -1])[0])
         step_error = abs(sums[2] - window) + TAIL_RTOL * coefficient * h0
     else:
-        rows = max(1, CHUNK_DRAWS // nsteps)
         sums = np.zeros(4)
         for b, size in enumerate(_block_sizes(trials)):
             block = np.zeros(4)

@@ -91,10 +91,9 @@ def _weighted(green: np.ndarray, grid: GridSpec, kind: str, param: float) -> np.
 def assemble(grid: GridSpec, transform, domain) -> DiscreteOperator:
     """Killed operator over ``grid_points(domain, grid)``, which must be nonempty.
 
-    `transform` is ``("power", beta)`` with ``beta >= 1`` or ``("exp",
-    alpha)`` with ``0 < alpha < 2*pi`` (plane only).  The operator holds its
-    m x m matrix: a killed Green matrix past `lattice.MAX_BYTES` raises
-    ResourceLimitError, but the weighted copy of it is not counted.
+    `transform` is a ``(kind, param)`` pair in the kernel range of `check_transform`.
+    The operator holds its m x m matrix: a killed Green matrix past
+    `lattice.MAX_BYTES` raises ResourceLimitError, but the weighted copy is not counted.
     """
     kind, param = check_transform(*transform, grid.d, False)
     lattice = nonempty_grid_points(domain, grid)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import lattice
-from .kernels import transformed
+from .kernels import check_transform, transformed
 from .lattice import LatticeSet, KilledGreenMatrix, killed_green_matrix, unit_steps
 from .mc import generator
 
@@ -234,21 +234,13 @@ def classify(u, trials: int = 0, seed: int = 0, tol: float = DEFAULT_TOL) -> Pot
 
 
 def hadamard_power(u, beta: float) -> np.ndarray:
-    """Entrywise power ``u ** beta`` for a finite ``beta >= 1``, by `transformed`."""
-    if not math.isfinite(beta):
-        raise ValueError("power transform requires a finite param")
-    if beta < 1:
-        raise ValueError("entrywise powers below 1 are not potential-preserving")
-    return transformed("power", beta, _check_square_nonneg(u))
+    """Entrywise ``u ** beta`` in the matrix range of `check_transform`, by `transformed`."""
+    return transformed(*check_transform("power", beta, None, False), _check_square_nonneg(u))
 
 
 def hadamard_exp(u, alpha: float) -> np.ndarray:
-    """Entrywise exponential ``exp(alpha * u)`` for a finite ``alpha > 0``, by `transformed`."""
-    if not math.isfinite(alpha):
-        raise ValueError("exp transform requires a finite param")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return transformed("exp", alpha, _check_square_nonneg(u))
+    """Entrywise ``exp(alpha * u)`` in the matrix range of `check_transform`, by `transformed`."""
+    return transformed(*check_transform("exp", alpha, None, False), _check_square_nonneg(u))
 
 
 def random_potential(d: int, size_range: tuple[int, int], seed: int) -> KilledGreenMatrix:

@@ -179,6 +179,26 @@ def test_transforms_past_the_float_range_are_numerical_failures(capsys, argv):
     assert err.startswith("numerical failure:") and "float range" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,code,named", [
+    (["domain-grid", "--domain", DISK.replace("1.0}", "Infinity}")], 2, "finite"),
+    (["domain-grid", "--domain", DISK.replace("1.0}", "NaN}")], 2, "finite"),
+    (["domain-grid", "--domain", STRIP.replace("-1.5", "NaN")], 2, "finite"),
+    (["converge-free", "--radius", "nan", "--levels", "1"], 2, "finite"),
+    (["converge-disk", "--radius", "nan"], 2, "finite"),
+    (["riesz-mc", "--radius", "nan"], 2, "finite"),
+    (["riesz-mc", "--center", "nan,0,0"], 2, "finite"),
+    (["riesz-mc", "--horizon", "inf"], 2, "time_step"),
+    (["riesz-mc", "--horizon", "1e9"], 1, "Riesz chunk"),  # 20 billion steps
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_non_finite_geometry_and_unbounded_clocks_stop_cleanly(capsys, argv, code, named):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(capsys, argv)
+    assert rc == code and out == "" and caught == []
+    assert err.startswith("error:" if code == 2 else "resource stop:")
+    assert named in err and "Traceback" not in err
+
+
 def test_converge_disk_at_the_pole_is_usage_error(capsys):
     rc, out, err = run_cli(capsys, ["converge-disk", "--x", "0.2,0", "--y", "0.2,0"])
     assert rc == 2 and out == ""

@@ -37,6 +37,7 @@ from greenpot import (
     sample_stable_increment,
     whole_space_green,
 )
+from greenpot import lattice as lattice_module
 from greenpot import mc
 from greenpot.lattice import ResourceLimitError, _neighbours, lattice_kernel, potential_kernel_2d
 
@@ -378,6 +379,24 @@ def test_riesz_estimate_horizon_guard():
         with pytest.raises(ValueError):
             estimate_riesz_potential(3, 2.0, ball, (0.0, 0.0, 0.0), time_step=time_step,
                                      horizon=horizon, trials=trials, rng=RngStream(0))
+
+
+@pytest.mark.parametrize("beta,trials,rows", [(1.0, 100, 100), (2.0, 100, 100), (2.0, 10**5, 204)])
+def test_riesz_chunk_over_budget_is_resource_stop_before_allocating(monkeypatch, beta, trials, rows):
+    # 20 steps: a chunk is min(TRIAL_CHUNK, trials, CHUNK_DRAWS // 20) rows, also on the fixed clock
+    def never(*args):
+        raise AssertionError("allocated past the byte budget")
+
+    need = mc._CHUNK_ARRAYS * 8 * rows * 20
+    args = (3, beta, Ball((2.0, 0.0, 0.0), 1.0), (0.0, 0.0, 0.0), 0.05, 1.0, trials, RngStream(0))
+    monkeypatch.setattr(lattice_module, "MAX_BYTES", need - 1)
+    monkeypatch.setattr(mc, "_tail_table", never)  # the first table built
+    with pytest.raises(ResourceLimitError, match=f"a Riesz chunk of {rows} x 20 draws needs {need} "
+                                                 f"bytes, over the budget of {need - 1}"):
+        estimate_riesz_potential(*args)
+    monkeypatch.setattr(lattice_module, "MAX_BYTES", need)
+    with pytest.raises(AssertionError, match="allocated"):
+        estimate_riesz_potential(*args)
 
 
 def test_riesz_estimate_takes_only_a_ball_of_its_dimension():

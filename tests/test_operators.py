@@ -41,6 +41,7 @@ from greenpot import lattice as lattice_module
 from greenpot.cli import _report_from_convergence
 from greenpot.kernels import check_transform
 from greenpot.lattice import EXACT_RANGE
+from greenpot.potential import hadamard_exp, hadamard_power
 
 ORIGIN3 = (0.0, 0.0, 0.0)
 UNIT_BALL = BallIndicator(ORIGIN3, 1.0)
@@ -157,10 +158,16 @@ def test_kernel_spec_and_assemble_accept_the_same_transforms():
                   for b in (0.99, 1.0, math.nextafter(top, 0.0), top, math.nan)]
     cases += [("exp", a, 2, False)
               for a in (0.0, 1e-9, 1.0, math.nextafter(2 * math.pi, 0.0), 2 * math.pi)]
+    # d = None: a potential matrix, whose range has no 2 pi bound and no dimension
+    cases += [("power", b, None, False) for b in (0.99, 1.0, math.nan)]
+    cases += [("exp", a, None, False) for a in (0.0, 1e-9, 7.0, math.inf)]
     verdicts = set()
     for kind, param, d, free in cases:
         valid = _accepts(lambda: check_transform(kind, param, d, free))
-        if free:
+        if d is None:
+            hadamard = hadamard_power if kind == "power" else hadamard_exp
+            op_ok = study_ok = _accepts(lambda: hadamard(np.eye(2), param))
+        elif free:
             target = BallIndicator((0.0,) * d, 0.3)
             op_ok = _accepts(lambda: free_operator_value(GridSpec(d=d, n=d), (kind, param),
                                                          target, (0.0,) * d))

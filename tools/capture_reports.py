@@ -34,6 +34,14 @@ on ``PYTHONPATH``) in a fresh interpreter with one BLAS/OpenMP thread:
   ``converge-disk --transform power:1e308 --levels 2``, finite transforms
   that take a kernel value out of the float range: numerical failures;
 - ``lattice-green --d 1``, below the lattice kernels' dimensions;
+- ``domain-grid`` on a disk of radius ``Infinity`` and ``converge-free
+  --radius nan``, non-finite geometry: usage errors;
+- ``riesz-mc --horizon inf`` (a usage error) and ``--horizon 1e9``, whose
+  one-row chunk of 2e10 clock steps is past ``lattice.MAX_BYTES``: a
+  resource stop before the first draw;
+- ``converge-disk --transform cos:1`` and ``hadamard-sweep --betas 0.5``,
+  an unknown transform kind and a matrix power below 1, both refused by
+  ``kernels.check_transform``;
 - ``--help`` of every subcommand and of ``greenpot`` itself.
 
 ``OUT_DIR`` receives each run's ``.json`` and ``.csv`` (not the
@@ -95,6 +103,15 @@ EXTRA = {
     "cmp-functional.power-1e308": ["cmp-functional", "--transform", "power:1e308", "--functions", "2"],
     "converge-disk.power-1e308": ["converge-disk", "--transform", "power:1e308", "--levels", "2"],
     "lattice-green.d1": ["lattice-green", "--d", "1"],
+    # non-finite geometry and an unbounded Riesz clock
+    "domain-grid.radius-inf": ["domain-grid", "--domain",
+                               '{"d":2,"shape":{"ball":{"center":[0.0,0.0],"radius":Infinity}}}'],
+    "converge-free.radius-nan": ["converge-free", "--radius", "nan"],
+    "riesz-mc.horizon-inf": ["riesz-mc", "--horizon", "inf"],
+    "riesz-mc.horizon-1e9": ["riesz-mc", "--horizon", "1e9"],
+    # transforms refused by the one validator
+    "converge-disk.transform-cos": ["converge-disk", "--transform", "cos:1"],
+    "hadamard-sweep.betas-0.5": ["hadamard-sweep", "--betas", "0.5", "--count", "2"],
 }
 THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
