@@ -105,8 +105,8 @@ def parse_ints(text: str) -> tuple:
 
 def parse_transform(text: str) -> tuple:
     kind, _, value = text.partition(":")
-    if not value:
-        raise ValueError("transform must look like power:1.5 or exp:1")
+    if not value:  # argparse prints an ArgumentTypeError's own text
+        raise argparse.ArgumentTypeError("transform must look like power:1.5 or exp:1")
     return kind, float(value)
 
 
@@ -462,7 +462,7 @@ def _config_value(key: str, value):
         return text
     try:
         return parse(text)
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ValueError(f"config key {key!r}: {exc}") from None
 
 

@@ -80,7 +80,7 @@ def disk_green_2d(radius: float, x, y) -> float:
     its analytic limit ``(1/pi) log(radius / |y|)``.  Both arguments must
     lie strictly inside the disk.
     """
-    if radius <= 0:
+    if not radius > 0:  # NaN too
         raise ValueError("radius must be positive")
     px, py = _as_point(x, 2), _as_point(y, 2)
     # hypot rescales, so norms below 1e-154 keep full precision where the
@@ -265,7 +265,7 @@ def ball_kernel_integral(d: int, beta: float, x, center, r: float) -> float:
     to relative tolerance 1e-8.
     """
     _, beta = check_transform("power", beta, d, True)
-    if r <= 0:
+    if not r > 0:  # NaN too
         raise ValueError("ball radius must be positive")
     a = float(np.linalg.norm(_as_point(x, d) - _as_point(center, d)))
     return green_constant(d) ** beta * _ball_power_integral(d, beta * (d - 2), a, r, 1e-8)

@@ -36,9 +36,9 @@ single columns by conjugate gradients preconditioned by the fast sine
 transform of the set's bounding box (see `killed_green_entries`); both
 refuse past the one byte budget `MAX_BYTES` before they allocate.
 
-scipy (Bessel functions, banded Cholesky) is imported inside the functions that
-call it: a killed Green matrix needs only numpy up to `DENSE_LIMIT` points, `scipy.linalg`
-beyond, and a killed Green column needs only numpy.
+scipy (Bessel functions) is imported inside the function that calls it: killed
+Green matrices (numpy's inverse up to `DENSE_LIMIT` points, a block-tridiagonal
+Cholesky beyond) and killed Green columns need only numpy.
 """
 
 from __future__ import annotations
@@ -331,16 +331,17 @@ def _neighbours(lattice: LatticeSet):
 
 
 def _transition_coo(lattice: LatticeSet):
-    """Rows and columns of the ordered neighbour pairs in the set; each pair once."""
+    """Rows and columns of the ordered neighbour pairs in the set; each pair once, rows ascending."""
     _, nbr = _neighbours(lattice)
     rows, steps = np.nonzero(nbr >= 0)
     return rows, nbr[rows, steps]
 
 
 MAX_BYTES = 1 << 30  # the one byte budget of the killed Green solves, read at call time
-# `killed_green_matrix` inverts with numpy up to here; beyond, the banded solve is faster and lighter
-# even with the scipy.linalg import (measured crossovers 1330-1480 points)
-DENSE_LIMIT = 1450
+# `killed_green_matrix` inverts with numpy up to here; beyond, the block Cholesky is faster (measured
+# crossovers, one BLAS thread: 121-137 points on disks, 120-142 on random planar sets, 81-93 on
+# balls in d = 3)
+DENSE_LIMIT = 128
 SYMMETRY_TOL = 1e-10
 COLUMN_BLOCK = 256  # columns per block when a full matrix is scanned
 # a killed Green column (`killed_green_entries`) stops at CG_STOP and is certified to CG_TOL
@@ -351,15 +352,59 @@ class ResourceLimitError(RuntimeError):
     """A request exceeded a byte or step budget."""
 
 
+def _block_cholesky_inverse(m: int, rows: np.ndarray, cols: np.ndarray, q: float) -> np.ndarray:
+    """``(I - P)^(-1)`` for ``I - P`` with unit diagonal and ``-q`` at the pairs ``(rows, cols)``
+    (rows ascending), by block-tridiagonal Cholesky on numpy alone (Golub & Van Loan, *Matrix
+    Computations*, 4th ed., 4.5).
+
+    Blocks of ``k`` rows, ``k`` the half-bandwidth, make ``I - P`` block tridiagonal.  Block ``i``
+    factors as ``L_ii = cholesky(A_ii - C_i C_i^T)`` with ``C_i = A_(i,i-1) W_(i-1)^T`` and ``W_i
+    = L_ii^(-1)``.  A forward pass writes ``Y = L^(-1)`` into the result, whose block row ``i``
+    is 0 right of the block; a backward pass overwrites it with ``G_i = W_i^T Y_i - (C_(i+1)
+    W_i)^T G_(i+1)``, one GEMM over both block rows.  Besides the result, the ``W_i`` and ``C_i``
+    and one ``k x m`` buffer take ``O(k m)`` bytes.
+    """
+    k = max(int(np.max(rows - cols, initial=0)), 1)
+    starts = list(range(0, m, k)) + [m]
+    cuts = np.searchsorted(rows, starts)
+    g, w, c = np.zeros((m, m)), [], [None]
+    for i, (s, e) in enumerate(zip(starts[:-1], starts[1:])):
+        r, cc = rows[cuts[i]:cuts[i + 1]] - s, cols[cuts[i]:cuts[i + 1]] - s
+        a, own = np.eye(e - s), (cc >= 0) & (cc < e - s)
+        a[r[own], cc[own]] = -q
+        if i:
+            below = np.zeros((e - s, k))
+            before = cc < 0
+            below[r[before], cc[before] + k] = -q
+            c.append(below @ w[-1].T)
+            a -= c[-1] @ c[-1].T
+        try:
+            w.append(np.linalg.inv(np.linalg.cholesky(a)))
+        except np.linalg.LinAlgError as exc:  # "Matrix is not positive definite"
+            raise np.linalg.LinAlgError(f"I - P is singular: {exc}") from exc
+        g[s:e, s:e] = w[-1]
+        if i:  # Y_i = W_i (E_i - C_i Y_(i-1)): W_i on the block, -(W_i C_i) Y_(i-1) left of it
+            np.matmul(-(w[-1] @ c[-1]), g[s - k:s, :s], out=g[s:e, :s])
+    buf = np.empty((k, m))
+    for i in reversed(range(len(w))):
+        s, e, end = starts[i], starts[i + 1], starts[min(i + 2, len(w))]
+        step = np.hstack([w[i].T, -(c[i + 1] @ w[i]).T]) if i + 1 < len(w) else w[i].T
+        out = buf[:e - s]
+        np.matmul(step, g[s:end], out=out)
+        g[s:e] = out
+    return g
+
+
 def killed_green_matrix(lattice: LatticeSet) -> KilledGreenMatrix:
     """Solve ``(I - P) G = I`` for the walk restricted to `lattice`.
 
     ``P`` keeps probability ``1/(2d)`` on nearest-neighbor pairs inside the
     set; mass stepping outside is killed.  Up to `DENSE_LIMIT` points numpy
-    inverts ``I - P``; beyond it, one banded Cholesky solve costs ``m^2``
-    times the bandwidth (one grid row) and peaks at one ``m x m`` array
-    plus the band.  Either way ``G`` is checked and symmetrized in place,
-    `COLUMN_BLOCK` rows at a time.
+    inverts ``I - P``; beyond it, `_block_cholesky_inverse` factors ``I - P``
+    in blocks of ``k`` rows, ``k`` its half-bandwidth (one grid row in the
+    plane, one slab in d = 3), costs about ``5 k m^2`` flops in GEMMs and
+    peaks at ``G`` plus ``O(k m)`` bytes of blocks.  Either way ``G`` is
+    checked and symmetrized in place, `COLUMN_BLOCK` rows at a time.
 
     Returns
     -------
@@ -371,8 +416,8 @@ def killed_green_matrix(lattice: LatticeSet) -> KilledGreenMatrix:
     ------
     ResourceLimitError
         If the ``8 m^2`` bytes of ``G`` exceed `MAX_BYTES`; checked before
-        anything is allocated.  numpy's ``I - P`` (at most 16.8 MB below
-        `DENSE_LIMIT`) and the band are not counted.
+        anything is allocated.  numpy's ``I - P`` (at most 131 KB below
+        `DENSE_LIMIT`) and the ``O(k m)`` blocks are not counted.
     numpy.linalg.LinAlgError
         If ``I - P`` is singular, or ``G`` and its transpose differ by
         more than `SYMMETRY_TOL` times its largest entry.
@@ -384,22 +429,14 @@ def killed_green_matrix(lattice: LatticeSet) -> KilledGreenMatrix:
         raise ResourceLimitError(f"a killed Green matrix of {m} points needs {need} bytes, "
                                  f"over the budget of {MAX_BYTES}")
     rows, cols = _transition_coo(lattice)
+    q = 1.0 / (2 * lattice.d)
     if m <= DENSE_LIMIT:
         a = np.eye(m)
-        a[rows, cols] = -1.0 / (2 * lattice.d)
+        a[rows, cols] = -q
         g = np.linalg.inv(a)
         del a
-    else:  # one Cholesky solve on the lower band of the symmetric I - P
-        from scipy.linalg import solveh_banded
-        lower = rows > cols
-        band = np.zeros((np.max(rows - cols, initial=0) + 1, m))
-        band[0] = 1.0
-        band[rows[lower] - cols[lower], cols[lower]] = -1.0 / (2 * lattice.d)
-        try:
-            g = solveh_banded(band, np.eye(m, order="F"), overwrite_b=True, lower=True,
-                              check_finite=False).T  # C-ordered, like numpy's inverse
-        except np.linalg.LinAlgError as exc:  # "k-th leading minor not positive definite"
-            raise np.linalg.LinAlgError(f"I - P is singular: {exc}") from exc
+    else:
+        g = _block_cholesky_inverse(m, rows, cols, q)
     scale, skew = max(float(g.max()), -float(g.min())), 0.0
     buf = np.empty(min(m, COLUMN_BLOCK) * m)
     for lo in range(0, m, COLUMN_BLOCK):  # skew of each pair, then g = (g + g.T) / 2 in place

@@ -284,16 +284,16 @@ def test_step_budget_is_resource_stop(capsys, monkeypatch):
 
 
 def test_exactly_singular_sparse_factor_is_numerical_failure(capsys, monkeypatch):
-    # the banded route's Cholesky fails on a band that is not positive definite;
+    # the block route's Cholesky fails on a block that is not positive definite;
     # a killed Green column fails through its residual certificate
     lat = grid_points(Ball((0.0, 0.0), 1.0), GridSpec(d=2, n=18))
 
-    def clique(lattice):  # six points all neighbours: the band of I - P is not positive definite
+    def clique(lattice):  # six points all neighbours: I - P is not positive definite
         return np.nonzero(~np.eye(6, dtype=bool))
 
     monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
-    with monkeypatch.context() as banded:  # the band is written from the neighbour pairs
-        banded.setattr(lattice_module, "_transition_coo", clique)
+    with monkeypatch.context() as blocks:  # the blocks are written from the neighbour pairs
+        blocks.setattr(lattice_module, "_transition_coo", clique)
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             killed_green_matrix(lat)
     monkeypatch.setattr(lattice_module, "CG_TOL", -1.0)  # below any residual bound
@@ -412,6 +412,19 @@ def test_config_values_go_through_their_flag_parsers(tmp_path, capsys):
         cfg.write_text(json.dumps({"domain": json.loads(DISK), **bad}))
         rc, _, err = run_cli(capsys, ["domain-grid", "--config", str(cfg)])
         assert rc == 2 and err.startswith("error:") and "Traceback" not in err, bad
+
+
+def test_transform_without_a_value_prints_the_usage_text(tmp_path, capsys):
+    # on the command line and in a config file, the same text and exit code 2
+    usage = "transform must look like power:1.5 or exp:1\n"
+    rc, out, err = run_cli(capsys, ["converge-disk", "--transform", "power"])
+    assert rc == 2 and out == ""
+    assert err.endswith("error: argument --transform: " + usage)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"transform": "power"}))
+    rc, out, err = run_cli(capsys, ["converge-disk", "--config", str(cfg)])
+    assert rc == 2 and out == ""
+    assert err == "error: config key 'transform': " + usage
 
 
 def test_parser_flags_come_from_the_table():
@@ -615,18 +628,25 @@ SPARSE_GUARD = """
 import json, sys
 from greenpot.cli import main
 assert main(json.loads(sys.argv[1])) == 0
-assert "scipy.linalg" in sys.modules
+assert "scipy.linalg" not in sys.modules
 assert "scipy.sparse" not in sys.modules
 """
 
 
 def test_large_killed_green_does_not_import_scipy_sparse():
-    # above DENSE_LIMIT the band of I - P comes straight from the neighbour pairs,
+    # above DENSE_LIMIT the blocks of I - P come straight from the neighbour pairs,
     # and the check reads the residual against I - P instead of inverting G
     argv = ["killed-green", "--domain", DISK, "--n", "930"]
     proc = _run_fresh(SPARSE_GUARD, argv)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout)["size"] > lattice_module.DENSE_LIMIT
+
+
+def test_killed_green_at_m_2285_does_not_import_scipy_linalg():
+    # the block Cholesky runs on numpy alone, at every size past DENSE_LIMIT
+    proc = _run_fresh(SPARSE_GUARD, ["killed-green", "--domain", DISK, "--n", "1458"])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout)["size"] == 2285
 
 
 STATS_GUARD = """

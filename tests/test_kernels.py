@@ -110,6 +110,8 @@ def test_disk_green_rejects_exterior_points():
         disk_green_2d(1.0, (0.2, 0.0), (1.0, 0.0))
     with pytest.raises(ValueError):
         disk_green_2d(1.0, (1.5, 0.0), (0.2, 0.0))
+    with pytest.raises(ValueError, match="radius must be positive"):
+        disk_green_2d(math.nan, (0.2, 0.0), (0.1, 0.0))
 
 
 @st.composite
@@ -286,8 +288,9 @@ def test_ball_integral_rejects_transforms_outside_the_free_range():
     for d, beta in [(3, 3.0), (3, math.nextafter(3.0, 4.0)), (4, 2.0), (4, 2.5), (2, 1.0), (1, 1.0)]:
         with pytest.raises(ValueError):
             ball_kernel_integral(d, beta, (0.0,) * d, (1.0,) + (0.0,) * (d - 1), 0.5)
-    with pytest.raises(ValueError):
-        ball_kernel_integral(3, 1.0, (0, 0, 0), (2, 0, 0), 0.0)
+    for r in (0.0, math.nan):
+        with pytest.raises(ValueError, match="ball radius must be positive"):
+            ball_kernel_integral(3, 1.0, (0, 0, 0), (2, 0, 0), r)
 
 
 def test_volume_bound_closed_forms():

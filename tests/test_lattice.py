@@ -610,7 +610,7 @@ def _posv_green(lat):
 @pytest.mark.parametrize("n", [18, 162, None], ids=lambda n: f"disk{n}" if n else "random3d")
 def test_dense_route_matches_sparse_posv_and_entries(n, monkeypatch):
     lat = _disk(n) if n else _random_set(3, 80, 3)
-    assert len(lat) <= lattice_module.DENSE_LIMIT
+    monkeypatch.setattr(lattice_module, "DENSE_LIMIT", len(lat))  # numpy's inverse
     dense = killed_green_matrix(lat).entries
     pts = [tuple(p) for p in lat.points]
     x = pts[len(pts) // 2]
@@ -621,8 +621,43 @@ def test_dense_route_matches_sparse_posv_and_entries(n, monkeypatch):
     np.testing.assert_allclose(dense[lat.index_of(x)], row, rtol=1e-12, atol=1e-300)
 
 
+def _banded_green(lat):
+    """The former route past `DENSE_LIMIT`: one banded Cholesky solve of ``(I - P) G = I``
+    on the lower band of ``I - P`` (LAPACK ``pbsv``)."""
+    from scipy.linalg import solveh_banded
+
+    rows, cols = lattice_module._transition_coo(lat)
+    lower = rows > cols
+    band = np.zeros((np.max(rows - cols, initial=0) + 1, len(lat)))
+    band[0] = 1.0
+    band[rows[lower] - cols[lower], cols[lower]] = -1.0 / (2 * lat.d)
+    return solveh_banded(band, np.eye(len(lat)), lower=True)
+
+
+# a 7 x 5 box without one corner: 34 points in blocks of 5 rows, the last one short
+NOTCHED_BOX = LatticeSet.from_points(2, [(i, j) for i in range(7) for j in range(5)][:-1])
+
+
+@pytest.mark.parametrize("lat", [
+    pytest.param(lambda: _disk(930), id="disk930"),
+    pytest.param(lambda: grid_points(Ball((0.0, 0.0, 0.0), 1.0), GridSpec(d=3, n=162)), id="ball162"),
+    pytest.param(lambda: grid_points(U_SHAPE, GridSpec(d=2, n=800)), id="u_shape"),
+    pytest.param(lambda: grid_points(CubicSet(2, [(0, 0), (1, 1)]), GridSpec(d=2, n=2 * 8**2)),
+                 id="disconnected"),
+    pytest.param(lambda: NOTCHED_BOX, id="short_last_block"),
+])
+def test_block_route_matches_banded_cholesky(lat, monkeypatch):
+    # the last block is short, and exact zeros between components stay exact (atol)
+    rows, cols = lattice_module._transition_coo(NOTCHED_BOX)
+    assert len(NOTCHED_BOX) % np.max(rows - cols) == 4
+    lat = lat()
+    monkeypatch.setattr(lattice_module, "DENSE_LIMIT", 0)
+    np.testing.assert_allclose(killed_green_matrix(lat).entries, _banded_green(lat),
+                               rtol=1e-12, atol=1e-300)
+
+
 def test_banded_route_on_narrow_bands(monkeypatch):
-    """Half-bandwidths 0 (LAPACK ``pbsv`` on a diagonal) and 1 (``ptsv``)."""
+    """Half-bandwidths 0 (the block route's blocks of one row on a diagonal) and 1."""
     sets = [LatticeSet.from_points(d, [(0,) * d]) for d in (1, 2, 3)]
     sets.append(LatticeSet.from_points(1, [(i,) for i in range(-6, 7)]))
     sets.append(LatticeSet.from_points(2, [(0, j) for j in range(5)]))
@@ -636,7 +671,6 @@ def test_large_solve_and_inverse_stay_within_traced_memory():
     lat = _disk(1458)
     m = len(lat)
     assert m > lattice_module.DENSE_LIMIT
-    import scipy.linalg  # noqa: F401  (its one-time import is not the solve's memory)
     unit = 8 * m * m
     tracemalloc.start()
     try:

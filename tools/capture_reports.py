@@ -13,16 +13,18 @@ on ``PYTHONPATH``) in a fresh interpreter with one BLAS/OpenMP thread:
 - ``converge-free --beta 1.4 --levels 4``;
 - ``riesz-mc --beta 1.5 --trials 20000``;
 - ``killed-green --n 1458`` (m = 2285) and, on the unit ball in d = 3,
-  ``killed-green --n 162`` (m = 1647), both above ``lattice.DENSE_LIMIT``;
+  ``killed-green --n 162`` (m = 1647), both on the block Cholesky past
+  ``lattice.DENSE_LIMIT``;
 - ``killed-green --n 20000`` (m = 31397), whose killed Green matrix is past
   the byte budget ``lattice.MAX_BYTES``: a resource stop, exit 1, before any
   m x m array exists;
 - ``killed-green --n 162 --dump-limit 300`` on the disk (m = 249, its
-  matrix dumped), then ``check-potential --matrix @`` that report at its
-  default 10000 trials, whose normals the CMP probes score in 40 row blocks;
-- ``killed-green --n 930 --dump-limit 1500`` on the disk (m = 1465, just
-  above ``lattice.DENSE_LIMIT``: the banded solve), then ``check-potential
-  --matrix @`` that report at ``--trials 0``: numpy's LU, as at every size;
+  matrix dumped, the block Cholesky), then ``check-potential --matrix @``
+  that report at its default 10000 trials, whose normals the CMP probes
+  score in 40 row blocks;
+- ``killed-green --n 930 --dump-limit 1500`` on the disk (m = 1465, its
+  matrix dumped, the block Cholesky), then ``check-potential --matrix @``
+  that report at ``--trials 0``: numpy's LU, as at every size;
 - ``lattice-green --d 4 --max 31`` and ``--d 2 --max 300``, whose tables
   reach past the exact ranges 16 and 256;
 - ``check-potential --matrix [[1e308,1e308],[0,1e308]] --trials 0``, whose
@@ -41,7 +43,8 @@ on ``PYTHONPATH``) in a fresh interpreter with one BLAS/OpenMP thread:
   resource stop before the first draw;
 - ``converge-disk --transform cos:1`` and ``hadamard-sweep --betas 0.5``,
   an unknown transform kind and a matrix power below 1, both refused by
-  ``kernels.check_transform``;
+  ``kernels.check_transform``, and ``converge-disk --transform power``, a
+  transform without its value;
 - ``--help`` of every subcommand and of ``greenpot`` itself.
 
 ``OUT_DIR`` receives each run's ``.json`` and ``.csv`` (not the
@@ -112,6 +115,8 @@ EXTRA = {
     # transforms refused by the one validator
     "converge-disk.transform-cos": ["converge-disk", "--transform", "cos:1"],
     "hadamard-sweep.betas-0.5": ["hadamard-sweep", "--betas", "0.5", "--count", "2"],
+    # a transform without its value: a usage error that prints the parser's own text
+    "converge-disk.transform-power": ["converge-disk", "--transform", "power"],
 }
 THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
